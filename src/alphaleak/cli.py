@@ -29,7 +29,7 @@ from .errors import AlphaleakError, InvalidOrder, ParseError, ValidationError
 from .leakage import alpha_mi_via_leakage, arrow_pratt
 from .optimize import DEFAULT_CONFIG
 from .qcalc import q_log
-from .renyi import MiVariant, alpha_mi
+from .renyi import MiVariant, _check_alpha, alpha_mi
 from .simplex import Channel, JointDist, Pmf, joint_from_matrix, make_channel, make_pmf
 from .verify import DEFAULT_ALPHAS, DEFAULT_SIZES, run_verify
 
@@ -111,6 +111,31 @@ def _parse_variants(text: str) -> list[MiVariant]:
         raise ParseError(f"unknown variant in {text!r}") from e
 
 
+def _domain_error(variant: MiVariant, alpha: float) -> str | None:
+    try:
+        _check_alpha(alpha, variant)
+    except InvalidOrder as e:
+        return str(e)
+    return None
+
+
+def _split_domain(variants, alphas) -> tuple[list, list[dict]]:
+    """(variant, orders inside its domain) per variant, and the skipped
+    pairs.  An order no requested variant accepts is kept, so that it
+    still fails as an input error."""
+    plan, skipped = [], []
+    for variant in variants:
+        keep = []
+        for alpha in alphas:
+            reason = _domain_error(variant, alpha)
+            if reason is None or all(_domain_error(v, alpha) for v in variants):
+                keep.append(alpha)
+            else:
+                skipped.append({"variant": variant.value, "alpha": alpha, "reason": reason})
+        plan.append((variant, keep))
+    return plan, skipped
+
+
 def run_measure(dist, variants, alphas, method: str, via_leakage: bool, cfg) -> list[dict]:
     """One row per (variant, alpha): value in nats plus diagnostics."""
     p, W = _as_pair(dist)
@@ -139,13 +164,19 @@ def run_measure(dist, variants, alphas, method: str, via_leakage: bool, cfg) -> 
     return rows
 
 
-def _emit(rows: list[dict], fmt: str, out, header_note: str = "units: nats"):
+def _emit(rows: list[dict], fmt: str, out, header_note: str = "units: nats",
+          skipped: list[dict] | None = None):
     if fmt == "json":
-        json.dump({"units": "nats", "rows": rows}, out, indent=2)
+        doc = {"units": "nats", "rows": rows}
+        if skipped is not None:
+            doc["skipped"] = skipped
+        json.dump(doc, out, indent=2)
         out.write("\n")
         return
     # csv
     out.write(f"# {header_note}\n")
+    for s in skipped or ():
+        out.write(f"# skipped: {s['variant']} alpha={s['alpha']:.12g} ({s['reason']})\n")
     if not rows:
         return
     cols = list(rows[0].keys())
@@ -266,9 +297,15 @@ def main(argv=None) -> int:
             dist = load_distribution(args.input)
             variants = _parse_variants(args.variant)
             alphas = _parse_alphas(args.alpha)
-            rows = run_measure(dist, variants, alphas, args.method, args.via_leakage, cfg)
+            if args.variant == "all":
+                plan, skipped = _split_domain(variants, alphas)
+            else:
+                plan, skipped = [(v, alphas) for v in variants], []
+            rows = [row for variant, keep in plan
+                    for row in run_measure(dist, [variant], keep, args.method,
+                                           args.via_leakage, cfg)]
             out, close = _open_out(args.out)
-            _emit(rows, args.output, out)
+            _emit(rows, args.output, out, skipped=skipped)
             if close:
                 out.close()
             return 0

@@ -56,6 +56,7 @@ from .errors import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
+    _fd_grad_stack,
     ac_rule_batch,
     augustin_fixed_point,
     eg_optimize,
@@ -122,18 +123,19 @@ def _check_score_order(alpha: float):
 
 
 def _gain_vector(g: GainFunction, action: np.ndarray) -> np.ndarray:
-    """g(x, action) for every x at once."""
+    """g(x, action) for every x at once; ``action`` may also be a (b, n)
+    stack of actions, one gain vector per row."""
     a = np.asarray(action, dtype=np.float64)
     if g.kind == "soft01":
         return a.copy()
     if g.kind == "power":
         al = g.alpha
         with np.errstate(divide="ignore"):
-            return al * a ** (al - 1.0) + (1.0 - al) * float((a ** al).sum())
+            return al * a ** (al - 1.0) + (1.0 - al) * (a ** al).sum(axis=-1, keepdims=True)
     if g.kind == "power_loss":
         al = g.alpha
         with np.errstate(divide="ignore"):
-            f = al * a ** (al - 1.0) + (1.0 - al) * float((a ** al).sum())
+            f = al * a ** (al - 1.0) + (1.0 - al) * (a ** al).sum(axis=-1, keepdims=True)
         if np.any(f <= 0.0):
             raise DomainError("power loss is defined where the power score is positive")
         return f ** (1.0 / (1.0 - al))
@@ -235,15 +237,28 @@ def _prior_closed(p: Pmf, g: GainFunction, phi: Aggregator, sense: str):
     return None
 
 
-def _prior_objective(p: Pmf, g: GainFunction, phi: Aggregator):
-    mask = p.probs > 0.0
+def _prior_objective(probs: np.ndarray, g: GainFunction, phi: Aggregator):
+    """sum_x p(x) phi(g(x, r)) of one action (a float) or of a (b, n)
+    stack of actions (one value per row)."""
+    mask = probs > 0.0
+    live = probs[mask]
 
-    def aggregate(action: np.ndarray) -> float:
-        gv = _gain_vector(g, action)
-        fv = _apply(phi.forward, gv)
-        return float((p.probs[mask] * fv[mask]).sum())
+    def aggregate(actions: np.ndarray):
+        fv = _apply(phi.forward, _gain_vector(g, actions))
+        vals = (live * fv[..., mask]).sum(axis=-1)
+        return float(vals) if vals.ndim == 0 else vals
 
     return aggregate
+
+
+def _optimize_action(aggregate, init: np.ndarray, maximize: bool,
+                     cfg: OptimizerConfig):
+    """EG over one simplex, its gradient by central differences with all
+    perturbed points evaluated in one batched call."""
+    return eg_optimize(lambda blocks: aggregate(blocks[0]), [init.size],
+                       "max" if maximize else "min", cfg,
+                       grad=lambda blocks: [_fd_grad_stack(aggregate, blocks[0])],
+                       inits=[init])
 
 
 def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
@@ -259,17 +274,16 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
         raise UnsupportedVariant(
             f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
         )
-    aggregate = _prior_objective(p, g, phi)
+    aggregate = _prior_objective(p.probs, g, phi)
     maximize = _maximize_inner(sense, phi)
     if method == "oracle":
-        action, agg = oracle_optimize_single(aggregate, p.n, maximize, cfg)
+        action, agg = oracle_optimize_single(None, p.n, maximize, cfg,
+                                             batch_objective=aggregate)
         return VulnerabilityResult(
             value=float(phi.inverse(agg)), rule=Pmf(p.labels, action),
             method="oracle", residual=cfg.grid_resolution,
         )
-    res = eg_optimize(lambda blocks: aggregate(blocks[0]), [p.n],
-                      "max" if maximize else "min", cfg,
-                      inits=[p.probs])
+    res = _optimize_action(aggregate, p.probs, maximize, cfg)
     return VulnerabilityResult(
         value=float(phi.inverse(res.value)), rule=Pmf(p.labels, res.point[0]),
         method="optimize", residual=res.residual,
@@ -416,19 +430,13 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
                 aggregate += total_w * (val - 1.0) / (1.0 - g.alpha)
         else:
             pi = w / total_w
-
-            def inner(blocks):
-                gv = _gain_vector(g, blocks[0])
-                fv = _apply(phi.forward, gv)
-                mask = pi > 0.0
-                return float((pi[mask] * fv[mask]).sum())
-
+            inner = _prior_objective(pi, g, phi)
             if method == "optimize":
-                res = eg_optimize(inner, [n_x], "max" if maximize else "min", cfg,
-                                  inits=[pi])
+                res = _optimize_action(inner, pi, maximize, cfg)
                 r, val, resid = res.point[0], res.value, res.residual
             else:
-                r, val = oracle_optimize_single(lambda a: inner([a]), n_x, maximize, cfg)
+                r, val = oracle_optimize_single(None, n_x, maximize, cfg,
+                                                batch_objective=inner)
                 resid = cfg.grid_resolution
             rows[y] = r
             aggregate += total_w * val
@@ -533,12 +541,7 @@ def _kn_conditional_value(p: Pmf, W: Channel, g: GainFunction,
                           phi: Aggregator, psi: Aggregator, R: np.ndarray) -> float:
     """The defining doubly-aggregated value of a rule (no optimization)."""
     n_x = p.n
-    gv = np.empty((W.n_y, n_x))
-    for y in range(W.n_y):
-        gv[y] = _gain_vector(g, R[y])
-    psi_g = np.empty_like(gv)
-    for y in range(W.n_y):
-        psi_g[y] = _apply(psi.forward, gv[y])
+    psi_g = _apply(psi.forward, _gain_vector(g, R))
     inner = np.empty(n_x)
     for x in range(n_x):
         live = W.matrix[x] > 0.0  # avoid 0 * (-inf) at boundary rules

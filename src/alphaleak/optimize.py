@@ -3,7 +3,8 @@
 Four engines, in increasing order of specialization:
 
 * ``simplex_grid`` + the ``oracle_*`` scanners: exhaustive, used as
-  brute-force oracles for everything else;
+  brute-force oracles for everything else; a grid is built in one
+  vectorized stars-and-bars pass per call and is not cached;
 * ``eg_optimize``: generic exponentiated-gradient (multiplicative
   weights with backtracking line search) over a product of simplices,
   gradient supplied or estimated by central differences in log space;
@@ -21,9 +22,9 @@ initializations are drawn from a generator seeded per call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,20 +73,22 @@ DEFAULT_CONFIG = OptimizerConfig()
 # grid oracle
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
 def _compositions(n: int, k: int) -> np.ndarray:
-    """All length-n nonnegative integer vectors summing to k, lex order."""
-    if n == 1:
-        out = np.array([[k]], dtype=np.int64)
-    else:
-        blocks = []
-        for first in range(k + 1):
-            rest = _compositions(n - 1, k - first)
-            head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-            blocks.append(np.hstack([head, rest]))
-        out = np.vstack(blocks)
-    out.setflags(write=False)
-    return out
+    """All length-n nonnegative integer vectors summing to k, lex order.
+
+    Stars and bars: each composition is one choice of n-1 bar positions
+    among k+n-1 slots, and the gaps between consecutive bars (with
+    virtual bars at -1 and k+n-1) are its parts.  ``combinations`` emits
+    the bar tuples in lexicographic order, which is the lexicographic
+    order of the compositions as well.
+    """
+    slots = k + n - 1
+    count = math.comb(slots, n - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), n - 1)),
+        dtype=np.int64, count=count * (n - 1),
+    ).reshape(count, n - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
 def simplex_grid(n: int, resolution: float) -> np.ndarray:
@@ -184,18 +187,30 @@ class EgResult:
     converged: bool
 
 
+def _fd_grad_stack(batch_objective, b: np.ndarray, delta: float = 1e-6) -> np.ndarray:
+    """Central differences of ``batch_objective`` at ``b`` along
+    multiplicative perturbations (which keep every point positive).
+
+    All 2n perturbed points go through ``batch_objective`` as one
+    (2n, n) stack: rows 0..n-1 scale one coordinate up by exp(delta),
+    rows n..2n-1 scale it down.
+    """
+    n = b.size
+    diag = np.arange(n)
+    stack = np.tile(b, (2 * n, 1))
+    stack[diag, diag] = b * math.exp(delta)
+    stack[n + diag, diag] = b * math.exp(-delta)
+    vals = np.asarray(batch_objective(stack), dtype=np.float64)
+    return (vals[:n] - vals[n:]) / (b * (math.exp(delta) - math.exp(-delta)))
+
+
 def _fd_grad(objective, blocks: list[np.ndarray], delta: float = 1e-6) -> list[np.ndarray]:
-    """Central differences along multiplicative perturbations (stays positive)."""
+    """``_fd_grad_stack`` per block, for an objective of one point per block."""
     grads = []
     for bi, b in enumerate(blocks):
-        g = np.zeros_like(b)
-        for i in range(b.size):
-            up = [x.copy() for x in blocks]
-            dn = [x.copy() for x in blocks]
-            up[bi][i] = b[i] * math.exp(delta)
-            dn[bi][i] = b[i] * math.exp(-delta)
-            g[i] = (objective(up) - objective(dn)) / (b[i] * (math.exp(delta) - math.exp(-delta)))
-        grads.append(g)
+        def batch(stack, bi=bi):
+            return [objective(blocks[:bi] + [row] + blocks[bi + 1:]) for row in stack]
+        grads.append(_fd_grad_stack(batch, b, delta))
     return grads
 
 
@@ -307,10 +322,11 @@ def augustin_fixed_point(p: Pmf, W: Channel, alpha: float,
                          cfg: OptimizerConfig = DEFAULT_CONFIG) -> AugustinResult:
     """Minimizing output distribution of the expected divergence of order alpha.
 
-    Iterates the self-consistency map from the output marginal, damped by
-    geometric mixing 0.5 for alpha > 1; hands off to ``eg_optimize`` on
-    the convex objective if the iteration plateaus, and reports which
-    engine produced the result.
+    Iterates the self-consistency map T from the output marginal, damped
+    for alpha > 1 by arithmetic mixing, ``q <- 0.5 T(q) + 0.5 q`` (then
+    renormalized); hands off to ``eg_optimize`` on the convex objective
+    if the iteration plateaus, and reports which engine produced the
+    result.
     """
     if p.labels != W.x_labels:
         raise DimensionMismatch("prior labels do not match channel input labels")
@@ -382,7 +398,7 @@ def lp_alternating(joint: JointDist, alpha: float,
     qx, qy, value, resid, iters, status = _kernels.lp_alternating_solve(
         Pa, alpha, joint.p_x, joint.p_y, cfg.tolerance, cfg.max_iters
     )
-    if status == 2 and resid > cfg.tolerance:
+    if status == 2 and not (resid <= cfg.tolerance):  # a NaN residual fails too
         raise ConvergenceFailure(
             f"alternating minimization residual {resid:g} above {cfg.tolerance:g} "
             f"after {iters} iterations"

@@ -351,6 +351,8 @@ def _clamp_mi(value: float, method: Method, p: Pmf,
         threshold = 1e-6
     else:
         threshold = p.n * cfg.grid_resolution
+    if not np.isfinite(value):
+        raise NumericalInconsistency(f"mutual information {value!r} is not finite")
     if value < -threshold:
         raise NumericalInconsistency(
             f"mutual information {value!r} below -{threshold:g}: rounding cannot explain this"
@@ -424,7 +426,7 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
     the dedicated iterative solver otherwise; ``optimize`` recomputes
     through a generic numerical route; ``oracle`` brute-forces a grid
     (small alphabets only).  Results are clamped to [0, inf); negative
-    values beyond the method's noise floor raise.
+    values beyond the method's noise floor raise, as do NaN and inf.
     """
     variant = _variant(variant)
     method = _method(method)

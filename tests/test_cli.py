@@ -129,6 +129,40 @@ class TestSweepCommand:
         assert got == [("sibson", 2.0), ("sibson", 0.6),
                        ("arimoto", 2.0), ("arimoto", 0.6)]
 
+    def test_all_variants_skip_out_of_domain_orders(self, bsc_file, capsys):
+        # the default orders include 0.3, below the lapidoth_pfister domain
+        code = main(["sweep", "--input", bsc_file, "--variant", "all"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(s["variant"], s["alpha"]) for s in doc["skipped"]] == [
+            ("lapidoth_pfister", 0.3)]
+        got = [(r["variant"], r["alpha"]) for r in doc["rows"]]
+        assert len(got) == 6 * 4 - 1
+        assert ("lapidoth_pfister", 0.3) not in got
+        assert ("lapidoth_pfister", 0.6) in got
+
+    def test_all_variants_skipped_pairs_in_csv(self, bsc_file, capsys):
+        assert main(["sweep", "--input", bsc_file, "--variant", "all",
+                     "--output", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "# units: nats"
+        assert lines[1].startswith("# skipped: lapidoth_pfister alpha=0.3 ")
+        assert lines[2].startswith("variant,")
+
+    def test_named_variants_skip_nothing(self, bsc_file, capsys):
+        assert main(["sweep", "--input", bsc_file, "--variant", "sibson,arimoto"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["skipped"] == []
+        assert len(doc["rows"]) == 2 * 4
+
+    def test_named_variant_out_of_domain_exit_2(self, bsc_file, capsys):
+        assert main(["sweep", "--input", bsc_file, "--variant", "lapidoth_pfister",
+                     "--alpha", "0.3"]) == 2
+
+    def test_order_no_variant_accepts_exit_2(self, bsc_file, capsys):
+        assert main(["sweep", "--input", bsc_file, "--variant", "all",
+                     "--alpha", "-1"]) == 2
+
 
 class TestVerifyCommand:
     def test_passes_and_exit_zero(self, tmp_path, capsys):

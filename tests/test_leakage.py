@@ -29,8 +29,8 @@ from alphaleak import (
     transformed_gain,
     uniform_pmf,
 )
-from alphaleak.leakage import LeakageSpec
-from alphaleak.optimize import OptimizerConfig, simplex_grid
+from alphaleak.leakage import LeakageSpec, _prior_objective
+from alphaleak.optimize import OptimizerConfig, _fd_grad, _fd_grad_stack, simplex_grid
 from alphaleak.renyi import MiVariant
 from conftest import random_pair
 
@@ -104,6 +104,85 @@ class TestPriorVulnerability:
         p = make_pmf([1.0, 0.0])
         for phi in (log_aggregator(), q_log_aggregator(0.5), q_log_aggregator(2.0)):
             assert abs(prior_vulnerability(p, soft01_gain(), phi).value - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("g, phi", [
+        (soft01_gain(), log_aggregator()),
+        (soft01_gain(), q_log_aggregator(0.5)),
+        (soft01_gain(), q_log_aggregator(2.0)),
+        (power_score_gain(2.0), linear_aggregator()),
+        (power_score_gain(0.5), linear_aggregator()),
+        (power_loss(0.5), q_log_aggregator(0.5)),
+    ])
+    def test_batched_fd_gradient_matches_per_point(self, rng, g, phi):
+        for _ in range(5):
+            n = int(rng.integers(2, 6))
+            probs = rng.dirichlet(np.ones(n))
+            aggregate = _prior_objective(probs, g, phi)
+            r = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
+            batched = _fd_grad_stack(aggregate, r)
+            per_point = _fd_grad(lambda blocks: aggregate(blocks[0]), [r])[0]
+            delta = 1e-6
+            loop = np.array([
+                (aggregate(np.where(np.arange(n) == i, r[i] * math.exp(delta), r))
+                 - aggregate(np.where(np.arange(n) == i, r[i] * math.exp(-delta), r)))
+                / (r[i] * (math.exp(delta) - math.exp(-delta)))
+                for i in range(n)
+            ])
+            scale = np.maximum(1.0, np.abs(loop))
+            assert np.all(np.abs(batched - per_point) <= 1e-9 * scale)
+            assert np.all(np.abs(batched - loop) <= 1e-9 * scale)
+
+    # values of prior_vulnerability(method="optimize") recorded before its
+    # gradient was batched: (prior, gain, gain order, generator, order, value)
+    PRIORS = {"a": [0.5, 0.3, 0.2], "b": [0.1, 0.2, 0.3, 0.4],
+              "c": [0.7, 0.05, 0.15, 0.04, 0.06]}
+    RECORDED = [
+        ("a", "soft01", None, "log", None, 0.3571308584574835),
+        ("a", "soft01", None, "q_log", 0.5, 0.37999999999999934),
+        ("a", "soft01", None, "q_log", 2.0, 0.3451906136727671),
+        ("a", "power", 2.0, "linear", None, 0.38),
+        ("a", "power", 0.5, "linear", None, 1.7020429341916714),
+        ("a", "power_loss", 0.5, "q_log", 0.5, 2.896950149831795),
+        ("a", "transformed", 3.0, "linear", None, -0.6856747150217315),
+        ("b", "soft01", None, "log", None, 0.2780778340631819),
+        ("b", "soft01", None, "q_log", 0.5, 0.29999999999999993),
+        ("b", "soft01", None, "q_log", 2.0, 0.2647143754847566),
+        ("b", "power", 2.0, "linear", None, 0.30000000000000004),
+        ("b", "power", 0.5, "linear", None, 1.9436194510556377),
+        ("b", "power_loss", 0.5, "q_log", 0.5, 3.7776565705218186),
+        ("b", "transformed", 3.0, "linear", None, -0.8037616749580847),
+        ("c", "soft01", None, "log", None, 0.37471604687652366),
+        ("c", "soft01", None, "q_log", 0.5, 0.5201999999998549),
+        ("c", "soft01", None, "q_log", 2.0, 0.27920406503261597),
+        ("c", "power", 2.0, "linear", None, 0.5201999999999999),
+        ("c", "power", 0.5, "linear", None, 1.8925141331831137),
+        ("c", "power_loss", 0.5, "q_log", 0.5, 3.581609744297833),
+        ("c", "transformed", 3.0, "linear", None, -0.44615694026416286),
+    ]
+
+    @pytest.mark.parametrize("prior, gain, gain_order, gen, gen_order, value", RECORDED)
+    def test_optimize_matches_recorded_values(self, prior, gain, gain_order, gen,
+                                              gen_order, value):
+        g = {"soft01": lambda a: soft01_gain(), "power": power_score_gain,
+             "power_loss": power_loss, "transformed": transformed_gain}[gain](gain_order)
+        phi = {"log": lambda q: log_aggregator(), "q_log": q_log_aggregator,
+               "linear": lambda q: linear_aggregator()}[gen](gen_order)
+        res = prior_vulnerability(make_pmf(self.PRIORS[prior]), g, phi, method="optimize")
+        assert res.method == "optimize"
+        assert abs(res.value - value) <= 1e-9 * abs(value)
+
+    def test_oracle_batch_matches_pointwise_scan(self):
+        p = make_pmf([0.5, 0.3, 0.2])
+        cfg = OptimizerConfig(grid_resolution=0.05)
+        for g, phi in ((soft01_gain(), q_log_aggregator(2.0)),
+                       (power_score_gain(0.5), linear_aggregator())):
+            res = prior_vulnerability(p, g, phi, method="oracle", cfg=cfg)
+            aggregate = _prior_objective(p.probs, g, phi)
+            grid = simplex_grid(3, cfg.grid_resolution)
+            vals = np.array([aggregate(row) for row in grid])
+            best = vals.argmax() if phi.increasing == (g.sense == "gain") else vals.argmin()
+            np.testing.assert_array_equal(res.rule.probs, grid[best])
+            assert res.value == phi.inverse(vals[best])
 
 
 class TestCondVulnerability:

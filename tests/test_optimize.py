@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from alphaleak import (
+    ConvergenceFailure,
     InvalidOrder,
     OracleTooLarge,
     ValidationError,
@@ -11,12 +14,30 @@ from alphaleak import (
     gibbs_optimum,
     joint_from_matrix,
     lp_alternating,
+    make_channel,
     make_pmf,
     q_log,
     simplex_grid,
 )
-from alphaleak.optimize import OptimizerConfig, oracle_optimize_single, power_rule_batch
+from alphaleak.optimize import (
+    OptimizerConfig,
+    _compositions,
+    oracle_optimize_single,
+    power_rule_batch,
+)
 from conftest import random_pair
+
+
+def _compositions_reference(n, k):
+    """Recursive lexicographic compositions of k into n nonnegative parts."""
+    if n == 2:
+        first = np.arange(k + 1)
+        return np.column_stack([first, k - first])
+    blocks = []
+    for first in range(k + 1):
+        rest = _compositions_reference(n - 1, k - first)
+        blocks.append(np.column_stack([np.full(len(rest), first), rest]))
+    return np.vstack(blocks)
 
 
 class TestSimplexGrid:
@@ -42,6 +63,17 @@ class TestSimplexGrid:
     def test_needs_two_symbols(self):
         with pytest.raises(ValidationError):
             simplex_grid(1, 0.5)
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    @pytest.mark.parametrize("k", (1, 7, 50, 200))
+    def test_compositions_match_recursive_reference(self, n, k):
+        got = _compositions(n, k)
+        assert got.shape == (math.comb(k + n - 1, n - 1), n)
+        np.testing.assert_array_equal(got, _compositions_reference(n, k))
+
+    def test_grid_is_compositions_over_k(self):
+        grid = simplex_grid(3, 0.125)
+        np.testing.assert_array_equal(grid, _compositions(3, 8) / 8.0)
 
 
 class TestEgOptimize:
@@ -213,6 +245,14 @@ class TestLpAlternating:
         for alpha in (0.5, 0.3, 1.0):
             with pytest.raises(InvalidOrder):
                 lp_alternating(joint, alpha)
+
+    def test_nan_residual_raises(self):
+        # joint**50 underflows on this sparse input and the iterates turn
+        # NaN; a NaN residual must not pass the tolerance check
+        p = make_pmf([0.5, 0.5, 0.0])
+        W = make_channel([[0.9, 0.1, 0, 0], [0, 0.2, 0.8, 0], [0, 0, 0.5, 0.5]])
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="nan"):
+            lp_alternating(compose_joint(p, W), 50.0, OptimizerConfig(max_iters=5))
 
 
 class TestOracleSandwich:

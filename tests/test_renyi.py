@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from alphaleak import (
+    AlphaleakError,
     InvalidOrder,
+    NumericalInconsistency,
     UnsupportedVariant,
     alpha_mi,
     cond_renyi_entropy,
+    make_channel,
     make_pmf,
     renyi_divergence,
     renyi_entropy,
@@ -209,6 +212,19 @@ class TestAlphaMi:
         p, W = bsc
         with pytest.raises(InvalidOrder):
             alpha_mi("lapidoth_pfister", p, W, 0.4)
+
+    def test_non_finite_value_raises(self):
+        # q**(1-alpha) overflows at order 1000 and the fixed point turns NaN
+        p = make_pmf([0.6, 0.4])
+        W = make_channel([[0.9, 0.05, 0.05], [0.1, 0.3, 0.6]])
+        with np.errstate(all="ignore"), pytest.raises(NumericalInconsistency):
+            alpha_mi("augustin_csiszar", p, W, 1000.0)
+
+    def test_lp_nan_residual_raises(self):
+        p = make_pmf([0.5, 0.5, 0.0])
+        W = make_channel([[0.9, 0.1, 0, 0], [0, 0.2, 0.8, 0], [0, 0, 0.5, 0.5]])
+        with np.errstate(all="ignore"), pytest.raises(AlphaleakError):
+            alpha_mi("lapidoth_pfister", p, W, 50.0, cfg=OptimizerConfig(max_iters=5))
 
     def test_oracle_agreement(self, rng):
         # closed form vs brute-force grid within the documented bound
