@@ -1,250 +1,167 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Numeric kernels: one exponentiated-gradient loop and two fixed-point solvers.
 
-Every solver here exists twice: a numba ``@njit`` loop version (``*_nb``)
-and a pure-numpy version (``*_py``) with identical semantics.  The public
-unsuffixed names are bound at import time: numba when available, numpy
-when it is not or when the environment variable ``ALPHALEAK_NO_NUMBA``
-is set to a truthy value.  ``benchmarks/bench_kernels.py`` compares the
-two paths.
+``eg`` is the exponentiated-gradient (multiplicative weights) update of
+Kivinen & Warmuth (1997) with a backtracking line search, a doubling of
+the step after each accepted step, and a stop after three consecutive
+iterations whose relative change of the value is below ``tol``.  It is
+the only EG loop in the library: the four decision-rule kernels
+(``tsallis_eg``, ``power_eg``, ``ac_eg``, ``lp_eg``) bind an objective
+and its gradient to it, and ``optimize.eg_optimize`` binds a generic
+objective with a supplied or finite-difference gradient.
 
-All kernels are deterministic, allocate only local scratch, and floor
-simplex iterates at ``EPS`` so that negative-power objectives stay
-finite at the boundary.
+``augustin_solve`` is the fixed-point iteration for the minimizing output
+distribution and ``lp_alternating_solve`` the alternating minimization
+over product distributions.
+
+The kernels are plain numpy, deterministic, and floor simplex iterates at
+``EPS`` so that negative-power objectives stay finite at the boundary.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 EPS = 1e-12
-NUMBA_ENV_VAR = "ALPHALEAK_NO_NUMBA"
 
 _MAX_STEP = 1e3
 _MIN_STEP = 1e-18
 _HITS_TO_CONVERGE = 3
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get(NUMBA_ENV_VAR, "").strip().lower() in ("1", "true", "yes")
-
-
-HAVE_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
 def backend() -> str:
-    """Active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return BACKEND
+    """Kernel backend; the kernels are numpy only."""
+    return "numpy"
 
-
-# ----------------------------------------------------------------------
-# pure-numpy implementations
-# ----------------------------------------------------------------------
 
 def _floor_rows(R):
+    # a vector is scaled by a scalar: cheaper than broadcasting a length-1 axis
     R = np.maximum(R, EPS)
-    return R / R.sum(axis=-1, keepdims=True)
+    return R / R.sum(axis=-1, keepdims=R.ndim > 1)
 
 
-def tsallis_eg_py(w, beta, use_log, r0, maximize, tol, max_iters, step_init):
+def eg(objective, grad, blocks, maximize, tol, max_iters, step_init):
+    """Exponentiated gradient over a product of simplices.
+
+    ``blocks`` is a list of arrays whose last axis is a simplex (a vector
+    or a stack of rows); ``objective(blocks)`` returns the value and
+    ``grad(blocks)`` one gradient array per block.  Each step multiplies
+    every simplex by exp(+-s (g - extreme of g)), the sign and the
+    extreme chosen so that the exponent is at most zero, floors at
+    ``EPS`` and renormalizes.  The step s halves until the value does not
+    get worse and doubles after each accepted step.  Returns (blocks,
+    value, residual, iterations); the residual is the last relative
+    change of the value, or 0 when no step size was accepted.
+    """
+    blocks = [_floor_rows(np.asarray(b, dtype=np.float64)) for b in blocks]
+    sign = 1.0 if maximize else -1.0
+    f = objective(blocks)
+    step = step_init
+    resid = 1.0
+    hits = 0
+    it = 0
+    for it in range(1, max_iters + 1):
+        if maximize:
+            shifted = [g - g.max(axis=-1, keepdims=g.ndim > 1) for g in grad(blocks)]
+        else:
+            shifted = [g - g.min(axis=-1, keepdims=g.ndim > 1) for g in grad(blocks)]
+        s = step
+        accepted = False
+        for _ in range(80):
+            cand = [_floor_rows(b * np.exp((sign * s) * g)) for b, g in zip(blocks, shifted)]
+            fc = objective(cand)
+            if sign * (fc - f) >= 0.0:
+                accepted = True
+                break
+            s *= 0.5
+            if s < _MIN_STEP:
+                break
+        if not accepted:
+            resid = 0.0
+            break
+        rel = abs(fc - f) / max(1.0, abs(fc))
+        blocks, f = cand, fc
+        step = min(s * 2.0, _MAX_STEP)
+        resid = rel
+        if rel < tol:
+            hits += 1
+            if hits >= _HITS_TO_CONVERGE:
+                break
+        else:
+            hits = 0
+    return blocks, f, resid, it
+
+
+def tsallis_eg(w, beta, use_log, r0, maximize, tol, max_iters, step_init):
     """Optimize f(r) = sum_x w[x] r[x]^beta (or sum w log r) over one simplex.
 
-    Multiplicative-weights ascent/descent with backtracking line search.
     Returns (r, f, residual, iterations).
     """
-    r = _floor_rows(np.asarray(r0, dtype=np.float64).copy())
-    sign = 1.0 if maximize else -1.0
+    if use_log:
+        def objective(b):
+            return float((w * np.log(b[0])).sum())
 
-    def f_of(r):
-        return float((w * np.log(r)).sum()) if use_log else float((w * r ** beta).sum())
+        def grad(b):
+            return [w / b[0]]
+    else:
+        def objective(b):
+            return float((w * b[0] ** beta).sum())
 
-    f = f_of(r)
-    step = step_init
-    resid = 1.0
-    hits = 0
-    it = 0
-    for it in range(1, max_iters + 1):
-        g = sign * (w / r) if use_log else sign * beta * w * r ** (beta - 1.0)
-        g = g - g.max()
-        s = step
-        accepted = False
-        fc = f
-        for _ in range(80):
-            cand = _floor_rows(r * np.exp(s * g))
-            fc = f_of(cand)
-            if sign * (fc - f) >= 0.0:
-                accepted = True
-                break
-            s *= 0.5
-            if s < _MIN_STEP:
-                break
-        if not accepted:
-            resid = 0.0
-            break
-        rel = abs(fc - f) / max(1.0, abs(fc))
-        r, f = cand, fc
-        step = min(s * 2.0, _MAX_STEP)
-        resid = rel
-        if rel < tol:
-            hits += 1
-            if hits >= _HITS_TO_CONVERGE:
-                break
-        else:
-            hits = 0
+        def grad(b):
+            return [beta * w * b[0] ** (beta - 1.0)]
+
+    (r,), f, resid, it = eg(objective, grad, [r0], maximize, tol, max_iters, step_init)
     return r, f, resid, it
 
 
-def power_eg_py(pi, alpha, r0, maximize, tol, max_iters, step_init):
+def power_eg(pi, alpha, r0, maximize, tol, max_iters, step_init):
     """Optimize the expected power score sum_x pi[x] f_pw(x, r) over one simplex."""
-    r = _floor_rows(np.asarray(r0, dtype=np.float64).copy())
-    sign = 1.0 if maximize else -1.0
-
-    def f_of(r):
+    def objective(b):
+        r = b[0]
         return float(alpha * (pi * r ** (alpha - 1.0)).sum() + (1.0 - alpha) * (r ** alpha).sum())
 
-    f = f_of(r)
-    step = step_init
-    resid = 1.0
-    hits = 0
-    it = 0
-    for it in range(1, max_iters + 1):
-        g = sign * alpha * (alpha - 1.0) * (pi * r ** (alpha - 2.0) - r ** (alpha - 1.0))
-        g = g - g.max()
-        s = step
-        accepted = False
-        fc = f
-        for _ in range(80):
-            cand = _floor_rows(r * np.exp(s * g))
-            fc = f_of(cand)
-            if sign * (fc - f) >= 0.0:
-                accepted = True
-                break
-            s *= 0.5
-            if s < _MIN_STEP:
-                break
-        if not accepted:
-            resid = 0.0
-            break
-        rel = abs(fc - f) / max(1.0, abs(fc))
-        r, f = cand, fc
-        step = min(s * 2.0, _MAX_STEP)
-        resid = rel
-        if rel < tol:
-            hits += 1
-            if hits >= _HITS_TO_CONVERGE:
-                break
-        else:
-            hits = 0
+    def grad(b):
+        r = b[0]
+        return [alpha * (alpha - 1.0) * (pi * r ** (alpha - 2.0) - r ** (alpha - 1.0))]
+
+    (r,), f, resid, it = eg(objective, grad, [r0], maximize, tol, max_iters, step_init)
     return r, f, resid, it
 
 
-def ac_objective_py(p, W, beta, R):
-    """Phi(R) = sum_x p[x] log(sum_y W[x,y] R[y,x]^beta)."""
-    S = np.einsum("xy,yx->x", W, R ** beta)
-    return float((p * np.log(S)).sum())
+def ac_eg(p, W, beta, R0, maximize, tol, max_iters, step_init):
+    """Optimize Phi(R) = sum_x p[x] log(sum_y W[x,y] R[y,x]^beta) over a
+    family of simplices (rows of R, one per y)."""
+    def objective(b):
+        S = np.einsum("xy,yx->x", W, b[0] ** beta)
+        return float((p * np.log(S)).sum())
 
-
-def ac_eg_py(p, W, beta, R0, maximize, tol, max_iters, step_init):
-    """Optimize Phi(R) over a family of simplices (rows of R, one per y)."""
-    R = _floor_rows(np.asarray(R0, dtype=np.float64).copy())
-    sign = 1.0 if maximize else -1.0
-    f = ac_objective_py(p, W, beta, R)
-    step = step_init
-    resid = 1.0
-    hits = 0
-    it = 0
-    for it in range(1, max_iters + 1):
+    def grad(b):
+        R = b[0]
         S = np.einsum("xy,yx->x", W, R ** beta)
-        G = sign * beta * (p / S)[None, :] * W.T * R ** (beta - 1.0)
-        G = G - G.max(axis=1, keepdims=True)
-        s = step
-        accepted = False
-        fc = f
-        for _ in range(80):
-            cand = _floor_rows(R * np.exp(s * G))
-            fc = ac_objective_py(p, W, beta, cand)
-            if sign * (fc - f) >= 0.0:
-                accepted = True
-                break
-            s *= 0.5
-            if s < _MIN_STEP:
-                break
-        if not accepted:
-            resid = 0.0
-            break
-        rel = abs(fc - f) / max(1.0, abs(fc))
-        R, f = cand, fc
-        step = min(s * 2.0, _MAX_STEP)
-        resid = rel
-        if rel < tol:
-            hits += 1
-            if hits >= _HITS_TO_CONVERGE:
-                break
-        else:
-            hits = 0
+        return [beta * (p / S)[None, :] * W.T * R ** (beta - 1.0)]
+
+    (R,), f, resid, it = eg(objective, grad, [R0], maximize, tol, max_iters, step_init)
     return R, f, resid, it
 
 
-def lp_objective_py(pt, W, beta, qt, R):
-    """log G(R) with G = sum_x pt[x] (sum_y W[x,y] R[y,x]^beta)^qt."""
-    S = np.einsum("xy,yx->x", W, R ** beta)
-    return float(np.log((pt * S ** qt).sum()))
+def lp_eg(pt, W, beta, qt, R0, maximize, tol, max_iters, step_init):
+    """Optimize log G(R), G = sum_x pt[x] (sum_y W[x,y] R[y,x]^beta)^qt,
+    over the family of per-observation simplices."""
+    def objective(b):
+        S = np.einsum("xy,yx->x", W, b[0] ** beta)
+        return float(np.log((pt * S ** qt).sum()))
 
-
-def lp_eg_py(pt, W, beta, qt, R0, maximize, tol, max_iters, step_init):
-    """Optimize log G(R) over the family of per-observation simplices."""
-    R = _floor_rows(np.asarray(R0, dtype=np.float64).copy())
-    sign = 1.0 if maximize else -1.0
-    f = lp_objective_py(pt, W, beta, qt, R)
-    step = step_init
-    resid = 1.0
-    hits = 0
-    it = 0
-    for it in range(1, max_iters + 1):
+    def grad(b):
+        R = b[0]
         S = np.einsum("xy,yx->x", W, R ** beta)
         G_tot = (pt * S ** qt).sum()
         coeff = pt * qt * S ** (qt - 1.0) / G_tot
-        G = sign * beta * coeff[None, :] * W.T * R ** (beta - 1.0)
-        G = G - G.max(axis=1, keepdims=True)
-        s = step
-        accepted = False
-        fc = f
-        for _ in range(80):
-            cand = _floor_rows(R * np.exp(s * G))
-            fc = lp_objective_py(pt, W, beta, qt, cand)
-            if sign * (fc - f) >= 0.0:
-                accepted = True
-                break
-            s *= 0.5
-            if s < _MIN_STEP:
-                break
-        if not accepted:
-            resid = 0.0
-            break
-        rel = abs(fc - f) / max(1.0, abs(fc))
-        R, f = cand, fc
-        step = min(s * 2.0, _MAX_STEP)
-        resid = rel
-        if rel < tol:
-            hits += 1
-            if hits >= _HITS_TO_CONVERGE:
-                break
-        else:
-            hits = 0
+        return [beta * coeff[None, :] * W.T * R ** (beta - 1.0)]
+
+    (R,), f, resid, it = eg(objective, grad, [R0], maximize, tol, max_iters, step_init)
     return R, f, resid, it
 
 
-def augustin_solve_py(p, Wa, alpha, q0, tol, max_iters, damp):
+def augustin_solve(p, Wa, alpha, q0, tol, max_iters, damp):
     """Fixed-point iteration for the minimizing output distribution.
 
     Wa is the channel raised elementwise to alpha.  Returns
@@ -280,7 +197,7 @@ def augustin_solve_py(p, Wa, alpha, q0, tol, max_iters, damp):
     return q, resid, it, 2
 
 
-def lp_alternating_solve_py(Pa, alpha, qx0, qy0, tol, max_iters):
+def lp_alternating_solve(Pa, alpha, qx0, qy0, tol, max_iters):
     """Alternating exact coordinate minimization over product distributions.
 
     Pa is the joint raised elementwise to alpha.  The output-side factor
@@ -308,457 +225,3 @@ def lp_alternating_solve_py(Pa, alpha, qx0, qy0, tol, max_iters):
         if resid < tol:
             return qx, qy, value, resid, it, 0
     return qx, qy, value, resid, it, 2
-
-
-# ----------------------------------------------------------------------
-# numba implementations
-# ----------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _floor_rows_nb(R):
-        ny, nx = R.shape
-        for y in range(ny):
-            s = 0.0
-            for x in range(nx):
-                if R[y, x] < EPS:
-                    R[y, x] = EPS
-                s += R[y, x]
-            for x in range(nx):
-                R[y, x] /= s
-
-    @njit(cache=True)
-    def _tsallis_f_nb(w, beta, use_log, r):
-        tot = 0.0
-        for x in range(r.shape[0]):
-            if use_log:
-                tot += w[x] * np.log(r[x])
-            else:
-                tot += w[x] * r[x] ** beta
-        return tot
-
-    @njit(cache=True)
-    def tsallis_eg_nb(w, beta, use_log, r0, maximize, tol, max_iters, step_init):
-        n = r0.shape[0]
-        r = np.empty(n)
-        s = 0.0
-        for x in range(n):
-            r[x] = r0[x] if r0[x] > EPS else EPS
-            s += r[x]
-        for x in range(n):
-            r[x] /= s
-        sign = 1.0 if maximize else -1.0
-        f = _tsallis_f_nb(w, beta, use_log, r)
-        step = step_init
-        resid = 1.0
-        hits = 0
-        it = 0
-        g = np.empty(n)
-        cand = np.empty(n)
-        for it in range(1, max_iters + 1):
-            gmax = -np.inf
-            for x in range(n):
-                if use_log:
-                    g[x] = sign * w[x] / r[x]
-                else:
-                    g[x] = sign * beta * w[x] * r[x] ** (beta - 1.0)
-                if g[x] > gmax:
-                    gmax = g[x]
-            st = step
-            accepted = False
-            fc = f
-            for _ in range(80):
-                tot = 0.0
-                for x in range(n):
-                    v = r[x] * np.exp(st * (g[x] - gmax))
-                    if v < EPS:
-                        v = EPS
-                    cand[x] = v
-                    tot += v
-                for x in range(n):
-                    cand[x] /= tot
-                fc = _tsallis_f_nb(w, beta, use_log, cand)
-                if sign * (fc - f) >= 0.0:
-                    accepted = True
-                    break
-                st *= 0.5
-                if st < _MIN_STEP:
-                    break
-            if not accepted:
-                resid = 0.0
-                break
-            rel = abs(fc - f) / max(1.0, abs(fc))
-            for x in range(n):
-                r[x] = cand[x]
-            f = fc
-            step = min(st * 2.0, _MAX_STEP)
-            resid = rel
-            if rel < tol:
-                hits += 1
-                if hits >= _HITS_TO_CONVERGE:
-                    break
-            else:
-                hits = 0
-        return r, f, resid, it
-
-    @njit(cache=True)
-    def _power_f_nb(pi, alpha, r):
-        tot = 0.0
-        for x in range(r.shape[0]):
-            tot += alpha * pi[x] * r[x] ** (alpha - 1.0) + (1.0 - alpha) * r[x] ** alpha
-        return tot
-
-    @njit(cache=True)
-    def power_eg_nb(pi, alpha, r0, maximize, tol, max_iters, step_init):
-        n = r0.shape[0]
-        r = np.empty(n)
-        s = 0.0
-        for x in range(n):
-            r[x] = r0[x] if r0[x] > EPS else EPS
-            s += r[x]
-        for x in range(n):
-            r[x] /= s
-        sign = 1.0 if maximize else -1.0
-        f = _power_f_nb(pi, alpha, r)
-        step = step_init
-        resid = 1.0
-        hits = 0
-        it = 0
-        g = np.empty(n)
-        cand = np.empty(n)
-        for it in range(1, max_iters + 1):
-            gmax = -np.inf
-            for x in range(n):
-                g[x] = sign * alpha * (alpha - 1.0) * (
-                    pi[x] * r[x] ** (alpha - 2.0) - r[x] ** (alpha - 1.0)
-                )
-                if g[x] > gmax:
-                    gmax = g[x]
-            st = step
-            accepted = False
-            fc = f
-            for _ in range(80):
-                tot = 0.0
-                for x in range(n):
-                    v = r[x] * np.exp(st * (g[x] - gmax))
-                    if v < EPS:
-                        v = EPS
-                    cand[x] = v
-                    tot += v
-                for x in range(n):
-                    cand[x] /= tot
-                fc = _power_f_nb(pi, alpha, cand)
-                if sign * (fc - f) >= 0.0:
-                    accepted = True
-                    break
-                st *= 0.5
-                if st < _MIN_STEP:
-                    break
-            if not accepted:
-                resid = 0.0
-                break
-            rel = abs(fc - f) / max(1.0, abs(fc))
-            for x in range(n):
-                r[x] = cand[x]
-            f = fc
-            step = min(st * 2.0, _MAX_STEP)
-            resid = rel
-            if rel < tol:
-                hits += 1
-                if hits >= _HITS_TO_CONVERGE:
-                    break
-            else:
-                hits = 0
-        return r, f, resid, it
-
-    @njit(cache=True)
-    def _ac_obj_nb(p, W, beta, R):
-        nx, ny = W.shape
-        tot = 0.0
-        for x in range(nx):
-            S = 0.0
-            for y in range(ny):
-                S += W[x, y] * R[y, x] ** beta
-            tot += p[x] * np.log(S)
-        return tot
-
-    @njit(cache=True)
-    def ac_eg_nb(p, W, beta, R0, maximize, tol, max_iters, step_init):
-        nx, ny = W.shape
-        R = R0.copy()
-        _floor_rows_nb(R)
-        sign = 1.0 if maximize else -1.0
-        f = _ac_obj_nb(p, W, beta, R)
-        step = step_init
-        resid = 1.0
-        hits = 0
-        it = 0
-        S = np.empty(nx)
-        G = np.empty((ny, nx))
-        cand = np.empty((ny, nx))
-        for it in range(1, max_iters + 1):
-            for x in range(nx):
-                acc = 0.0
-                for y in range(ny):
-                    acc += W[x, y] * R[y, x] ** beta
-                S[x] = acc
-            for y in range(ny):
-                for x in range(nx):
-                    G[y, x] = sign * beta * p[x] * W[x, y] * R[y, x] ** (beta - 1.0) / S[x]
-            st = step
-            accepted = False
-            fc = f
-            for _ in range(80):
-                for y in range(ny):
-                    gmax = -np.inf
-                    for x in range(nx):
-                        if G[y, x] > gmax:
-                            gmax = G[y, x]
-                    tot = 0.0
-                    for x in range(nx):
-                        v = R[y, x] * np.exp(st * (G[y, x] - gmax))
-                        if v < EPS:
-                            v = EPS
-                        cand[y, x] = v
-                        tot += v
-                    for x in range(nx):
-                        cand[y, x] /= tot
-                fc = _ac_obj_nb(p, W, beta, cand)
-                if sign * (fc - f) >= 0.0:
-                    accepted = True
-                    break
-                st *= 0.5
-                if st < _MIN_STEP:
-                    break
-            if not accepted:
-                resid = 0.0
-                break
-            rel = abs(fc - f) / max(1.0, abs(fc))
-            for y in range(ny):
-                for x in range(nx):
-                    R[y, x] = cand[y, x]
-            f = fc
-            step = min(st * 2.0, _MAX_STEP)
-            resid = rel
-            if rel < tol:
-                hits += 1
-                if hits >= _HITS_TO_CONVERGE:
-                    break
-            else:
-                hits = 0
-        return R, f, resid, it
-
-    @njit(cache=True)
-    def _lp_obj_nb(pt, W, beta, qt, R):
-        nx, ny = W.shape
-        tot = 0.0
-        for x in range(nx):
-            S = 0.0
-            for y in range(ny):
-                S += W[x, y] * R[y, x] ** beta
-            tot += pt[x] * S ** qt
-        return np.log(tot)
-
-    @njit(cache=True)
-    def lp_eg_nb(pt, W, beta, qt, R0, maximize, tol, max_iters, step_init):
-        nx, ny = W.shape
-        R = R0.copy()
-        _floor_rows_nb(R)
-        sign = 1.0 if maximize else -1.0
-        f = _lp_obj_nb(pt, W, beta, qt, R)
-        step = step_init
-        resid = 1.0
-        hits = 0
-        it = 0
-        S = np.empty(nx)
-        G = np.empty((ny, nx))
-        cand = np.empty((ny, nx))
-        for it in range(1, max_iters + 1):
-            Gtot = 0.0
-            for x in range(nx):
-                acc = 0.0
-                for y in range(ny):
-                    acc += W[x, y] * R[y, x] ** beta
-                S[x] = acc
-                Gtot += pt[x] * acc ** qt
-            for y in range(ny):
-                for x in range(nx):
-                    coeff = pt[x] * qt * S[x] ** (qt - 1.0) / Gtot
-                    G[y, x] = sign * beta * coeff * W[x, y] * R[y, x] ** (beta - 1.0)
-            st = step
-            accepted = False
-            fc = f
-            for _ in range(80):
-                for y in range(ny):
-                    gmax = -np.inf
-                    for x in range(nx):
-                        if G[y, x] > gmax:
-                            gmax = G[y, x]
-                    tot = 0.0
-                    for x in range(nx):
-                        v = R[y, x] * np.exp(st * (G[y, x] - gmax))
-                        if v < EPS:
-                            v = EPS
-                        cand[y, x] = v
-                        tot += v
-                    for x in range(nx):
-                        cand[y, x] /= tot
-                fc = _lp_obj_nb(pt, W, beta, qt, cand)
-                if sign * (fc - f) >= 0.0:
-                    accepted = True
-                    break
-                st *= 0.5
-                if st < _MIN_STEP:
-                    break
-            if not accepted:
-                resid = 0.0
-                break
-            rel = abs(fc - f) / max(1.0, abs(fc))
-            for y in range(ny):
-                for x in range(nx):
-                    R[y, x] = cand[y, x]
-            f = fc
-            step = min(st * 2.0, _MAX_STEP)
-            resid = rel
-            if rel < tol:
-                hits += 1
-                if hits >= _HITS_TO_CONVERGE:
-                    break
-            else:
-                hits = 0
-        return R, f, resid, it
-
-    @njit(cache=True)
-    def augustin_solve_nb(p, Wa, alpha, q0, tol, max_iters, damp):
-        nx, ny = Wa.shape
-        q = np.empty(ny)
-        s = 0.0
-        for y in range(ny):
-            q[y] = q0[y] if q0[y] > EPS else EPS
-            s += q[y]
-        for y in range(ny):
-            q[y] /= s
-        best_resid = np.inf
-        stall = 0
-        resid = np.inf
-        it = 0
-        qp = np.empty(ny)
-        qn = np.empty(ny)
-        for it in range(1, max_iters + 1):
-            for y in range(ny):
-                qp[y] = q[y] ** (1.0 - alpha)
-                qn[y] = 0.0
-            for x in range(nx):
-                denom = 0.0
-                for y in range(ny):
-                    denom += Wa[x, y] * qp[y]
-                for y in range(ny):
-                    qn[y] += p[x] * Wa[x, y] * qp[y] / denom
-            tot = 0.0
-            for y in range(ny):
-                v = qn[y]
-                if damp > 0.0:
-                    v = (1.0 - damp) * v + damp * q[y]
-                if v < EPS:
-                    v = EPS
-                qn[y] = v
-                tot += v
-            resid = 0.0
-            for y in range(ny):
-                qn[y] /= tot
-                d = abs(qn[y] - q[y])
-                if d > resid:
-                    resid = d
-                q[y] = qn[y]
-            if resid < tol:
-                return q, resid, it, 0
-            if resid < best_resid * (1.0 - 1e-12):
-                best_resid = resid
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 500:
-                    return q, resid, it, 1
-        return q, resid, it, 2
-
-    @njit(cache=True)
-    def lp_alternating_solve_nb(Pa, alpha, qx0, qy0, tol, max_iters):
-        nx, ny = Pa.shape
-        qx = np.empty(nx)
-        s = 0.0
-        for x in range(nx):
-            qx[x] = qx0[x] if qx0[x] > EPS else EPS
-            s += qx[x]
-        for x in range(nx):
-            qx[x] /= s
-        qy = np.empty(ny)
-        s = 0.0
-        for y in range(ny):
-            qy[y] = qy0[y] if qy0[y] > EPS else EPS
-            s += qy[y]
-        for y in range(ny):
-            qy[y] /= s
-        inv = 1.0 / (alpha - 1.0)
-
-        def _val(qx, qy):
-            tot = 0.0
-            for x in range(nx):
-                for y in range(ny):
-                    tot += Pa[x, y] * qx[x] ** (1.0 - alpha) * qy[y] ** (1.0 - alpha)
-            return np.log(tot)
-
-        value = inv * _val(qx, qy)
-        resid = np.inf
-        it = 0
-        for it in range(1, max_iters + 1):
-            tot = 0.0
-            for y in range(ny):
-                b = 0.0
-                for x in range(nx):
-                    b += Pa[x, y] * qx[x] ** (1.0 - alpha)
-                v = b ** (1.0 / alpha)
-                if v < EPS:
-                    v = EPS
-                qy[y] = v
-                tot += v
-            for y in range(ny):
-                qy[y] /= tot
-            tot = 0.0
-            for x in range(nx):
-                c = 0.0
-                for y in range(ny):
-                    c += Pa[x, y] * qy[y] ** (1.0 - alpha)
-                v = c ** (1.0 / alpha)
-                if v < EPS:
-                    v = EPS
-                qx[x] = v
-                tot += v
-            for x in range(nx):
-                qx[x] /= tot
-            new = inv * _val(qx, qy)
-            resid = abs(new - value) / max(1.0, abs(new))
-            value = new
-            if resid < tol:
-                return qx, qy, value, resid, it, 0
-        return qx, qy, value, resid, it, 2
-
-
-# ----------------------------------------------------------------------
-# backend binding
-# ----------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    tsallis_eg = tsallis_eg_nb
-    power_eg = power_eg_nb
-    ac_eg = ac_eg_nb
-    lp_eg = lp_eg_nb
-    augustin_solve = augustin_solve_nb
-    lp_alternating_solve = lp_alternating_solve_nb
-else:
-    tsallis_eg = tsallis_eg_py
-    power_eg = power_eg_py
-    ac_eg = ac_eg_py
-    lp_eg = lp_eg_py
-    augustin_solve = augustin_solve_py
-    lp_alternating_solve = lp_alternating_solve_py

@@ -75,7 +75,7 @@ from .renyi import (
     renyi_entropy,
     shannon_entropy,
 )
-from .simplex import Channel, DecisionRule, Pmf, compose_joint, make_pmf, tilt
+from .simplex import Channel, DecisionRule, Pmf, _logsumexp, compose_joint, make_pmf, tilt
 
 
 # ----------------------------------------------------------------------
@@ -183,13 +183,6 @@ def _maximize_inner(sense: str, phi: Aggregator) -> bool:
     return (sense == "gain") == phi.increasing
 
 
-def _lse(a: np.ndarray) -> float:
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(a - m).sum()))
-
-
 # ----------------------------------------------------------------------
 # prior vulnerability
 # ----------------------------------------------------------------------
@@ -206,7 +199,7 @@ def _prior_closed(p: Pmf, g: GainFunction, phi: Aggregator, sense: str):
         if phi.kind == "q_log" and phi.q is not None and phi.q > 0.0:
             q = phi.q
             lp = np.log(probs[probs > 0.0])
-            ln_norm = _lse(lp / q) * q  # log of |p|_{1/q}
+            ln_norm = _logsumexp(lp / q) * q  # log of |p|_{1/q}
             return float(np.exp(ln_norm / (1.0 - q))), tilt(p, 1.0 / q)
         if phi.kind == "linear" and phi.increasing:
             idx = int(np.argmax(probs))
@@ -222,7 +215,7 @@ def _prior_closed(p: Pmf, g: GainFunction, phi: Aggregator, sense: str):
         and abs(phi.q - g.alpha) <= 1e-9
     ):
         al = g.alpha
-        lse = _lse(al * np.log(probs[probs > 0.0]))
+        lse = _logsumexp(al * np.log(probs[probs > 0.0]))
         return float(np.exp(lse / (1.0 - al))), Pmf(p.labels, probs)
     elif g.kind == "transformed" and phi.kind == "linear" and phi.increasing:
         if np.isinf(g.alpha):
@@ -325,14 +318,14 @@ def _cond_closed_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator, sens
                 live = np.isfinite(col)
                 if not np.any(live):
                     continue
-                terms.append(q * _lse(col[live] / q))
+                terms.append(q * _logsumexp(col[live] / q))
                 tilted = np.zeros(n_x)
                 lw = col[live] / q
                 lw -= lw.max()
                 w = np.exp(lw)
                 tilted[live] = w / w.sum()
                 rows[y] = tilted
-            ln_t = _lse(np.array(terms))
+            ln_t = _logsumexp(np.array(terms))
             return float(np.exp(ln_t / (1.0 - q))), rows
         if phi.kind == "linear" and phi.increasing:
             total = 0.0
@@ -359,10 +352,10 @@ def _cond_closed_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator, sens
         terms = []
         for y in np.flatnonzero(joint.y_support):
             col = weights[:, y]
-            lse = _lse(al * np.log(col[col > 0.0]))
+            lse = _logsumexp(al * np.log(col[col > 0.0]))
             terms.append((1.0 - al) * np.log(joint.p_y[y]) + lse)
             rows[y] = joint.posteriors[y]
-        return float(np.exp(_lse(np.array(terms)) / (1.0 - al))), rows
+        return float(np.exp(_logsumexp(np.array(terms)) / (1.0 - al))), rows
     return None
 
 

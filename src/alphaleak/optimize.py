@@ -7,7 +7,8 @@ Four engines, in increasing order of specialization:
   vectorized stars-and-bars pass per call and is not cached;
 * ``eg_optimize``: generic exponentiated-gradient (multiplicative
   weights with backtracking line search) over a product of simplices,
-  gradient supplied or estimated by central differences in log space;
+  gradient supplied or estimated by central differences in log space,
+  run by the library's one EG loop, ``_kernels.eg``;
 * ``augustin_fixed_point``: the fixed-point iteration for the
   minimizing output distribution of the expected-divergence objective,
   damped for orders above one, with an EG fallback when it plateaus
@@ -215,47 +216,11 @@ def _fd_grad(objective, blocks: list[np.ndarray], delta: float = 1e-6) -> list[n
 
 
 def _eg_run(objective, grad_fn, blocks, maximize, tol, max_iters, step_init):
-    sign = 1.0 if maximize else -1.0
-    blocks = [np.maximum(b, _kernels.EPS) for b in blocks]
-    blocks = [b / b.sum() for b in blocks]
-    f = objective(blocks)
-    step = step_init
-    resid = 1.0
-    hits = 0
-    it = 0
-    for it in range(1, max_iters + 1):
-        grads = grad_fn(blocks) if grad_fn is not None else _fd_grad(objective, blocks)
-        shifted = [sign * g - (sign * g).max() for g in grads]
-        s = step
-        accepted = False
-        fc = f
-        cand = blocks
-        for _ in range(80):
-            cand = []
-            for b, g in zip(blocks, shifted):
-                nb = np.maximum(b * np.exp(s * g), _kernels.EPS)
-                cand.append(nb / nb.sum())
-            fc = objective(cand)
-            if sign * (fc - f) >= 0.0:
-                accepted = True
-                break
-            s *= 0.5
-            if s < 1e-18:
-                break
-        if not accepted:
-            resid = 0.0
-            break
-        rel = abs(fc - f) / max(1.0, abs(fc))
-        blocks, f = cand, fc
-        step = min(s * 2.0, 1e3)
-        resid = rel
-        if rel < tol:
-            hits += 1
-            if hits >= 3:
-                break
-        else:
-            hits = 0
-    return blocks, f, resid, it
+    """``_kernels.eg`` with central differences when ``grad_fn`` is None."""
+    if grad_fn is None:
+        def grad_fn(bs):
+            return _fd_grad(objective, bs)
+    return _kernels.eg(objective, grad_fn, blocks, maximize, tol, max_iters, step_init)
 
 
 def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CONFIG,

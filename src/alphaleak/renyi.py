@@ -49,7 +49,7 @@ from .optimize import (
     qlog_rule_batch,
     simplex_grid,
 )
-from .simplex import Channel, Pmf, compose_joint, tilt
+from .simplex import Channel, Pmf, _logsumexp, compose_joint, tilt
 
 ALPHA_ONE_ATOL = 1e-8
 
@@ -90,13 +90,6 @@ def _check_alpha(alpha: float, variant: MiVariant):
         raise InvalidOrder(
             f"the lapidoth_pfister variant needs alpha in (1/2,1) or (1,inf), got {alpha!r}"
         )
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(a - m).sum()))
 
 
 @dataclass(frozen=True)
@@ -170,17 +163,22 @@ def renyi_divergence(p: Pmf, q: Pmf, alpha: float) -> float:
 # conditional Renyi entropies
 # ----------------------------------------------------------------------
 
+def _log_sum_col_norms(L: np.ndarray, alpha: float) -> float:
+    """log sum_y exp(LSE_x L[x, y] / alpha) over the finite entries of the
+    log-weight matrix L; the core of the Sibson and Arimoto closed forms."""
+    inner = np.empty(L.shape[1])
+    for y in range(L.shape[1]):
+        col = L[:, y]
+        col = col[np.isfinite(col)]
+        inner[y] = _logsumexp(col) / alpha if col.size else -np.inf
+    return _logsumexp(inner[np.isfinite(inner)])
+
+
 def _arimoto_style_closed(prior: Pmf, W: Channel, alpha: float) -> float:
     """(alpha/(1-alpha)) log sum_y (sum_x (prior*W)**alpha)**(1/alpha)."""
     with np.errstate(divide="ignore"):
-        L = np.log(prior.probs)[:, None] + np.log(W.matrix)  # -inf on zeros
-    inner = np.empty(W.n_y)
-    for y in range(W.n_y):
-        col = L[:, y]
-        col = col[np.isfinite(col)]
-        inner[y] = _logsumexp(alpha * col) / alpha if col.size else -np.inf
-    total = _logsumexp(inner[np.isfinite(inner)])
-    return alpha / (1.0 - alpha) * total
+        L = alpha * (np.log(prior.probs)[:, None] + np.log(W.matrix))  # -inf on zeros
+    return alpha / (1.0 - alpha) * _log_sum_col_norms(L, alpha)
 
 
 def _hayashi_closed(p: Pmf, W: Channel, alpha: float) -> float:
@@ -361,15 +359,10 @@ def _clamp_mi(value: float, method: Method, p: Pmf,
 
 
 def _sibson_closed(p: Pmf, W: Channel, alpha: float) -> float:
+    """(alpha/(alpha-1)) log sum_y (sum_x p W**alpha)**(1/alpha)."""
     with np.errstate(divide="ignore"):
         L = np.log(p.probs)[:, None] + alpha * np.log(W.matrix)
-    lnA = np.empty(W.n_y)
-    for y in range(W.n_y):
-        col = L[:, y]
-        col = col[np.isfinite(col)]
-        lnA[y] = _logsumexp(col) if col.size else -np.inf
-    total = _logsumexp(lnA[np.isfinite(lnA)] / alpha)
-    return alpha / (alpha - 1.0) * total
+    return alpha / (alpha - 1.0) * _log_sum_col_norms(L, alpha)
 
 
 def _sibson_objective(p: Pmf, W: Channel, alpha: float):

@@ -126,14 +126,21 @@ def tilt(p: Pmf, beta: float) -> Pmf:
     return Pmf(p.labels, out)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a), shifted by the maximum; an infinite or NaN maximum
+    is returned as is."""
+    m = np.max(a)
+    if not np.isfinite(m):
+        return float(m)
+    return float(m + np.log(np.exp(a - m).sum()))
+
+
 def p_norm(p: Pmf, beta: float) -> float:
     """(sum_x p(x)**beta)**(1/beta), computed in log space."""
     if not (beta > 0.0) or not np.isfinite(beta):
         raise InvalidOrder(f"norm order must be positive, got {beta!r}")
     probs = p.probs[p.probs > 0.0]
-    lp = beta * np.log(probs)
-    m = lp.max()
-    return float(np.exp((m + np.log(np.exp(lp - m).sum())) / beta))
+    return float(np.exp(_logsumexp(beta * np.log(probs)) / beta))
 
 
 @dataclass(frozen=True)

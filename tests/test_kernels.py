@@ -1,12 +1,23 @@
-"""Backend equivalence: the jitted kernels and the numpy fallbacks must
-produce the same optima on the same inputs."""
+"""The exponentiated-gradient kernels and ``eg_optimize`` against recorded
+outputs.
+
+Every EG route runs through the one loop ``_kernels.eg``.  The expected
+values below were recorded before the per-kernel loops were merged into
+it: ``float.hex`` of the value and of the residual, and the iteration
+count, for the four EG entry points and three ``eg_optimize`` shapes on
+seeded dense and sparse instances.  Equality is exact, so any change to
+the update, the line search or the stop rule shows here.
+"""
 
 import numpy as np
 import pytest
 
 from alphaleak import _kernels as K
+from alphaleak import optimize
 
-pytestmark = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
+ALPHAS = (0.3, 0.6, 2.0, 4.0, 10.0)
+TOL = 1e-10
+ITERS = 100_000
 
 
 def _instances(n=20, nx=3, ny=3, seed=0):
@@ -19,66 +30,191 @@ def _instances(n=20, nx=3, ny=3, seed=0):
         yield p / p.sum(), W, R0
 
 
-TOL = 1e-10
-ITERS = 100_000
+def _seeded(kind):
+    """Dense 3x3, or sparse 3x4 with a zero-mass input and one zero per
+    channel row."""
+    if kind == "dense":
+        rng, nx, ny = np.random.default_rng(11), 3, 3
+    else:
+        rng, nx, ny = np.random.default_rng(12), 3, 4
+    p = rng.dirichlet(np.ones(nx))
+    W = rng.dirichlet(np.ones(ny), size=nx)
+    R0 = np.ascontiguousarray(rng.dirichlet(np.ones(nx), size=ny))
+    if kind == "sparse":
+        p[0] = 0.0
+        p /= p.sum()
+        W[np.arange(nx), np.arange(nx) % ny] = 0.0
+        W /= W.sum(axis=1, keepdims=True)
+    return p, W, R0
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.6, 2.0, 4.0])
-def test_tsallis_eg_paths_agree(alpha):
+def _kernel_case(name, alpha, kind):
+    p, W, R0 = _seeded(kind)
     beta = 1.0 - 1.0 / alpha
-    for p, W, R0 in _instances():
-        w = p * W[:, 0]
-        _, v_nb, _, _ = K.tsallis_eg_nb(w, beta, False, R0[0], alpha > 1, TOL, ITERS, 0.5)
-        _, v_py, _, _ = K.tsallis_eg_py(w, beta, False, R0[0], alpha > 1, TOL, ITERS, 0.5)
-        assert abs(v_nb - v_py) <= 1e-9 * max(1.0, abs(v_py))
+    maximize = alpha > 1.0
+    joint = p[:, None] * W
+    if name == "tsallis":
+        w = np.ascontiguousarray(joint[:, -1])
+        out = K.tsallis_eg(w, beta, False, w / w.sum(), maximize, TOL, ITERS, 0.5)
+    elif name == "power":
+        pi = joint[:, -1] / joint[:, -1].sum()
+        out = K.power_eg(pi, alpha, np.full(p.size, 1.0 / p.size), maximize, TOL, ITERS, 0.5)
+    elif name == "ac":
+        out = K.ac_eg(p, W, beta, R0, maximize, TOL, ITERS, 0.5)
+    else:
+        qt = alpha / (2.0 * alpha - 1.0)
+        pt = p ** qt / (p ** qt).sum()
+        out = K.lp_eg(pt, W, beta, qt, R0, maximize, TOL, ITERS, 0.5)
+    _, value, resid, iters = out
+    return value.hex(), float(resid).hex(), iters
 
 
-@pytest.mark.parametrize("alpha", [0.5, 2.0])
-def test_power_eg_paths_agree(alpha):
-    for p, _, R0 in _instances():
-        _, v_nb, _, _ = K.power_eg_nb(p, alpha, R0[0], alpha > 1, TOL, ITERS, 0.5)
-        _, v_py, _, _ = K.power_eg_py(p, alpha, R0[0], alpha > 1, TOL, ITERS, 0.5)
-        assert abs(v_nb - v_py) <= 1e-9 * max(1.0, abs(v_py))
+def _eg_optimize_case(name, alpha, kind):
+    """``fd``: Sibson objective, central differences; ``grad``: expected
+    divergence with its gradient; ``lp``: the two-block product objective."""
+    p, W, _ = _seeded(kind)
+    cfg = optimize.OptimizerConfig(restarts=3)
+    p_y = p @ W
+    if name == "lp":
+        Pa = (p[:, None] * W) ** alpha
+
+        def objective(blocks):
+            ax = np.maximum(blocks[0], K.EPS) ** (1.0 - alpha)
+            ay = np.maximum(blocks[1], K.EPS) ** (1.0 - alpha)
+            return float(np.log(ax @ Pa @ ay) / (alpha - 1.0))
+
+        def grad(blocks):
+            qx = np.maximum(blocks[0], K.EPS)
+            qy = np.maximum(blocks[1], K.EPS)
+            ax, ay = qx ** (1.0 - alpha), qy ** (1.0 - alpha)
+            tot = ax @ Pa @ ay
+            return [-(qx ** -alpha) * (Pa @ ay) / tot, -(qy ** -alpha) * (ax @ Pa) / tot]
+
+        shape, inits = [p.size, W.shape[1]], [p, p_y]
+    elif name == "fd":
+        A = p @ W ** alpha
+
+        def objective(blocks):
+            q = np.maximum(blocks[0], K.EPS)
+            return float(np.log(A @ q ** (1.0 - alpha)) / (alpha - 1.0))
+
+        grad = None
+        shape, inits = [W.shape[1]], [p_y]
+    else:
+        Wa = W ** alpha
+
+        def objective(blocks):
+            q = np.maximum(blocks[0], K.EPS)
+            S = Wa @ q ** (1.0 - alpha)
+            live = p > 0.0
+            return float((p[live] * np.log(S[live])).sum() / (alpha - 1.0))
+
+        def grad(blocks):
+            q = np.maximum(blocks[0], K.EPS)
+            S = Wa @ q ** (1.0 - alpha)
+            return [-(p / S) @ (Wa * q[None, :] ** -alpha)]
+
+        shape, inits = [W.shape[1]], [p_y]
+    res = optimize.eg_optimize(objective, shape, "min", cfg, grad=grad, inits=inits)
+    return res.value.hex(), res.residual.hex(), res.iterations, res.converged
 
 
-@pytest.mark.parametrize("alpha", [0.3, 2.0])
-def test_ac_eg_paths_agree(alpha):
-    beta = 1.0 - 1.0 / alpha
-    for p, W, R0 in _instances():
-        _, v_nb, _, _ = K.ac_eg_nb(p, W, beta, R0, alpha > 1, TOL, ITERS, 0.5)
-        _, v_py, _, _ = K.ac_eg_py(p, W, beta, R0, alpha > 1, TOL, ITERS, 0.5)
-        assert abs(v_nb - v_py) <= 1e-8 * max(1.0, abs(v_py))
+# (entry point, alpha, kind) -> (value, residual, iterations)
+EXPECTED_KERNELS = {
+    ('ac', 0.3, 'dense'): ('0x1.081487ada90f0p+1', '0x1.40a52027a858ap-38', 27),
+    ('ac', 0.3, 'sparse'): ('0x1.44e5bd5091daap-3', '0x1.8c2c000000000p-41', 18425),
+    ('ac', 0.6, 'dense'): ('0x1.236444a0b6ee8p-1', '0x1.940e800000000p-36', 20),
+    ('ac', 0.6, 'sparse'): ('0x1.ff4aebbf83af6p-6', '0x1.ce335c0000000p-35', 789),
+    ('ac', 2.0, 'dense'): ('-0x1.90ae9b93695bap-2', '0x1.19ecc00000000p-35', 44),
+    ('ac', 2.0, 'sparse'): ('-0x1.1718adb49e631p-7', '0x1.2046390000000p-35', 112),
+    ('ac', 4.0, 'dense'): ('-0x1.1e8d97afc80b0p-1', '0x1.c317000000000p-37', 29),
+    ('ac', 4.0, 'sparse'): ('-0x1.510109d4245afp-7', '0x1.c44d7e0000000p-35', 35),
+    ('ac', 10.0, 'dense'): ('-0x1.48de6fe59af69p-1', '0x1.3451e00000000p-34', 60),
+    ('ac', 10.0, 'sparse'): ('-0x1.606916d9f07c2p-7', '0x1.cd80000000000p-49', 17),
+    ('lp', 0.6, 'dense'): ('0x1.51c4f50232befp+0', '0x1.0dc516b9db7d8p-37', 25),
+    ('lp', 0.6, 'sparse'): ('0x1.28a866c933d38p-7', '0x1.7b4e6a0000000p-35', 14352),
+    ('lp', 2.0, 'dense'): ('-0x1.19fb15ab42292p-2', '0x1.7055800000000p-36', 27),
+    ('lp', 2.0, 'sparse'): ('-0x1.685be83d12cd4p-7', '0x1.463c2b0000000p-35', 46),
+    ('lp', 4.0, 'dense'): ('-0x1.5cecbe7764d60p-2', '0x1.3408800000000p-37', 23),
+    ('lp', 4.0, 'sparse'): ('-0x1.8e236d24c237cp-7', '0x1.3d86ae0000000p-36', 25),
+    ('lp', 10.0, 'dense'): ('-0x1.70911ece2a6d5p-2', '0x1.9e42000000000p-37', 30),
+    ('lp', 10.0, 'sparse'): ('-0x1.9617822852303p-7', '0x1.d9d6000000000p-44', 14),
+    ('power', 0.3, 'dense'): ('0x1.10d8cc89d844ep+1', '0x1.1f1b291f1ef4ap-45', 11),
+    ('power', 0.3, 'sparse'): ('0x1.9f25495a7c1eep+0', '0x1.8d35c1f3cfddap-36', 23),
+    ('power', 0.6, 'dense'): ('0x1.87c57a738856ap+0', '0x1.68c2440e8f5cep-36', 24),
+    ('power', 0.6, 'sparse'): ('0x1.5114017527788p+0', '0x1.4388854fc1afep-43', 12),
+    ('power', 2.0, 'dense'): ('0x1.7e8c6e4309f74p-2', '0x1.65f4000000000p-39', 18),
+    ('power', 2.0, 'sparse'): ('0x1.047fb16f6d2e4p-1', '0x1.b203800000000p-34', 929),
+    ('power', 4.0, 'dense'): ('0x1.16cc4a24cc89cp-4', '0x1.a385400000000p-37', 26),
+    ('power', 4.0, 'sparse'): ('0x1.1b12655d0143ep-3', '0x1.b29d800000000p-34', 1464),
+    ('power', 10.0, 'dense'): ('0x1.bd05e68afdcc8p-11', '0x1.a8c21c0000000p-35', 234),
+    ('power', 10.0, 'sparse'): ('0x1.db52bb9651000p-9', '0x1.5184e00000000p-38', 923),
+    ('tsallis', 0.3, 'dense'): ('0x1.a411b34c05cbcp+2', '0x1.d474ca73acca0p-38', 25),
+    ('tsallis', 0.3, 'sparse'): ('0x1.680ec68d077d5p-4', '0x1.a004000000000p-40', 12),
+    ('tsallis', 0.6, 'dense'): ('0x1.11f35098ef4c3p+0', '0x1.f7aead1f1dd8dp-44', 9),
+    ('tsallis', 0.6, 'sparse'): ('0x1.c6da8aabceb40p-6', '0x1.54a4cc0000000p-36', 10),
+    ('tsallis', 2.0, 'dense'): ('0x1.498feb6dbb1c4p-2', '0x1.2aa0000000000p-42', 14),
+    ('tsallis', 2.0, 'sparse'): ('0x1.9a38bd3b91670p-7', '0x1.37a6d00000000p-38', 20),
+    ('tsallis', 4.0, 'dense'): ('0x1.13687077ea3f2p-2', '0x1.90d2800000000p-37', 23),
+    ('tsallis', 4.0, 'sparse'): ('0x1.5eaa3c852445ap-7', '0x0.0p+0', 15),
+    ('tsallis', 10.0, 'dense'): ('0x1.09d7d78d322e0p-2', '0x1.4a38000000000p-38', 19),
+    ('tsallis', 10.0, 'sparse'): ('0x1.47de762a09742p-7', '0x1.ed00000000000p-49', 17),
+}
+
+# (gradient, alpha, kind) -> (value, residual, iterations, converged)
+EXPECTED_EG_OPTIMIZE = {
+    ('fd', 0.3, 'dense'): ('0x1.3644090d33e3cp-5', '0x1.0200000000000p-47', 11, True),
+    ('fd', 0.3, 'sparse'): ('0x1.669d94a71a6eep-6', '0x1.05d8000000000p-44', 13, True),
+    ('fd', 0.6, 'dense'): ('0x1.1449575be1068p-4', '0x1.3940000000000p-45', 11, True),
+    ('fd', 0.6, 'sparse'): ('0x1.31a2a0a10228bp-5', '0x1.d2e0000000000p-46', 10, True),
+    ('fd', 2.0, 'dense'): ('0x1.4665429a6ddb0p-3', '0x0.0p+0', 11, True),
+    ('fd', 2.0, 'sparse'): ('0x1.aa35e4797ccf3p-3', '0x0.0p+0', 12, True),
+    ('fd', 4.0, 'dense'): ('0x1.055767ef3ececp-2', '0x1.b7a6000000000p-37', 6, True),
+    ('fd', 4.0, 'sparse'): ('0x1.79a50e86119b4p-2', '0x1.0000000000000p-52', 11, True),
+    ('fd', 10.0, 'dense'): ('0x1.9c9a3bcfebaefp-2', '0x1.8100000000000p-45', 14, True),
+    ('fd', 10.0, 'sparse'): ('0x1.041ed59854edcp-1', '0x1.1900000000000p-45', 16, True),
+    ('grad', 0.3, 'dense'): ('0x1.3ffea591715dbp-5', '0x1.2850000000000p-43', 13, True),
+    ('grad', 0.3, 'sparse'): ('0x1.29813336c57a7p-5', '0x1.6c50000000000p-43', 14, True),
+    ('grad', 0.6, 'dense'): ('0x1.1cf7f2501734cp-4', '0x1.00e0000000000p-45', 15, True),
+    ('grad', 0.6, 'sparse'): ('0x1.d7001bdf27f3dp-5', '0x1.7c02000000000p-42', 13, True),
+    ('grad', 2.0, 'dense'): ('0x1.201b26a288692p-3', '0x1.aaaa000000000p-35', 55, True),
+    ('grad', 2.0, 'sparse'): ('0x1.6575f8c3097c8p-4', '0x0.0p+0', 10, True),
+    ('grad', 4.0, 'dense'): ('0x1.6a8d169438e0bp-3', '0x1.aeb5a00000000p-36', 38, True),
+    ('grad', 4.0, 'sparse'): ('0x1.73114d1e79577p-4', '0x1.6800000000000p-47', 25, True),
+    ('grad', 10.0, 'dense'): ('0x1.ad31dc7c255d6p-3', '0x1.7000000000000p-50', 17, True),
+    ('grad', 10.0, 'sparse'): ('0x1.7a49fd4cc9f79p-4', '0x1.8145c00000000p-37', 36, True),
+    ('lp', 0.6, 'dense'): ('0x1.0e729374e1e96p-4', '0x1.c8e8000000000p-42', 13, True),
+    ('lp', 0.6, 'sparse'): ('0x1.cf1611f78ec6cp-6', '0x1.2ce0000000000p-44', 11, True),
+    ('lp', 2.0, 'dense'): ('0x1.3332357bc5733p-3', '0x1.7200000000000p-45', 18, True),
+    ('lp', 2.0, 'sparse'): ('0x1.34b0a8f966660p-3', '0x1.8f0a000000000p-38', 19, True),
+    ('lp', 4.0, 'dense'): ('0x1.9403d16d78f24p-3', '0x1.b66e000000000p-40', 27, True),
+    ('lp', 4.0, 'sparse'): ('0x1.8adbf5369ebd4p-3', '0x1.5d23e00000000p-36', 41, True),
+    ('lp', 10.0, 'dense'): ('0x1.ec3fedb6df249p-3', '0x1.e3ab800000000p-37', 37, True),
+    ('lp', 10.0, 'sparse'): ('0x1.ba36a987fff8fp-3', '0x1.500dc00000000p-37', 85, True),
+}
 
 
-@pytest.mark.parametrize("alpha", [0.6, 2.0])
-def test_lp_eg_paths_agree(alpha):
-    beta = 1.0 - 1.0 / alpha
-    qt = alpha / (2.0 * alpha - 1.0)
-    for p, W, R0 in _instances():
-        _, v_nb, _, _ = K.lp_eg_nb(p, W, beta, qt, R0, alpha > 1, TOL, ITERS, 0.5)
-        _, v_py, _, _ = K.lp_eg_py(p, W, beta, qt, R0, alpha > 1, TOL, ITERS, 0.5)
-        assert abs(v_nb - v_py) <= 1e-8 * max(1.0, abs(v_py))
+@pytest.mark.parametrize("key", sorted(EXPECTED_KERNELS), ids=lambda k: "-".join(map(str, k)))
+def test_eg_kernels_match_recorded(key):
+    assert _kernel_case(*key) == EXPECTED_KERNELS[key]
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.6, 2.0, 4.0])
-def test_augustin_paths_agree(alpha):
-    damp = 0.5 if alpha > 1 else 0.0
-    for p, W, _ in _instances():
-        q0 = p @ W
-        q_nb, _, _, s_nb = K.augustin_solve_nb(p, W ** alpha, alpha, q0, TOL, ITERS, damp)
-        q_py, _, _, s_py = K.augustin_solve_py(p, W ** alpha, alpha, q0, TOL, ITERS, damp)
-        assert s_nb == s_py
-        np.testing.assert_allclose(q_nb, q_py, atol=1e-9)
+@pytest.mark.parametrize("key", sorted(EXPECTED_EG_OPTIMIZE), ids=lambda k: "-".join(map(str, k)))
+def test_eg_optimize_matches_recorded(key):
+    assert _eg_optimize_case(*key) == EXPECTED_EG_OPTIMIZE[key]
 
 
-@pytest.mark.parametrize("alpha", [0.6, 2.0, 4.0])
-def test_lp_alternating_paths_agree(alpha):
-    for p, W, _ in _instances():
-        joint = p[:, None] * W
-        Pa = joint ** alpha
-        out_nb = K.lp_alternating_solve_nb(Pa, alpha, joint.sum(1), joint.sum(0), TOL, ITERS)
-        out_py = K.lp_alternating_solve_py(Pa, alpha, joint.sum(1), joint.sum(0), TOL, ITERS)
-        assert abs(out_nb[2] - out_py[2]) <= 1e-9 * max(1.0, abs(out_py[2]))
+@pytest.mark.xfail(strict=True, reason="the three-hit stop counts iterations whose step the "
+                   "line search shrank to almost nothing as converged")
+def test_tsallis_eg_descent_reaches_minimum_on_sparse_weights():
+    # one observation of the arimoto optimize route at order 0.3: the
+    # minimum of sum w r^beta (beta < 0) is (sum w^(1/(1-beta)))^(1-beta),
+    # reached at r proportional to w^(1/(1-beta))
+    w = np.array([4.55e-9, 0.0, 0.2284])
+    beta = 1.0 - 1.0 / 0.3
+    _, value, _, _ = K.tsallis_eg(w, beta, False, w / w.sum(), False, 1e-10, 100_000, 0.5)
+    minimum = (w[w > 0.0] ** (1.0 / (1.0 - beta))).sum() ** (1.0 - beta)
+    assert abs(value - minimum) <= 1e-6 * minimum
 
 
 def test_kernel_determinism():
@@ -89,7 +225,7 @@ def test_kernel_determinism():
     assert a[1] == b[1]
 
 
-def test_backend_flag_reporting():
+def test_backend_is_numpy():
     from alphaleak import backend
 
-    assert backend() in ("numba", "numpy")
+    assert backend() == "numpy"

@@ -191,6 +191,37 @@ class TestAlphaMi:
                 numeric = alpha_mi("sibson", p, W, alpha, method="optimize", cfg=cfg)
                 assert abs(closed - numeric) < 1e-8
 
+    # float.hex of alpha_mi("sibson"), cond_renyi_entropy("arimoto") and
+    # cond_renyi_entropy("sibson"), closed forms, recorded before the two
+    # closed forms shared their log-sum-exp core
+    CLOSED_INPUTS = {
+        "dense": ([0.2, 0.3, 0.5], [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]),
+        "sparse": ([0.0, 0.4, 0.6],
+                   [[0.5, 0.5, 0.0, 0.0], [0.7, 0.0, 0.3, 0.0], [0.0, 0.2, 0.8, 0.0]]),
+    }
+    CLOSED_RECORDED = {
+    ('dense', 0.3): ('0x1.bff7088094375p-5', '0x1.048eceb2204f2p+0', '0x1.b1aeedd48418ep-1'),
+    ('dense', 0.55): ('0x1.90a3ac7a05f2cp-4', '0x1.e922df12ae50ap-1', '0x1.c2b8e14d0dd77p-1'),
+    ('dense', 2.0): ('0x1.2c4ffe1183424p-2', '0x1.746715443308ap-1', '0x1.8a6fda26084e6p-1'),
+    ('dense', 50.0): ('0x1.27300b025748dp-1', '0x1.f37fa6666d75fp-2', '0x1.0a95239eb16c1p-1'),
+    ('dense', 1000.0): ('0x1.2ca9de94a3badp-1', '0x1.e9ffa81acee6fp-2', '0x1.05ca3be1542e8p-1'),
+    ('sparse', 0.3): ('0x1.97b82badf32fap-3', '0x1.e1e987bdb5bebp-2', '0x1.ba6285f40c89ap-2'),
+    ('sparse', 0.55): ('0x1.2e3ccc4398e06p-2', '0x1.838001d646b33p-2', '0x1.72d36dea1b7b4p-2'),
+    ('sparse', 2.0): ('0x1.c1f5fe34e51b4p-2', '0x1.c76a89d3d5750p-3', '0x1.f2d971e812e58p-3'),
+    ('sparse', 50.0): ('0x1.0e25f1a5a6b10p-1', '0x1.0b2549d7f0103p-3', '0x1.5222fa6d8062ep-3'),
+    ('sparse', 1000.0): ('0x1.0f9b33a36fc65p-1', '0x1.0610975db25a3p-3', '0x1.4d193db112dd3p-3'),
+    }
+
+    @pytest.mark.parametrize("key", sorted(CLOSED_RECORDED), ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_sibson_arimoto_closed_forms_recorded(self, key):
+        kind, alpha = key
+        p, W = self.CLOSED_INPUTS[kind]
+        p, W = make_pmf(p), make_channel(W)
+        got = (alpha_mi("sibson", p, W, alpha).hex(),
+               cond_renyi_entropy("arimoto", p, W, alpha).hex(),
+               cond_renyi_entropy("sibson", p, W, alpha).hex())
+        assert got == self.CLOSED_RECORDED[key]
+
     def test_continuity_at_one(self, rng):
         for _ in range(5):
             p, W = random_pair(rng, 2, 2)
