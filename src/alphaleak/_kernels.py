@@ -3,11 +3,14 @@
 ``eg`` is the exponentiated-gradient (multiplicative weights) update of
 Kivinen & Warmuth (1997) with a backtracking line search, a doubling of
 the step after each accepted step, and a stop after three consecutive
-iterations whose relative change of the value is below ``tol``.  It is
-the only EG loop in the library: the four decision-rule kernels
-(``tsallis_eg``, ``power_eg``, ``ac_eg``, ``lp_eg``) bind an objective
-and its gradient to it, and ``optimize.eg_optimize`` binds a generic
-objective with a supplied or finite-difference gradient.
+iterations whose relative change of the value is below ``tol``.  It runs
+a stack of independent problems, one per row (restarts, or the separate
+per-observation problems of a decomposable objective); each row keeps
+its own step, line search and stop, so it follows the path it would
+follow alone, and a single problem is a stack of one.  It is the only EG
+loop in the library: the four decision-rule kernels (``tsallis_eg``,
+``power_eg``, ``ac_eg``, ``lp_eg``) bind an objective and its gradient
+to it, and so does ``optimize.eg_optimize``.
 
 ``augustin_solve`` is the fixed-point iteration for the minimizing output
 distribution and ``lp_alternating_solve`` the alternating minimization
@@ -34,131 +37,187 @@ def backend() -> str:
 
 
 def _floor_rows(R):
-    # a vector is scaled by a scalar: cheaper than broadcasting a length-1 axis
     R = np.maximum(R, EPS)
-    return R / R.sum(axis=-1, keepdims=R.ndim > 1)
+    R /= np.add.reduce(R, axis=-1, keepdims=True)
+    return R
 
 
-def eg(objective, grad, blocks, maximize, tol, max_iters, step_init):
-    """Exponentiated gradient over a product of simplices.
+def eg(objective, grad, blocks, maximize, tol, max_iters, step_init, data=None):
+    """Exponentiated gradient over a stack of products of simplices.
 
-    ``blocks`` is a list of arrays whose last axis is a simplex (a vector
-    or a stack of rows); ``objective(blocks)`` returns the value and
-    ``grad(blocks)`` one gradient array per block.  Each step multiplies
-    every simplex by exp(+-s (g - extreme of g)), the sign and the
-    extreme chosen so that the exponent is at most zero, floors at
-    ``EPS`` and renormalizes.  The step s halves until the value does not
-    get worse and doubles after each accepted step.  Returns (blocks,
-    value, residual, iterations); the residual is the last relative
-    change of the value, or 0 when no step size was accepted.
+    ``blocks`` is a list of arrays whose leading axis is the stack (row i
+    of every block is problem i) and whose last axis is a simplex.
+    ``objective(blocks, data)`` returns one value per row and a cache
+    (None, or an array with the stack axis) that ``grad(blocks, cache,
+    data)`` gets at the same point; ``grad`` returns one array per block.
+    ``data`` is None or per-row problem data with the stack axis; a row
+    that stops leaves the blocks, the cache and the data.  Each step
+    multiplies every simplex by exp(s (g - max g)) when maximizing and
+    exp(s (min g - g)) when minimizing, floors at ``EPS`` and
+    renormalizes; per row, s halves until the value does not get worse
+    and doubles after each accepted step.  Returns (blocks, values,
+    residuals, total iterations, iterations per row); a residual is the
+    last relative change of the value, or 0 when no step size was
+    accepted.
     """
     blocks = [_floor_rows(np.asarray(b, dtype=np.float64)) for b in blocks]
+    n = blocks[0].shape[0]
+    out_blocks = [np.empty_like(b) for b in blocks]
+    out_f, out_resid, out_it = [0.0] * n, [0.0] * n, [0] * n
+
+    def retire(i, bs, value, it):
+        for ob, b in zip(out_blocks, bs):
+            ob[ids[i]] = b[i]
+        out_f[ids[i]], out_resid[ids[i]], out_it[ids[i]] = value, resid[i], it
+
+    def steps(values):
+        # one step per row, and views of it that broadcast over each block
+        s = np.array(values, dtype=np.float64)
+        return s, [s.reshape((-1,) + (1,) * (b.ndim - 1)) for b in blocks]
+
+    shift = ((lambda g: g - np.maximum.reduce(g, axis=-1, keepdims=True)) if maximize
+             else (lambda g: np.minimum.reduce(g, axis=-1, keepdims=True) - g))
     sign = 1.0 if maximize else -1.0
-    f = objective(blocks)
-    step = step_init
-    resid = 1.0
-    hits = 0
+    ids = list(range(n))  # original index of each row present
+    f, cache = objective(blocks, data)
+    f = f.tolist()
+    # per-row values, residuals and hits as Python lists: cheaper on a few rows
+    resid = [1.0] * n
+    hits = [0] * n
+    s, s_view = steps([step_init] * n)
     it = 0
     for it in range(1, max_iters + 1):
-        if maximize:
-            shifted = [g - g.max(axis=-1, keepdims=g.ndim > 1) for g in grad(blocks)]
-        else:
-            shifted = [g - g.min(axis=-1, keepdims=g.ndim > 1) for g in grad(blocks)]
-        s = step
-        accepted = False
+        shifted = [shift(g) for g in grad(blocks, cache, data)]
+        # searching rows retry with half their step; accepted rows recompute
+        # the same candidate, so the last candidate holds every row's
+        rows = searching = range(len(ids))
+        failed = []
         for _ in range(80):
-            cand = [_floor_rows(b * np.exp((sign * s) * g)) for b, g in zip(blocks, shifted)]
-            fc = objective(cand)
-            if sign * (fc - f) >= 0.0:
-                accepted = True
-                break
-            s *= 0.5
-            if s < _MIN_STEP:
-                break
-        if not accepted:
-            resid = 0.0
-            break
-        rel = abs(fc - f) / max(1.0, abs(fc))
-        blocks, f = cand, fc
-        step = min(s * 2.0, _MAX_STEP)
-        resid = rel
-        if rel < tol:
-            hits += 1
-            if hits >= _HITS_TO_CONVERGE:
+            cand = [_floor_rows(b * np.exp(v * g)) for b, v, g in zip(blocks, s_view, shifted)]
+            fc, cache_c = objective(cand, data)
+            fc = fc.tolist()
+            retry = []
+            for i in searching:
+                if not (sign * (fc[i] - f[i]) >= 0.0):
+                    s[i] *= 0.5
+                    (failed if s[i] < _MIN_STEP else retry).append(i)
+            searching = retry
+            if not searching:
                 break
         else:
-            hits = 0
-    return blocks, f, resid, it
+            failed += searching
+        stop = []
+        for i in rows:
+            if failed and i in failed:
+                # no acceptable step: the row stops where it was
+                resid[i] = 0.0
+                retire(i, blocks, f[i], it)
+                stop.append(i)
+                continue
+            rel = resid[i] = abs(fc[i] - f[i]) / max(1.0, abs(fc[i]))
+            s[i] = min(s.item(i) * 2.0, _MAX_STEP)
+            if rel < tol:
+                hits[i] += 1
+                if hits[i] >= _HITS_TO_CONVERGE:
+                    retire(i, cand, fc[i], it)
+                    stop.append(i)
+            else:
+                hits[i] = 0
+        blocks, f, cache = cand, fc, cache_c
+        if stop:
+            keep = [i for i in rows if i not in stop]
+            if not keep:
+                break
+            ids, f, resid, hits = ([v[i] for i in keep] for v in (ids, f, resid, hits))
+            s, s_view = steps(s[keep])
+            blocks = [b[keep] for b in blocks]
+            cache = None if cache is None else cache[keep]
+            data = None if data is None else data[keep]
+    else:
+        for i in range(len(ids)):
+            retire(i, blocks, f[i], it)
+    return out_blocks, np.array(out_f), np.array(out_resid), sum(out_it), np.array(out_it)
+
+
+def _stack_run(objective, grad, X0, single_ndim, maximize, tol, max_iters, step_init,
+               data=None):
+    """``eg`` over one block; a single problem (``X0.ndim == single_ndim``)
+    runs as a stack of one and gets (point, value, residual, iterations)."""
+    X0 = np.asarray(X0, dtype=np.float64)
+    single = X0.ndim == single_ndim
+    (X,), f, resid, total, iters = eg(objective, grad, [X0[None] if single else X0],
+                                      maximize, tol, max_iters, step_init, data)
+    if single:
+        return X[0], float(f[0]), float(resid[0]), int(iters[0])
+    return X, f, resid, total, iters
 
 
 def tsallis_eg(w, beta, use_log, r0, maximize, tol, max_iters, step_init):
     """Optimize f(r) = sum_x w[x] r[x]^beta (or sum w log r) over one simplex.
 
-    Returns (r, f, residual, iterations).
+    Returns (r, f, residual, iterations); (m, n) stacks of weights and
+    starts solve m problems and return what ``eg`` returns.
     """
     if use_log:
-        def objective(b):
-            return float((w * np.log(b[0])).sum())
+        def objective(b, w):
+            return (w * np.log(b[0])).sum(axis=-1), None
 
-        def grad(b):
+        def grad(b, cache, w):
             return [w / b[0]]
     else:
-        def objective(b):
-            return float((w * b[0] ** beta).sum())
+        def objective(b, w):
+            return (w * b[0] ** beta).sum(axis=-1), None
 
-        def grad(b):
+        def grad(b, cache, w):
             return [beta * w * b[0] ** (beta - 1.0)]
 
-    (r,), f, resid, it = eg(objective, grad, [r0], maximize, tol, max_iters, step_init)
-    return r, f, resid, it
+    return _stack_run(objective, grad, r0, 1, maximize, tol, max_iters, step_init,
+                      np.atleast_2d(w))
 
 
 def power_eg(pi, alpha, r0, maximize, tol, max_iters, step_init):
-    """Optimize the expected power score sum_x pi[x] f_pw(x, r) over one simplex."""
-    def objective(b):
+    """Optimize the expected power score sum_x pi[x] f_pw(x, r) over one
+    simplex; (m, n) stacks of posteriors and starts solve m problems."""
+    def objective(b, pi):
         r = b[0]
-        return float(alpha * (pi * r ** (alpha - 1.0)).sum() + (1.0 - alpha) * (r ** alpha).sum())
+        ra = r ** (alpha - 1.0)
+        return alpha * (pi * ra).sum(axis=-1) + (1.0 - alpha) * (r ** alpha).sum(axis=-1), ra
 
-    def grad(b):
-        r = b[0]
-        return [alpha * (alpha - 1.0) * (pi * r ** (alpha - 2.0) - r ** (alpha - 1.0))]
+    def grad(b, ra, pi):
+        return [alpha * (alpha - 1.0) * (pi * b[0] ** (alpha - 2.0) - ra)]
 
-    (r,), f, resid, it = eg(objective, grad, [r0], maximize, tol, max_iters, step_init)
-    return r, f, resid, it
+    return _stack_run(objective, grad, r0, 1, maximize, tol, max_iters, step_init,
+                      np.atleast_2d(pi))
 
 
 def ac_eg(p, W, beta, R0, maximize, tol, max_iters, step_init):
     """Optimize Phi(R) = sum_x p[x] log(sum_y W[x,y] R[y,x]^beta) over a
-    family of simplices (rows of R, one per y)."""
-    def objective(b):
-        S = np.einsum("xy,yx->x", W, b[0] ** beta)
-        return float((p * np.log(S)).sum())
+    family of simplices (rows of R, one per y); an (m, n_y, n_x) stack of
+    starts runs m restarts."""
+    def objective(b, data):
+        S = np.einsum("xy,byx->bx", W, b[0] ** beta)
+        return (p * np.log(S)).sum(axis=-1), S
 
-    def grad(b):
-        R = b[0]
-        S = np.einsum("xy,yx->x", W, R ** beta)
-        return [beta * (p / S)[None, :] * W.T * R ** (beta - 1.0)]
+    def grad(b, S, data):
+        return [beta * (p / S)[:, None, :] * W.T * b[0] ** (beta - 1.0)]
 
-    (R,), f, resid, it = eg(objective, grad, [R0], maximize, tol, max_iters, step_init)
-    return R, f, resid, it
+    return _stack_run(objective, grad, R0, 2, maximize, tol, max_iters, step_init)
 
 
 def lp_eg(pt, W, beta, qt, R0, maximize, tol, max_iters, step_init):
     """Optimize log G(R), G = sum_x pt[x] (sum_y W[x,y] R[y,x]^beta)^qt,
-    over the family of per-observation simplices."""
-    def objective(b):
-        S = np.einsum("xy,yx->x", W, b[0] ** beta)
-        return float(np.log((pt * S ** qt).sum()))
+    over the family of per-observation simplices; an (m, n_y, n_x) stack
+    of starts runs m restarts."""
+    def objective(b, data):
+        S = np.einsum("xy,byx->bx", W, b[0] ** beta)
+        return np.log((pt * S ** qt).sum(axis=-1)), S
 
-    def grad(b):
-        R = b[0]
-        S = np.einsum("xy,yx->x", W, R ** beta)
-        G_tot = (pt * S ** qt).sum()
-        coeff = pt * qt * S ** (qt - 1.0) / G_tot
-        return [beta * coeff[None, :] * W.T * R ** (beta - 1.0)]
+    def grad(b, S, data):
+        G_tot = (pt * S ** qt).sum(axis=-1)
+        coeff = pt * qt * S ** (qt - 1.0) / G_tot[:, None]
+        return [beta * coeff[:, None, :] * W.T * b[0] ** (beta - 1.0)]
 
-    (R,), f, resid, it = eg(objective, grad, [R0], maximize, tol, max_iters, step_init)
-    return R, f, resid, it
+    return _stack_run(objective, grad, R0, 2, maximize, tol, max_iters, step_init)
 
 
 def augustin_solve(p, Wa, alpha, q0, tol, max_iters, damp):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,7 +57,11 @@ from .errors import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
+    _best_row,
+    _eg_run,
     _fd_grad_stack,
+    _rowwise,
+    _Stacked,
     ac_rule_batch,
     augustin_fixed_point,
     eg_optimize,
@@ -71,6 +76,7 @@ from .qcalc import Aggregator, _apply, q_log
 from .renyi import (
     ALPHA_ONE_ATOL,
     MiVariant,
+    _rule_restarts,
     lp_order_valid,
     renyi_entropy,
     shannon_entropy,
@@ -238,7 +244,7 @@ def _prior_objective(probs: np.ndarray, g: GainFunction, phi: Aggregator):
 
     def aggregate(actions: np.ndarray):
         fv = _apply(phi.forward, _gain_vector(g, actions))
-        vals = (live * fv[..., mask]).sum(axis=-1)
+        vals = (live * fv.compress(mask, axis=-1)).sum(axis=-1)
         return float(vals) if vals.ndim == 0 else vals
 
     return aggregate
@@ -246,12 +252,17 @@ def _prior_objective(probs: np.ndarray, g: GainFunction, phi: Aggregator):
 
 def _optimize_action(aggregate, init: np.ndarray, maximize: bool,
                      cfg: OptimizerConfig):
-    """EG over one simplex, its gradient by central differences with all
-    perturbed points evaluated in one batched call."""
-    return eg_optimize(lambda blocks: aggregate(blocks[0]), [init.size],
-                       "max" if maximize else "min", cfg,
-                       grad=lambda blocks: [_fd_grad_stack(aggregate, blocks[0])],
-                       inits=[init])
+    """EG over one simplex, all restarts stacked; the gradient by central
+    differences, every perturbed point of every restart evaluated in one
+    batched call of ``aggregate``."""
+    def objective(blocks, data):
+        return aggregate(blocks[0]), None
+
+    def grad(blocks, cache, data):
+        return [_fd_grad_stack(aggregate, blocks[0])]
+
+    return eg_optimize(_Stacked(objective, grad), [init.size],
+                       "max" if maximize else "min", cfg, inits=[init])
 
 
 def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
@@ -363,77 +374,63 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
                        sense: str, method: str, cfg: OptimizerConfig):
     """Per-observation numerical optimization for phi = psi."""
     joint = compose_joint(p, W)
-    weights = joint.matrix
-    n_x, n_y = weights.shape
+    n_x, n_y = joint.matrix.shape
     rows = np.full((n_y, n_x), 1.0 / n_x)
     maximize = _maximize_inner(sense, phi)
-    aggregate = 0.0
-    worst_resid = 0.0
-    known_qlog = g.kind == "soft01" and phi.kind in ("log", "q_log")
-    known_power = g.kind in ("power", "power_loss") and (
-        (g.kind == "power" and phi.kind == "linear")
-        or (g.kind == "power_loss" and phi.kind == "q_log"
-            and phi.q is not None and abs(phi.q - g.alpha) <= 1e-9)
-    )
-    for y in range(n_y):
-        w = np.ascontiguousarray(weights[:, y])
-        total_w = float(w.sum())
-        if total_w <= 0.0:
-            continue
-        if known_qlog:
-            use_log = phi.kind == "log"
-            beta = 0.0 if use_log else 1.0 - phi.q
-            # phi(g) is affine in r**beta, so the direction flips with q > 1
-            tmax = maximize if (use_log or phi.q < 1.0) else not maximize
-            if method == "optimize":
-                r0 = w / total_w
-                r, val, resid, _ = _kernels.tsallis_eg(
-                    w, beta, use_log, r0, tmax, cfg.tolerance, cfg.max_iters, cfg.step_init
-                )
-            else:
-                r, val = oracle_optimize_single(
-                    None, n_x, tmax, cfg,
-                    batch_objective=(lambda grid: np.where(grid > 0, np.log(np.maximum(grid, 1e-300)), -np.inf) @ w)
-                    if use_log else qlog_rule_batch(w, beta),
-                )
-                resid = cfg.grid_resolution
-            rows[y] = r
-            if use_log:
-                aggregate += val
-            else:
-                aggregate += (val - total_w) / (1.0 - phi.q)
-        elif known_power:
-            pi = w / total_w
-            pmax = g.alpha > 1.0
-            if method == "optimize":
-                r0 = np.full(n_x, 1.0 / n_x)
-                r, val, resid, _ = _kernels.power_eg(
-                    pi, g.alpha, r0, pmax, cfg.tolerance, cfg.max_iters, cfg.step_init
-                )
-            else:
-                r, val = oracle_optimize_single(
-                    None, n_x, pmax, cfg, batch_objective=power_rule_batch(pi, g.alpha)
-                )
-                resid = cfg.grid_resolution
-            rows[y] = r
-            if g.kind == "power":
-                aggregate += total_w * val
-            else:
-                # phi(power_loss) = (power_score - 1)/(1 - alpha), summed with weights
-                aggregate += total_w * (val - 1.0) / (1.0 - g.alpha)
+    wt = np.ascontiguousarray(joint.matrix.T)  # one row per observation
+    mass = wt.sum(axis=1)
+    ys = np.flatnonzero(mass > 0.0)
+    posts = wt[ys] / mass[ys, None]
+    # per objective, chosen once: its stacked solver (None for the generic
+    # objective), its grid objective and sense, and its aggregate term
+    # from (observation mass, optimal value)
+    if g.kind == "soft01" and phi.kind in ("log", "q_log"):
+        use_log = phi.kind == "log"
+        beta = 0.0 if use_log else 1.0 - phi.q
+        # phi(g) is affine in r**beta, so the direction flips with q > 1
+        sense_max = maximize if (use_log or phi.q < 1.0) else not maximize
+        stacked = partial(_kernels.tsallis_eg, wt[ys], beta, use_log, posts)
+        if use_log:
+            batch = lambda w, pi: lambda grid: np.where(grid > 0, np.log(np.maximum(grid, 1e-300)), -np.inf) @ w
+            term = lambda m, val: val
         else:
-            pi = w / total_w
-            inner = _prior_objective(pi, g, phi)
+            batch = lambda w, pi: qlog_rule_batch(w, beta)
+            term = lambda m, val: (val - m) / (1.0 - phi.q)
+    elif (g.kind == "power" and phi.kind == "linear") or (
+            g.kind == "power_loss" and phi.kind == "q_log"
+            and phi.q is not None and abs(phi.q - g.alpha) <= 1e-9):
+        sense_max = g.alpha > 1.0
+        stacked = partial(_kernels.power_eg, posts, g.alpha, np.full(posts.shape, 1.0 / n_x))
+        batch = lambda w, pi: power_rule_batch(pi, g.alpha)
+        # phi(power_loss) = (power_score - 1)/(1 - alpha), summed with weights
+        term = ((lambda m, val: m * val) if g.kind == "power"
+                else (lambda m, val: m * (val - 1.0) / (1.0 - g.alpha)))
+    else:
+        stacked, sense_max = None, maximize
+        batch = lambda w, pi: _prior_objective(pi, g, phi)
+        term = lambda m, val: m * val
+    if method == "optimize" and stacked is not None:
+        # every observation is one row of a single stack
+        R, vals, resids, _, _ = stacked(sense_max, cfg.tolerance, cfg.max_iters, cfg.step_init)
+    else:
+        R, vals, resids = [], [], []
+        for w, pi in zip(wt[ys], posts):
             if method == "optimize":
-                res = _optimize_action(inner, pi, maximize, cfg)
+                res = _optimize_action(batch(w, pi), pi, maximize, cfg)
                 r, val, resid = res.point[0], res.value, res.residual
             else:
-                r, val = oracle_optimize_single(None, n_x, maximize, cfg,
-                                                batch_objective=inner)
+                r, val = oracle_optimize_single(None, n_x, sense_max, cfg,
+                                                batch_objective=batch(w, pi))
                 resid = cfg.grid_resolution
-            rows[y] = r
-            aggregate += total_w * val
-        worst_resid = max(worst_resid, resid)
+            R.append(r)
+            vals.append(val)
+            resids.append(resid)
+    aggregate = 0.0
+    worst_resid = 0.0
+    for y, r, val, resid in zip(ys, R, vals, resids):
+        rows[y] = r
+        aggregate += term(float(mass[y]), float(val))
+        worst_resid = max(worst_resid, float(resid))
     return float(phi.inverse(aggregate)), rows, worst_resid
 
 
@@ -463,13 +460,11 @@ def _detect_lp_tuple(g: GainFunction, phi: Aggregator, psi: Aggregator):
 
 
 def _joint_eg_inits(p: Pmf, W: Channel, prior_action: np.ndarray,
-                    cfg: OptimizerConfig) -> list[np.ndarray]:
-    """Posterior family, the constant prior-optimal rule, then seeded draws."""
-    joint = compose_joint(p, W)
-    rng = np.random.default_rng(cfg.seed)
-    inits = [joint.posteriors.copy(), np.tile(prior_action, (W.n_y, 1))]
-    inits += [rng.dirichlet(np.ones(p.n), size=W.n_y) for _ in range(cfg.restarts - 1)]
-    return [np.ascontiguousarray(R) for R in inits]
+                    cfg: OptimizerConfig) -> np.ndarray:
+    """(restarts + 1, n_y, n_x) starts: the posterior family, the constant
+    prior-optimal rule, then seeded draws."""
+    starts = _rule_restarts(compose_joint(p, W), cfg)
+    return np.insert(starts, 1, prior_action, axis=0)
 
 
 def _cond_ac(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig):
@@ -481,17 +476,12 @@ def _cond_ac(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig
         value = math.exp(fp.value - shannon_entropy(p))
         return value, None, "closed_form", fp.residual
     if method == "optimize":
-        best = None
-        best_R = None
-        worst = 0.0
-        for R0 in _joint_eg_inits(p, W, p.probs, cfg):
-            R, val, resid, _ = _kernels.ac_eg(
-                p.probs, W.matrix, beta, R0, maximize,
-                cfg.tolerance, cfg.max_iters, cfg.step_init,
-            )
-            if best is None or (maximize and val > best) or (not maximize and val < best):
-                best, best_R, worst = val, R, resid
-        return math.exp(coeff * best), best_R, "optimize", worst
+        R, vals, resids, _, _ = _kernels.ac_eg(
+            p.probs, W.matrix, beta, _joint_eg_inits(p, W, p.probs, cfg), maximize,
+            cfg.tolerance, cfg.max_iters, cfg.step_init,
+        )
+        i = _best_row(vals, maximize)
+        return math.exp(coeff * float(vals[i])), R[i], "optimize", float(resids[i])
     R, val = oracle_optimize_rule(
         None, p.n, W.n_y, maximize, cfg,
         batch_objective=ac_rule_batch(p.probs, W.matrix, beta),
@@ -512,17 +502,12 @@ def _cond_lp(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig
         return value, None, "closed_form", res.residual
     if method == "optimize":
         prior_action = tilt(p, 1.0 / qt).probs
-        best = None
-        best_R = None
-        worst = 0.0
-        for R0 in _joint_eg_inits(p, W, prior_action, cfg):
-            R, val, resid, _ = _kernels.lp_eg(
-                p.probs, W.matrix, beta, qt, R0, maximize,
-                cfg.tolerance, cfg.max_iters, cfg.step_init,
-            )
-            if best is None or (maximize and val > best) or (not maximize and val < best):
-                best, best_R, worst = val, R, resid
-        return math.exp(best / (1.0 - qt)), best_R, "optimize", worst
+        R, vals, resids, _, _ = _kernels.lp_eg(
+            p.probs, W.matrix, beta, qt, _joint_eg_inits(p, W, prior_action, cfg), maximize,
+            cfg.tolerance, cfg.max_iters, cfg.step_init,
+        )
+        i = _best_row(vals, maximize)
+        return math.exp(float(vals[i]) / (1.0 - qt)), R[i], "optimize", float(resids[i])
     R, val = oracle_optimize_rule(
         None, p.n, W.n_y, maximize, cfg,
         batch_objective=lp_rule_batch(p.probs, W.matrix, beta, qt),
@@ -562,24 +547,14 @@ def _cond_generic_mixed(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
     def objective(blocks):
         return objective_rows(np.vstack(blocks))
 
-    best = None
-    for R0 in inits:
-        res_blocks, val, resid, _ = _eg_blocks_run(objective, R0, maximize, cfg)
-        if best is None or (maximize and val > best[1]) or (not maximize and val < best[1]):
-            best = (res_blocks, val, resid)
-    R, val, resid = best
-    return val, R, "optimize", resid
-
-
-def _eg_blocks_run(objective, R0: np.ndarray, maximize: bool, cfg: OptimizerConfig):
-    from .optimize import _eg_run
-
-    blocks0 = [np.ascontiguousarray(R0[y]) for y in range(R0.shape[0])]
-    blocks, f, resid, _ = _eg_run(
-        lambda bs: objective(bs), None, blocks0, maximize,
+    # one block per observation, one stack row per start; the value is
+    # evaluated row by row with central-difference gradients
+    blocks, vals, resids, _, _ = _eg_run(
+        _rowwise(objective, None), [list(R0) for R0 in inits], maximize,
         cfg.tolerance, cfg.max_iters, cfg.step_init,
     )
-    return np.vstack(blocks), f, resid
+    i = _best_row(vals, maximize)
+    return float(vals[i]), np.vstack([b[i] for b in blocks]), "optimize", float(resids[i])
 
 
 def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,

@@ -7,8 +7,10 @@ Four engines, in increasing order of specialization:
   vectorized stars-and-bars pass per call and is not cached;
 * ``eg_optimize``: generic exponentiated-gradient (multiplicative
   weights with backtracking line search) over a product of simplices,
-  gradient supplied or estimated by central differences in log space,
-  run by the library's one EG loop, ``_kernels.eg``;
+  gradient supplied or estimated by central differences in log space;
+  all restarts run as the rows of one stack of the library's one EG
+  loop, ``_kernels.eg``, the library's objectives evaluated for the
+  whole stack at once (``_Stacked``) and a user objective row by row;
 * ``augustin_fixed_point``: the fixed-point iteration for the
   minimizing output distribution of the expected-divergence objective,
   damped for orders above one, with an EG fallback when it plateaus
@@ -26,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -189,20 +192,24 @@ class EgResult:
 
 
 def _fd_grad_stack(batch_objective, b: np.ndarray, delta: float = 1e-6) -> np.ndarray:
-    """Central differences of ``batch_objective`` at ``b`` along
-    multiplicative perturbations (which keep every point positive).
+    """Central differences of ``batch_objective`` at ``b``, a point or an
+    (m, n) stack of points, along multiplicative perturbations (which
+    keep every point positive).
 
-    All 2n perturbed points go through ``batch_objective`` as one
-    (2n, n) stack: rows 0..n-1 scale one coordinate up by exp(delta),
-    rows n..2n-1 scale it down.
+    All 2n perturbed points of every row go through ``batch_objective``
+    as one (m * 2n, n) stack: per row, points 0..n-1 scale one
+    coordinate up by exp(delta), points n..2n-1 scale it down.
     """
-    n = b.size
+    B = np.atleast_2d(b)
+    m, n = B.shape
     diag = np.arange(n)
-    stack = np.tile(b, (2 * n, 1))
-    stack[diag, diag] = b * math.exp(delta)
-    stack[n + diag, diag] = b * math.exp(-delta)
-    vals = np.asarray(batch_objective(stack), dtype=np.float64)
-    return (vals[:n] - vals[n:]) / (b * (math.exp(delta) - math.exp(-delta)))
+    stack = np.repeat(B[:, None, :], 2 * n, axis=1)
+    stack[:, diag, diag] = B * math.exp(delta)
+    stack[:, n + diag, diag] = B * math.exp(-delta)
+    vals = np.asarray(batch_objective(stack.reshape(m * 2 * n, n)), dtype=np.float64)
+    vals = vals.reshape(m, 2 * n)
+    g = (vals[:, :n] - vals[:, n:]) / (B * (math.exp(delta) - math.exp(-delta)))
+    return g.reshape(np.shape(b))
 
 
 def _fd_grad(objective, blocks: list[np.ndarray], delta: float = 1e-6) -> list[np.ndarray]:
@@ -215,12 +222,52 @@ def _fd_grad(objective, blocks: list[np.ndarray], delta: float = 1e-6) -> list[n
     return grads
 
 
-def _eg_run(objective, grad_fn, blocks, maximize, tol, max_iters, step_init):
-    """``_kernels.eg`` with central differences when ``grad_fn`` is None."""
-    if grad_fn is None:
-        def grad_fn(bs):
-            return _fd_grad(objective, bs)
-    return _kernels.eg(objective, grad_fn, blocks, maximize, tol, max_iters, step_init)
+class _Stacked(NamedTuple):
+    """A stacked objective and gradient for ``_kernels.eg``, passed to ``eg_optimize``."""
+
+    objective: Callable
+    grad: Callable
+
+
+def _rowwise(objective, grad) -> _Stacked:
+    """A one-point objective and gradient (central differences when
+    ``grad`` is None), evaluated row by row over a stack.  The rows that a
+    line-search retry of ``_kernels.eg`` passes again at the point of the
+    previous call keep that call's value, so each point is evaluated once,
+    as for a row alone."""
+    grad = grad or (lambda blocks: _fd_grad(objective, blocks))
+    previous = {}
+
+    def stacked_objective(blocks, data):
+        nonlocal previous
+        points = [[b[i] for b in blocks] for i in range(len(blocks[0]))]
+        keys = [b"".join(x.tobytes() for x in point) for point in points]
+        previous = {k: previous[k] if k in previous else objective(point)
+                    for k, point in zip(keys, points)}
+        return np.array([previous[k] for k in keys]), None
+
+    def stacked_grad(blocks, cache, data):
+        per_row = [grad([b[i] for b in blocks]) for i in range(len(blocks[0]))]
+        return [np.stack(g) for g in zip(*per_row)]
+
+    return _Stacked(stacked_objective, stacked_grad)
+
+
+def _eg_run(stacked: _Stacked, starts, maximize, tol, max_iters, step_init):
+    """Every start (a list of blocks) as one row of a single ``_kernels.eg``
+    stack; returns what ``_kernels.eg`` returns."""
+    blocks = [np.stack(col) for col in zip(*starts)]
+    return _kernels.eg(stacked.objective, stacked.grad, blocks, maximize, tol,
+                       max_iters, step_init)
+
+
+def _best_row(values, maximize: bool) -> int:
+    """Index of the best value; a later row must be strictly better."""
+    best = 0
+    for i in range(1, len(values)):
+        if (values[i] > values[best]) if maximize else (values[i] < values[best]):
+            best = i
+    return best
 
 
 def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CONFIG,
@@ -230,13 +277,16 @@ def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CON
     ``objective(list_of_blocks) -> float`` maps one point per simplex in
     ``shape`` to a value; ``grad``, when given, returns one gradient
     array per block.  The first restart starts from ``inits`` (or
-    uniform), the rest from seeded Dirichlet draws; the best converged
-    run wins.  The objective sequence is monotone in the optimization
-    sense within every run.
+    uniform), the rest from seeded Dirichlet draws; all restarts run as
+    one stack of ``_kernels.eg``, the objective evaluated row by row
+    (the library's own objectives come stacked, as ``_Stacked``), and
+    the best converged run wins.  The objective sequence is monotone in
+    the optimization sense within every run.
     """
     if sense not in ("max", "min"):
         raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
     maximize = sense == "max"
+    stacked = objective if isinstance(objective, _Stacked) else _rowwise(objective, grad)
     rng = np.random.default_rng(cfg.seed)
     starts = []
     if inits is not None:
@@ -245,23 +295,18 @@ def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CON
         starts.append([np.full(n, 1.0 / n) for n in shape])
     for _ in range(cfg.restarts - 1):
         starts.append([rng.dirichlet(np.ones(n)) for n in shape])
-    best = None
-    any_converged = False
-    for start in starts:
-        blocks, f, resid, iters = _eg_run(
-            objective, grad, start, maximize, cfg.tolerance, cfg.max_iters, cfg.step_init
-        )
-        converged = resid <= cfg.tolerance
-        any_converged = any_converged or converged
-        if best is None or (maximize and f > best.value) or (not maximize and f < best.value):
-            best = EgResult(point=blocks, value=f, residual=resid,
-                            iterations=iters, converged=converged)
-    if not any_converged:
+    blocks, values, resids, _, iters = _eg_run(
+        stacked, starts, maximize, cfg.tolerance, cfg.max_iters, cfg.step_init
+    )
+    i = _best_row(values, maximize)
+    if not np.any(resids <= cfg.tolerance):
         raise ConvergenceFailure(
             f"no EG restart reached residual {cfg.tolerance:g} "
-            f"within {cfg.max_iters} iterations (best residual {best.residual:g})"
+            f"within {cfg.max_iters} iterations (best residual {resids[i]:g})"
         )
-    return best
+    return EgResult(point=[b[i] for b in blocks], value=float(values[i]),
+                    residual=float(resids[i]), iterations=int(iters[i]),
+                    converged=bool(resids[i] <= cfg.tolerance))
 
 
 # ----------------------------------------------------------------------
@@ -277,10 +322,25 @@ class AugustinResult:
     iterations: int
 
 
-def _expected_divergence(p: np.ndarray, Wa: np.ndarray, alpha: float, q: np.ndarray) -> float:
-    S = Wa @ np.maximum(q, _kernels.EPS) ** (1.0 - alpha)
+def _expected_divergence(p: np.ndarray, Wa: np.ndarray, alpha: float, q: np.ndarray):
+    """sum_x p(x) log S(x) / (alpha - 1), S = Wa q^(1-alpha), at a point
+    q or per row of an (m, n_y) stack; returns the value(s) and S."""
+    S = (Wa @ np.maximum(q, _kernels.EPS)[..., None] ** (1.0 - alpha))[..., 0]
     mask = p > 0.0
-    return float((p[mask] * np.log(S[mask])).sum() / (alpha - 1.0))
+    return (p[mask] * np.log(S.compress(mask, axis=-1))).sum(axis=-1) / (alpha - 1.0), S
+
+
+def _expected_divergence_eg(p: np.ndarray, Wa: np.ndarray, alpha: float) -> _Stacked:
+    """The expected divergence over q and its gradient, stacked for
+    ``eg_optimize``."""
+    def objective(blocks, data):
+        return _expected_divergence(p, Wa, alpha, blocks[0])
+
+    def grad(blocks, S, data):
+        q = np.maximum(blocks[0], _kernels.EPS)
+        return [-((p / S)[:, None, :] @ (Wa * q[:, None, :] ** (-alpha)))[:, 0]]
+
+    return _Stacked(objective, grad)
 
 
 def augustin_fixed_point(p: Pmf, W: Channel, alpha: float,
@@ -314,20 +374,11 @@ def augustin_fixed_point(p: Pmf, W: Channel, alpha: float,
     engine = "fixed_point"
     if status != 0:
         # plateau or exhausted budget: polish with EG on the convex objective
-        def objective(blocks):
-            return _expected_divergence(p.probs, Wa, alpha, blocks[0])
-
-        def grad(blocks):
-            qq = np.maximum(blocks[0], _kernels.EPS)
-            S = Wa @ qq ** (1.0 - alpha)
-            g = -(p.probs / S) @ (Wa * qq[None, :] ** (-alpha))
-            return [g]
-
-        eg = eg_optimize(objective, [W.n_y], "min",
-                         cfg.with_(restarts=max(cfg.restarts, 3)), grad=grad, inits=[q])
+        eg = eg_optimize(_expected_divergence_eg(p.probs, Wa, alpha), [W.n_y], "min",
+                         cfg.with_(restarts=max(cfg.restarts, 3)), inits=[q])
         q, resid = eg.point[0], eg.residual
         engine = "fixed_point+eg"
-    value = _expected_divergence(p.probs, Wa, alpha, q)
+    value = float(_expected_divergence(p.probs, Wa, alpha, q)[0])
     return AugustinResult(
         q_y=make_pmf(q, renormalize=True, labels=W.y_labels),
         value=value, engine=engine, residual=float(resid), iterations=int(iters),

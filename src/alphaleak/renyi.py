@@ -38,6 +38,9 @@ from .errors import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
+    _best_row,
+    _expected_divergence_eg,
+    _Stacked,
     ac_rule_batch,
     augustin_fixed_point,
     eg_optimize,
@@ -200,22 +203,21 @@ def _decomposable_rule_entropy(prior: Pmf, W: Channel, alpha: float,
     """
     beta = 1.0 - 1.0 / alpha
     maximize = alpha > 1.0
-    weights = prior.probs[:, None] * W.matrix  # (n_x, n_y)
+    weights = np.ascontiguousarray((prior.probs[:, None] * W.matrix).T)  # (n_y, n_x)
+    mass = weights.sum(axis=1)
+    live = weights[mass > 0.0]
+    if method is Method.OPTIMIZE:  # every observation is one row of a single stack
+        _, vals, _, _, _ = _kernels.tsallis_eg(
+            live, beta, False, live / mass[mass > 0.0, None], maximize,
+            cfg.tolerance, cfg.max_iters, cfg.step_init,
+        )
+    else:
+        vals = [oracle_optimize_single(None, prior.n, maximize, cfg,
+                                       batch_objective=qlog_rule_batch(w, beta))[1]
+                for w in live]
     total = 0.0
-    for y in range(W.n_y):
-        w = np.ascontiguousarray(weights[:, y])
-        if w.sum() <= 0.0:
-            continue
-        if method is Method.OPTIMIZE:
-            r0 = w / w.sum()
-            _, val, _, _ = _kernels.tsallis_eg(
-                w, beta, False, r0, maximize, cfg.tolerance, cfg.max_iters, cfg.step_init
-            )
-        else:
-            _, val = oracle_optimize_single(
-                None, prior.n, maximize, cfg, batch_objective=qlog_rule_batch(w, beta)
-            )
-        total += val
+    for val in vals:
+        total += float(val)
     return alpha / (1.0 - alpha) * np.log(total)
 
 
@@ -224,20 +226,30 @@ def _hayashi_rule_entropy(p: Pmf, W: Channel, alpha: float,
     """Decision-rule form of the posterior-moment conditional entropy."""
     joint = compose_joint(p, W)
     maximize = alpha > 1.0
+    ys = np.flatnonzero(joint.y_support)
+    posteriors = joint.posteriors[ys]
+    if method is Method.OPTIMIZE:
+        # uninformed starts, the optimum is not handed in; one stack row per observation
+        _, vals, _, _, _ = _kernels.power_eg(
+            posteriors, alpha, np.full(posteriors.shape, 1.0 / p.n), maximize,
+            cfg.tolerance, cfg.max_iters, cfg.step_init,
+        )
+    else:
+        vals = [oracle_optimize_single(None, p.n, maximize, cfg,
+                                       batch_objective=power_rule_batch(pi, alpha))[1]
+                for pi in posteriors]
     total = 0.0
-    for y in np.flatnonzero(joint.y_support):
-        pi = np.ascontiguousarray(joint.posteriors[y])
-        if method is Method.OPTIMIZE:
-            r0 = np.full(p.n, 1.0 / p.n)  # uninformed start, the optimum is not handed in
-            _, val, _, _ = _kernels.power_eg(
-                pi, alpha, r0, maximize, cfg.tolerance, cfg.max_iters, cfg.step_init
-            )
-        else:
-            _, val = oracle_optimize_single(
-                None, p.n, maximize, cfg, batch_objective=power_rule_batch(pi, alpha)
-            )
-        total += joint.p_y[y] * val
+    for y, val in zip(ys, vals):
+        total += joint.p_y[y] * float(val)
     return np.log(total) / (1.0 - alpha)
+
+
+def _rule_restarts(joint, cfg: OptimizerConfig) -> np.ndarray:
+    """(restarts, n_y, n_x) starts: the posterior family, then seeded draws."""
+    rng = np.random.default_rng(cfg.seed)
+    n_y, n_x = joint.posteriors.shape
+    return np.stack([joint.posteriors]
+                    + [rng.dirichlet(np.ones(n_x), size=n_y) for _ in range(cfg.restarts - 1)])
 
 
 def _ac_rule_entropy(p: Pmf, W: Channel, alpha: float,
@@ -251,18 +263,11 @@ def _ac_rule_entropy(p: Pmf, W: Channel, alpha: float,
     maximize = alpha > 1.0
     joint = compose_joint(p, W)
     if method is Method.OPTIMIZE:
-        best = None
-        rng = np.random.default_rng(cfg.seed)
-        inits = [joint.posteriors.copy()]
-        inits += [rng.dirichlet(np.ones(p.n), size=W.n_y) for _ in range(cfg.restarts - 1)]
-        for R0 in inits:
-            _, val, _, _ = _kernels.ac_eg(
-                p.probs, W.matrix, beta, np.ascontiguousarray(R0), maximize,
-                cfg.tolerance, cfg.max_iters, cfg.step_init,
-            )
-            if best is None or (maximize and val > best) or (not maximize and val < best):
-                best = val
-        phi = best
+        _, vals, _, _, _ = _kernels.ac_eg(
+            p.probs, W.matrix, beta, _rule_restarts(joint, cfg), maximize,
+            cfg.tolerance, cfg.max_iters, cfg.step_init,
+        )
+        phi = float(vals[_best_row(vals, maximize)])
     else:
         _, phi = oracle_optimize_rule(
             None, p.n, W.n_y, maximize, cfg,
@@ -280,18 +285,11 @@ def _lp_rule_entropy(p: Pmf, W: Channel, alpha: float,
     pt = tilt(p, qt).probs
     joint = compose_joint(p, W)
     if method is Method.OPTIMIZE:
-        best = None
-        rng = np.random.default_rng(cfg.seed)
-        inits = [joint.posteriors.copy()]
-        inits += [rng.dirichlet(np.ones(p.n), size=W.n_y) for _ in range(cfg.restarts - 1)]
-        for R0 in inits:
-            _, val, _, _ = _kernels.lp_eg(
-                pt, W.matrix, beta, qt, np.ascontiguousarray(R0), maximize,
-                cfg.tolerance, cfg.max_iters, cfg.step_init,
-            )
-            if best is None or (maximize and val > best) or (not maximize and val < best):
-                best = val
-        ln_g = best
+        _, vals, _, _, _ = _kernels.lp_eg(
+            pt, W.matrix, beta, qt, _rule_restarts(joint, cfg), maximize,
+            cfg.tolerance, cfg.max_iters, cfg.step_init,
+        )
+        ln_g = float(vals[_best_row(vals, maximize)])
     else:
         _, ln_g = oracle_optimize_rule(
             None, p.n, W.n_y, maximize, cfg,
@@ -366,40 +364,33 @@ def _sibson_closed(p: Pmf, W: Channel, alpha: float) -> float:
 
 
 def _sibson_objective(p: Pmf, W: Channel, alpha: float):
+    """Stacked objective and gradient over q for ``eg_optimize``, and the
+    batch objective of the grid oracle."""
     A = p.probs @ W.matrix ** alpha
     live = A > 0.0
 
-    def objective(blocks):
+    def objective(blocks, data):
         q = np.maximum(blocks[0], _kernels.EPS)
-        return float(np.log((A[live] * q[live] ** (1.0 - alpha)).sum()) / (alpha - 1.0))
+        S = (A[live] * q.compress(live, axis=-1) ** (1.0 - alpha)).sum(axis=-1)
+        return np.log(S) / (alpha - 1.0), S
 
-    def grad(blocks):
+    def grad(blocks, S, data):
         q = np.maximum(blocks[0], _kernels.EPS)
-        S = (A[live] * q[live] ** (1.0 - alpha)).sum()
         g = np.zeros_like(q)
-        g[live] = -A[live] * q[live] ** (-alpha) / S
+        g[:, live] = -A[live] * q.compress(live, axis=-1) ** (-alpha) / S[:, None]
         return [g]
 
     def batch(grid):
         base = np.maximum(grid[:, live], 1e-30) if alpha > 1.0 else grid[:, live]
         return np.log(base ** (1.0 - alpha) @ A[live]) / (alpha - 1.0)
 
-    return objective, grad, batch
+    return _Stacked(objective, grad), batch
 
 
 def _ac_objective(p: Pmf, W: Channel, alpha: float):
+    """The expected divergence over q stacked for ``eg_optimize``, and the
+    batch objective of the grid oracle."""
     Wa = W.matrix ** alpha
-
-    def objective(blocks):
-        q = np.maximum(blocks[0], _kernels.EPS)
-        S = Wa @ q ** (1.0 - alpha)
-        mask = p.probs > 0.0
-        return float((p.probs[mask] * np.log(S[mask])).sum() / (alpha - 1.0))
-
-    def grad(blocks):
-        q = np.maximum(blocks[0], _kernels.EPS)
-        S = Wa @ q ** (1.0 - alpha)
-        return [-(p.probs / S) @ (Wa * q[None, :] ** (-alpha))]
 
     def batch(grid):
         base = np.maximum(grid, 1e-30) if alpha > 1.0 else grid
@@ -407,7 +398,28 @@ def _ac_objective(p: Pmf, W: Channel, alpha: float):
         with np.errstate(divide="ignore"):
             return np.log(T) @ p.probs / (alpha - 1.0)
 
-    return objective, grad, batch
+    return _expected_divergence_eg(p.probs, Wa, alpha), batch
+
+
+def _lp_objective(Pa: np.ndarray, alpha: float) -> _Stacked:
+    """log(qx^(1-alpha) Pa qy^(1-alpha)) / (alpha - 1) over pairs (qx, qy),
+    stacked for ``eg_optimize``, with matrix-vector products per row."""
+    def objective(blocks, data):
+        ax = np.maximum(blocks[0], _kernels.EPS) ** (1.0 - alpha)
+        ay = np.maximum(blocks[1], _kernels.EPS) ** (1.0 - alpha)
+        tot = ((ax[:, None, :] @ Pa) @ ay[:, :, None])[:, 0, 0]
+        return np.log(tot) / (alpha - 1.0), tot
+
+    def grad(blocks, tot, data):
+        qx = np.maximum(blocks[0], _kernels.EPS)
+        qy = np.maximum(blocks[1], _kernels.EPS)
+        ax = qx ** (1.0 - alpha)
+        ay = qy ** (1.0 - alpha)
+        gx = -(qx ** (-alpha)) * (Pa @ ay[:, :, None])[:, :, 0] / tot[:, None]
+        gy = -(qy ** (-alpha)) * (ax[:, None, :] @ Pa)[:, 0, :] / tot[:, None]
+        return [gx, gy]
+
+    return _Stacked(objective, grad)
 
 
 def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
@@ -435,10 +447,10 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
         if method is Method.CLOSED_FORM:
             value = _sibson_closed(p, W, alpha)
         else:
-            objective, grad, batch = _sibson_objective(p, W, alpha)
+            stacked, batch = _sibson_objective(p, W, alpha)
             if method is Method.OPTIMIZE:
                 p_y = p.probs @ W.matrix
-                res = eg_optimize(objective, [W.n_y], "min", cfg, grad=grad, inits=[p_y])
+                res = eg_optimize(stacked, [W.n_y], "min", cfg, inits=[p_y])
                 value = res.value
             else:
                 _, value = oracle_optimize_single(None, W.n_y, False, cfg,
@@ -451,10 +463,10 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
         if method is Method.CLOSED_FORM:
             value = augustin_fixed_point(p, W, alpha, cfg).value
         else:
-            objective, grad, batch = _ac_objective(p, W, alpha)
+            stacked, batch = _ac_objective(p, W, alpha)
             if method is Method.OPTIMIZE:
                 p_y = p.probs @ W.matrix
-                res = eg_optimize(objective, [W.n_y], "min", cfg, grad=grad, inits=[p_y])
+                res = eg_optimize(stacked, [W.n_y], "min", cfg, inits=[p_y])
                 value = res.value
             else:
                 _, value = oracle_optimize_single(None, W.n_y, False, cfg,
@@ -464,26 +476,8 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
         if method is Method.CLOSED_FORM:
             value = lp_alternating(joint, alpha, cfg).value
         elif method is Method.OPTIMIZE:
-            Pa = joint.matrix ** alpha
-
-            def objective(blocks):
-                qx = np.maximum(blocks[0], _kernels.EPS)
-                qy = np.maximum(blocks[1], _kernels.EPS)
-                tot = qx ** (1.0 - alpha) @ Pa @ qy ** (1.0 - alpha)
-                return float(np.log(tot) / (alpha - 1.0))
-
-            def grad(blocks):
-                qx = np.maximum(blocks[0], _kernels.EPS)
-                qy = np.maximum(blocks[1], _kernels.EPS)
-                ax = qx ** (1.0 - alpha)
-                ay = qy ** (1.0 - alpha)
-                tot = ax @ Pa @ ay
-                gx = -(qx ** (-alpha)) * (Pa @ ay) / tot
-                gy = -(qy ** (-alpha)) * (ax @ Pa) / tot
-                return [gx, gy]
-
-            res = eg_optimize(objective, [p.n, W.n_y], "min", cfg, grad=grad,
-                              inits=[joint.p_x, joint.p_y])
+            res = eg_optimize(_lp_objective(joint.matrix ** alpha, alpha), [p.n, W.n_y], "min",
+                              cfg, inits=[joint.p_x, joint.p_y])
             value = res.value
         else:
             from .optimize import GRID_POINT_BUDGET, _check_oracle_alphabet
