@@ -57,6 +57,7 @@ from .errors import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
+    _EVAL_FLOOR,
     _best_row,
     _eg_run,
     _fd_grad_stack,
@@ -76,7 +77,6 @@ from .qcalc import Aggregator, _apply, q_log
 from .renyi import (
     ALPHA_ONE_ATOL,
     MiVariant,
-    _rule_restarts,
     lp_order_valid,
     renyi_entropy,
     shannon_entropy,
@@ -382,8 +382,9 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
     ys = np.flatnonzero(mass > 0.0)
     posts = wt[ys] / mass[ys, None]
     # per objective, chosen once: its stacked solver (None for the generic
-    # objective), its grid objective and sense, and its aggregate term
-    # from (observation mass, optimal value)
+    # objective), its grid objective and sense, its aggregate term from
+    # (observation mass, optimal value), and the map from the sum of the
+    # terms to the vulnerability
     if g.kind == "soft01" and phi.kind in ("log", "q_log"):
         use_log = phi.kind == "log"
         beta = 0.0 if use_log else 1.0 - phi.q
@@ -396,19 +397,25 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
         else:
             batch = lambda w, pi: qlog_rule_batch(w, beta)
             term = lambda m, val: (val - m) / (1.0 - phi.q)
+        finish = phi.inverse
     elif (g.kind == "power" and phi.kind == "linear") or (
             g.kind == "power_loss" and phi.kind == "q_log"
             and phi.q is not None and abs(phi.q - g.alpha) <= 1e-9):
         sense_max = g.alpha > 1.0
         stacked = partial(_kernels.power_eg, posts, g.alpha, np.full(posts.shape, 1.0 / n_x))
         batch = lambda w, pi: power_rule_batch(pi, g.alpha)
-        # phi(power_loss) = (power_score - 1)/(1 - alpha), summed with weights
-        term = ((lambda m, val: m * val) if g.kind == "power"
-                else (lambda m, val: m * (val - 1.0) / (1.0 - g.alpha)))
+        term = lambda m, val: m * val
+        # an affine generator's mean is the arithmetic mean; the power loss's
+        # deformed-log mean is the 1/(1-alpha) power of the mean score, taken
+        # directly since phi.inverse's base 1 + (1-alpha) * (mean of phi)
+        # cancels to 0 once the mean score falls below about 1e-16
+        finish = ((lambda s: s) if g.kind == "power"
+                  else (lambda s: np.power(s, 1.0 / (1.0 - g.alpha))))
     else:
         stacked, sense_max = None, maximize
         batch = lambda w, pi: _prior_objective(pi, g, phi)
         term = lambda m, val: m * val
+        finish = phi.inverse
     if method == "optimize" and stacked is not None:
         # every observation is one row of a single stack
         R, vals, resids, _, _ = stacked(sense_max, cfg.tolerance, cfg.max_iters, cfg.step_init)
@@ -431,7 +438,7 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
         rows[y] = r
         aggregate += term(float(mass[y]), float(val))
         worst_resid = max(worst_resid, float(resid))
-    return float(phi.inverse(aggregate)), rows, worst_resid
+    return float(finish(aggregate)), rows, worst_resid
 
 
 # ----------------------------------------------------------------------
@@ -463,8 +470,11 @@ def _joint_eg_inits(p: Pmf, W: Channel, prior_action: np.ndarray,
                     cfg: OptimizerConfig) -> np.ndarray:
     """(restarts + 1, n_y, n_x) starts: the posterior family, the constant
     prior-optimal rule, then seeded draws."""
-    starts = _rule_restarts(compose_joint(p, W), cfg)
-    return np.insert(starts, 1, prior_action, axis=0)
+    rng = np.random.default_rng(cfg.seed)
+    posteriors = compose_joint(p, W).posteriors
+    n_y, n_x = posteriors.shape
+    return np.stack([posteriors, np.broadcast_to(prior_action, (n_y, n_x))]
+                    + [rng.dirichlet(np.ones(n_x), size=n_y) for _ in range(cfg.restarts - 1)])
 
 
 def _cond_ac(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig):
@@ -539,7 +549,10 @@ def _cond_generic_mixed(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
         return _kn_conditional_value(p, W, g, phi, psi, R)
 
     if method == "oracle":
-        R, val = oracle_optimize_rule(objective_rows, p.n, W.n_y, maximize, cfg)
+        # grid rules floored, as every rule oracle floors them: a zero entry
+        # can make a gain infinite and its generator image a saturation value
+        R, val = oracle_optimize_rule(lambda R: objective_rows(np.maximum(R, _EVAL_FLOOR)),
+                                      p.n, W.n_y, maximize, cfg)
         return val, R, "oracle", cfg.grid_resolution
     prior_act = prior_vulnerability(p, g, phi, sense, "auto", cfg).rule
     inits = _joint_eg_inits(p, W, prior_act.probs, cfg)

@@ -2,8 +2,10 @@
 
 ``q_log``/``q_exp`` are the strictly increasing, mutually inverse
 deformations of ``log``/``exp`` that recover the natural pair as
-``q -> 1``.  The dispatch threshold ``|q - 1| <= 1e-8`` avoids the
-catastrophic cancellation of ``(x**(1-q) - 1)/(1-q)`` near ``q = 1``.
+``q -> 1``.  Within ``|q - 1| <= 1e-8`` they are the natural pair; up
+to ``|q - 1| < 1e-3`` they go through ``expm1``/``log1p``, which keep
+the digits that ``x**(1-q) - 1`` and ``(1 + (1-q)x)**(1/(1-q))`` lose
+there (a round trip of the power forms errs like eps / |1 - q|).
 
 ``q_log(0, q)`` is ``-1/(1-q)`` for ``q < 1`` and an explicit ``-inf``
 sentinel for ``q >= 1`` so that simplex optimizers can compare boundary
@@ -26,6 +28,7 @@ from .errors import DomainError, InvalidOrder, ValidationError
 from .simplex import Pmf, p_norm, tilt
 
 Q_ONE_ATOL = 1e-8
+_Q_NEAR_ONE = 1e-3
 _EPS64 = np.finfo(np.float64).eps
 
 
@@ -40,7 +43,8 @@ def q_log(x, q: float):
             out = np.log(arr)
         else:
             om = 1.0 - q
-            out = (arr ** om - 1.0) / om
+            out = (np.expm1(om * np.log(arr)) if abs(om) < _Q_NEAR_ONE
+                   else arr ** om - 1.0) / om
     return float(out) if scalar else out
 
 
@@ -62,7 +66,11 @@ def q_exp(x, q: float):
     bad = (base < 0.0) | ((base == 0.0) & (om < 0.0)) | np.isnan(base)
     if np.any(bad):
         raise DomainError(f"q_exp base 1+(1-q)x must be positive, got {base!r}")
-    out = base ** (1.0 / om)
+    if abs(om) < _Q_NEAR_ONE:
+        with np.errstate(divide="ignore"):
+            out = np.exp(np.log1p(om * arr) / om)
+    else:
+        out = base ** (1.0 / om)
     return float(out) if scalar else out
 
 
@@ -85,13 +93,16 @@ def _qlog_safe_range(q: float, target: float = 2.5e-13) -> tuple[float, float]:
 
     The deformed log saturates (at 1/(q-1) for large t when q > 1, at
     -1/(1-q) for small t when q < 0), and near saturation the inverse
-    amplifies rounding like t**|q-1| * eps; the window stays clear of
-    both corners.
+    amplifies rounding like t**|q-1| * eps / |q-1|; the window stays
+    clear of both corners.  For q > 1 it also starts where t**(1-q)
+    still fits in float64.  Within eps/target of q = 1, where the maps
+    take their expm1/log1p forms, the default window is safe.
     """
     lo, hi = 1e-6, 1e3
     if q > 1.0:
-        edge = ((q - 1.0) * target / _EPS64) ** (1.0 / (q - 1.0))
-        hi = max(1.5, min(1e3, 0.5 * edge))
+        lo = max(1e-6, 10.0 ** (-300.0 / (q - 1.0)))
+        if (q - 1.0) * target > _EPS64:
+            hi = min(1e3, ((q - 1.0) * target / _EPS64) ** (1.0 / (q - 1.0)))
     elif q < 0.0:
         edge = (target * (1.0 - q) / _EPS64) ** (1.0 / q)
         lo = min(0.5, max(1e-6, 2.0 * edge))

@@ -14,10 +14,12 @@ where their extremization sits:
 * ``lapidoth_pfister``: divergence to the best product distribution
   over both marginals; needs alpha > 1/2.
 
-Every variant also admits a decision-rule (conditional-entropy)
-characterization; ``method="optimize"`` and ``method="oracle"`` compute
-through that route so closed forms always have an independent check.
-All outputs are in nats.
+Every variant's conditional entropy is also -log of the conditional
+vulnerability of its leakage tuple (+log for the Hayashi loss tuple):
+the value of an optimal decision rule.  ``cond_renyi_entropy`` computes
+its ``optimize`` and ``oracle`` methods that way, through
+``leakage.cond_vulnerability``, so closed forms always have an
+independent check.  All outputs are in nats.
 """
 
 from __future__ import annotations
@@ -38,18 +40,12 @@ from .errors import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
-    _best_row,
     _expected_divergence_eg,
     _Stacked,
-    ac_rule_batch,
     augustin_fixed_point,
     eg_optimize,
     lp_alternating,
-    lp_rule_batch,
-    oracle_optimize_rule,
     oracle_optimize_single,
-    power_rule_batch,
-    qlog_rule_batch,
     simplex_grid,
 )
 from .simplex import Channel, Pmf, _logsumexp, compose_joint, tilt
@@ -194,110 +190,6 @@ def _hayashi_closed(p: Pmf, W: Channel, alpha: float) -> float:
     return _logsumexp(np.array(terms)) / (1.0 - alpha)
 
 
-def _decomposable_rule_entropy(prior: Pmf, W: Channel, alpha: float,
-                               method: Method, cfg: OptimizerConfig) -> float:
-    """Decision-rule form shared by the escort-style conditional entropies.
-
-    Optimizes sum_y opt_r sum_x prior(x) W(y|x) r(x)^(1-1/alpha) per
-    observation and returns (alpha/(1-alpha)) log of the total.
-    """
-    beta = 1.0 - 1.0 / alpha
-    maximize = alpha > 1.0
-    weights = np.ascontiguousarray((prior.probs[:, None] * W.matrix).T)  # (n_y, n_x)
-    mass = weights.sum(axis=1)
-    live = weights[mass > 0.0]
-    if method is Method.OPTIMIZE:  # every observation is one row of a single stack
-        _, vals, _, _, _ = _kernels.tsallis_eg(
-            live, beta, False, live / mass[mass > 0.0, None], maximize,
-            cfg.tolerance, cfg.max_iters, cfg.step_init,
-        )
-    else:
-        vals = [oracle_optimize_single(None, prior.n, maximize, cfg,
-                                       batch_objective=qlog_rule_batch(w, beta))[1]
-                for w in live]
-    total = 0.0
-    for val in vals:
-        total += float(val)
-    return alpha / (1.0 - alpha) * np.log(total)
-
-
-def _hayashi_rule_entropy(p: Pmf, W: Channel, alpha: float,
-                          method: Method, cfg: OptimizerConfig) -> float:
-    """Decision-rule form of the posterior-moment conditional entropy."""
-    joint = compose_joint(p, W)
-    maximize = alpha > 1.0
-    ys = np.flatnonzero(joint.y_support)
-    posteriors = joint.posteriors[ys]
-    if method is Method.OPTIMIZE:
-        # uninformed starts, the optimum is not handed in; one stack row per observation
-        _, vals, _, _, _ = _kernels.power_eg(
-            posteriors, alpha, np.full(posteriors.shape, 1.0 / p.n), maximize,
-            cfg.tolerance, cfg.max_iters, cfg.step_init,
-        )
-    else:
-        vals = [oracle_optimize_single(None, p.n, maximize, cfg,
-                                       batch_objective=power_rule_batch(pi, alpha))[1]
-                for pi in posteriors]
-    total = 0.0
-    for y, val in zip(ys, vals):
-        total += joint.p_y[y] * float(val)
-    return np.log(total) / (1.0 - alpha)
-
-
-def _rule_restarts(joint, cfg: OptimizerConfig) -> np.ndarray:
-    """(restarts, n_y, n_x) starts: the posterior family, then seeded draws."""
-    rng = np.random.default_rng(cfg.seed)
-    n_y, n_x = joint.posteriors.shape
-    return np.stack([joint.posteriors]
-                    + [rng.dirichlet(np.ones(n_x), size=n_y) for _ in range(cfg.restarts - 1)])
-
-
-def _ac_rule_entropy(p: Pmf, W: Channel, alpha: float,
-                     method: Method, cfg: OptimizerConfig) -> float:
-    """Decision-rule form of the expected-divergence conditional entropy.
-
-    The objective couples observations, so the optimization runs jointly
-    over all per-observation simplices.
-    """
-    beta = 1.0 - 1.0 / alpha
-    maximize = alpha > 1.0
-    joint = compose_joint(p, W)
-    if method is Method.OPTIMIZE:
-        _, vals, _, _, _ = _kernels.ac_eg(
-            p.probs, W.matrix, beta, _rule_restarts(joint, cfg), maximize,
-            cfg.tolerance, cfg.max_iters, cfg.step_init,
-        )
-        phi = float(vals[_best_row(vals, maximize)])
-    else:
-        _, phi = oracle_optimize_rule(
-            None, p.n, W.n_y, maximize, cfg,
-            batch_objective=ac_rule_batch(p.probs, W.matrix, beta),
-        )
-    return alpha / (1.0 - alpha) * phi
-
-
-def _lp_rule_entropy(p: Pmf, W: Channel, alpha: float,
-                     method: Method, cfg: OptimizerConfig) -> float:
-    """Decision-rule form of the product-divergence conditional entropy."""
-    beta = 1.0 - 1.0 / alpha
-    qt = alpha / (2.0 * alpha - 1.0)
-    maximize = alpha > 1.0
-    pt = tilt(p, qt).probs
-    joint = compose_joint(p, W)
-    if method is Method.OPTIMIZE:
-        _, vals, _, _, _ = _kernels.lp_eg(
-            pt, W.matrix, beta, qt, _rule_restarts(joint, cfg), maximize,
-            cfg.tolerance, cfg.max_iters, cfg.step_init,
-        )
-        ln_g = float(vals[_best_row(vals, maximize)])
-    else:
-        _, ln_g = oracle_optimize_rule(
-            None, p.n, W.n_y, maximize, cfg,
-            batch_objective=lp_rule_batch(pt, W.matrix, beta, qt),
-        )
-    return (2.0 * alpha - 1.0) / (1.0 - alpha) * ln_g
-
-
 def cond_renyi_entropy(variant, p: Pmf, W: Channel, alpha: float,
                        method="closed_form",
                        cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
@@ -311,27 +203,26 @@ def cond_renyi_entropy(variant, p: Pmf, W: Channel, alpha: float,
         raise DimensionMismatch("prior labels do not match channel input labels")
     if abs(alpha - 1.0) <= ALPHA_ONE_ATOL:
         return shannon_measures(p, W).conditional_entropy
+    if method is not Method.CLOSED_FORM:
+        # -log of the conditional vulnerability of the variant's leakage
+        # tuple, +log for the Hayashi loss tuple
+        from .leakage import cond_vulnerability, leakage_spec_for
+
+        spec = leakage_spec_for(variant, p, alpha)
+        V = cond_vulnerability(spec.prior, W, spec.gain, spec.phi, spec.psi, spec.sense,
+                               method.value, cfg).value
+        return float(np.log(V)) if spec.sense == "loss" else -float(np.log(V))
     if variant is MiVariant.ARIMOTO:
-        if method is Method.CLOSED_FORM:
-            return _arimoto_style_closed(p, W, alpha)
-        return _decomposable_rule_entropy(p, W, alpha, method, cfg)
+        return _arimoto_style_closed(p, W, alpha)
     if variant is MiVariant.SIBSON:
-        if method is Method.CLOSED_FORM:
-            return _arimoto_style_closed(tilt(p, 1.0 / alpha), W, alpha)
-        return _decomposable_rule_entropy(tilt(p, 1.0 / alpha), W, alpha, method, cfg)
+        return _arimoto_style_closed(tilt(p, 1.0 / alpha), W, alpha)
     if variant is MiVariant.HAYASHI:
-        if method is Method.CLOSED_FORM:
-            return _hayashi_closed(p, W, alpha)
-        return _hayashi_rule_entropy(p, W, alpha, method, cfg)
+        return _hayashi_closed(p, W, alpha)
     if variant is MiVariant.AUGUSTIN_CSISZAR:
-        if method is Method.CLOSED_FORM:
-            return shannon_entropy(p) - alpha_mi(variant, p, W, alpha, method, cfg)
-        return _ac_rule_entropy(p, W, alpha, method, cfg)
+        return shannon_entropy(p) - alpha_mi(variant, p, W, alpha, method, cfg)
     if variant is MiVariant.LAPIDOTH_PFISTER:
-        if method is Method.CLOSED_FORM:
-            qt = alpha / (2.0 * alpha - 1.0)
-            return renyi_entropy(p, qt) - alpha_mi(variant, p, W, alpha, method, cfg)
-        return _lp_rule_entropy(p, W, alpha, method, cfg)
+        qt = alpha / (2.0 * alpha - 1.0)
+        return renyi_entropy(p, qt) - alpha_mi(variant, p, W, alpha, method, cfg)
     raise UnsupportedVariant(str(variant))
 
 

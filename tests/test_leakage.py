@@ -18,6 +18,7 @@ from alphaleak import (
     leakage_spec_for,
     linear_aggregator,
     log_aggregator,
+    make_channel,
     make_pmf,
     posterior_vulnerability_hat,
     power_loss,
@@ -242,6 +243,33 @@ class TestCondVulnerability:
             rhs = math.exp(-cond_renyi_entropy("lapidoth_pfister", p, W, alpha, cfg=cfg))
             assert abs(v - rhs) <= 1e-3 * max(1.0, rhs)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.0, 1.0), (1.0, 5.0)])
+    def test_power_score_under_affine_generators(self, a, b):
+        # every affine generator's mean is the arithmetic mean, so the
+        # numeric routes must give the closed value whatever a and b are
+        p = make_pmf([0.5, 0.3, 0.2])
+        W = make_channel([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+        phi = linear_aggregator(a, b)
+        g = power_score_gain(2.0)
+        closed = cond_vulnerability(p, W, g, phi, phi, method="closed_form").value
+        assert abs(closed - 0.450740296118) < 1e-12
+        assert abs(cond_vulnerability(p, W, g, phi, phi, method="optimize").value
+                   - closed) < 1e-10
+        oracle = cond_vulnerability(p, W, g, phi, phi, method="oracle").value
+        assert abs(oracle - closed) <= p.n * OptimizerConfig().grid_resolution
+
+    def test_generic_mixed_oracle_at_boundary_rules(self):
+        # a zero entry of a grid rule makes the power score infinite below
+        # order 1; floored rules keep the oracle finite and near the optimum
+        p = make_pmf([0.5, 0.3, 0.2])
+        W = make_channel([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+        args = (power_score_gain(0.5), log_aggregator(), q_log_aggregator(2.0))
+        grid = OptimizerConfig(grid_resolution=0.1)
+        oracle = cond_vulnerability(p, W, *args, method="oracle", cfg=grid).value
+        optimized = cond_vulnerability(p, W, *args, method="optimize").value
+        assert math.isfinite(oracle)
+        assert abs(oracle - optimized) <= 3 * grid.grid_resolution
+
     def test_rule_is_posterior_argmax_of_transformed_gain(self, rng):
         # with matching increasing generators the recorded action at each
         # observation maximizes the posterior mean of phi(gain)
@@ -362,6 +390,13 @@ class TestMiViaLeakage:
     def test_bsc_value(self, bsc):
         p, W = bsc
         assert abs(alpha_mi_via_leakage("arimoto", p, W, 2.0) - 0.49469624) < 1e-7
+
+    @pytest.mark.parametrize("alpha", [50.0, 1000.0])
+    def test_hayashi_at_high_order(self, alpha):
+        p = make_pmf([0.2, 0.3, 0.5])
+        W = make_channel([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+        assert abs(alpha_mi_via_leakage("hayashi", p, W, alpha)
+                   - alpha_mi("hayashi", p, W, alpha)) < 1e-6
 
     def test_alpha_one_dispatch(self, bsc):
         p, W = bsc

@@ -89,6 +89,12 @@ class TestAggregators:
                     q_log_aggregator(4.0), q_log_aggregator(-1.0)):
             assert agg.increasing
 
+    @pytest.mark.parametrize("q", [1.0 - 1e-5, 1.0 + 1e-5, 40.0, 50.0, 100.0, 1000.0])
+    def test_q_log_validates_near_one_and_at_high_order(self, q):
+        # the round trip holds just off q = 1 and on the window kept below
+        # the saturation edge and above the overflow of t**(1-q)
+        assert q_log_aggregator(q).q == q
+
     def test_broken_custom_rejected(self):
         with pytest.raises(ValidationError):
             Aggregator(kind="custom", forward=lambda t: t ** 2, inverse=lambda s: s,
