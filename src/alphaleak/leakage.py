@@ -28,11 +28,17 @@ generators (via the generalized Gibbs optimum), for the power score
 under a linear generator (proper scoring rule, optimum at the honest
 posterior), and for its loss companion under the matching deformed log.
 Everything else runs through exponentiated gradient with a brute-force
-grid cross-check.  When the two generators differ the objective couples
-observations and the optimization runs jointly over all
-per-observation simplices, initialized at the posterior family plus the
-constant prior-optimal rule (which pins conditional >= prior for gains)
-plus seeded random restarts.
+grid cross-check.  With matching generators the numeric problem is one
+decision problem per observation, and the prior vulnerability is the
+case of a single observation whose weights are the prior (what a channel
+that reveals nothing produces); both go through one table: the soft 0-1
+score under log/deformed-log generators and the power score and power
+loss above run on the analytic-gradient kernels, every other objective
+on central differences with restarts.  When the two generators differ
+the objective couples observations and the optimization runs jointly
+over all per-observation simplices, initialized at the posterior family
+plus the constant prior-optimal rule (which pins conditional >= prior
+for gains) plus seeded random restarts.
 
 A point-mass prior makes every soft 0-1 vulnerability equal one and
 every leakage zero; this falls out of the formulas, no special case.
@@ -42,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -254,7 +259,8 @@ def _optimize_action(aggregate, init: np.ndarray, maximize: bool,
                      cfg: OptimizerConfig):
     """EG over one simplex, all restarts stacked; the gradient by central
     differences, every perturbed point of every restart evaluated in one
-    batched call of ``aggregate``."""
+    batched call of ``aggregate``.  Used for the per-observation
+    objectives outside the kernel table of ``_per_observation``."""
     def objective(blocks, data):
         return aggregate(blocks[0]), None
 
@@ -268,7 +274,15 @@ def _optimize_action(aggregate, init: np.ndarray, maximize: bool,
 def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
                         method: str = "auto",
                         cfg: OptimizerConfig = DEFAULT_CONFIG) -> VulnerabilityResult:
-    """Optimal phi-aggregated gain of a single action against the prior."""
+    """Optimal phi-aggregated gain of a single action against the prior.
+
+    The numeric route (``optimize``, and ``auto`` without a closed form)
+    is the one-observation case of the per-observation problem of
+    ``cond_vulnerability``: the kernel objectives run from the prior and
+    from uniform as two rows of one stack (the power scores under their
+    own sense from the prior alone), and only objectives outside the
+    kernel table use central differences.  ``oracle`` scans a grid.
+    """
     sense = _resolve(sense, g)
     closed = _prior_closed(p, g, phi, sense)
     if method in ("auto", "closed_form") and closed is not None:
@@ -278,20 +292,23 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
         raise UnsupportedVariant(
             f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
         )
-    aggregate = _prior_objective(p.probs, g, phi)
-    maximize = _maximize_inner(sense, phi)
     if method == "oracle":
-        action, agg = oracle_optimize_single(None, p.n, maximize, cfg,
-                                             batch_objective=aggregate)
+        action, agg = oracle_optimize_single(None, p.n, _maximize_inner(sense, phi), cfg,
+                                             batch_objective=_prior_objective(p.probs, g, phi))
         return VulnerabilityResult(
             value=float(phi.inverse(agg)), rule=Pmf(p.labels, action),
             method="oracle", residual=cfg.grid_resolution,
         )
-    res = _optimize_action(aggregate, p.probs, maximize, cfg)
-    return VulnerabilityResult(
-        value=float(phi.inverse(res.value)), rule=Pmf(p.labels, res.point[0]),
-        method="optimize", residual=res.residual,
-    )
+    # a channel that reveals nothing: one observation, of mass 1, whose
+    # weights and posterior are the prior; a power score is proper, so
+    # under its own sense the prior is the optimum and needs no second start
+    row = p.probs[None, :]
+    proper = g.kind in ("power", "power_loss") and sense == g.sense
+    starts = [row] if proper else [row, np.full(row.shape, 1.0 / p.n)]
+    value, R, resid = _per_observation(row, np.ones(1), row, g, phi, sense, "optimize", cfg,
+                                       starts=starts)
+    return VulnerabilityResult(value=value, rule=Pmf(p.labels, R[0]),
+                               method="optimize", residual=resid)
 
 
 # ----------------------------------------------------------------------
@@ -370,19 +387,24 @@ def _cond_closed_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator, sens
     return None
 
 
-def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
-                       sense: str, method: str, cfg: OptimizerConfig):
-    """Per-observation numerical optimization for phi = psi."""
-    joint = compose_joint(p, W)
-    n_x, n_y = joint.matrix.shape
-    rows = np.full((n_y, n_x), 1.0 / n_x)
+def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
+                     g: GainFunction, phi: Aggregator, sense: str, method: str,
+                     cfg: OptimizerConfig, starts=None):
+    """One decision problem per weight row, for phi = psi.
+
+    Row i of ``wt`` is the weight vector of one observation: a column of
+    the joint for a conditional vulnerability, the prior itself (mass 1)
+    for a prior vulnerability.  ``mass[i]`` is its total and ``posts[i]``
+    its normalization.  ``starts``, a list of (m, n) arrays, replaces the
+    one start of a kernel's rows: every start runs as its own rows of the
+    stack, and per observation the best run wins.  Returns
+    (vulnerability, (m, n) optimal actions, worst residual).
+    """
+    n = wt.shape[1]
     maximize = _maximize_inner(sense, phi)
-    wt = np.ascontiguousarray(joint.matrix.T)  # one row per observation
-    mass = wt.sum(axis=1)
-    ys = np.flatnonzero(mass > 0.0)
-    posts = wt[ys] / mass[ys, None]
-    # per objective, chosen once: its stacked solver (None for the generic
-    # objective), its grid objective and sense, its aggregate term from
+    # per objective, chosen once: its stacked kernel (None for the generic
+    # objective) with the kernel's per-row data and start, its grid
+    # objective and sense, its aggregate term from
     # (observation mass, optimal value), and the map from the sum of the
     # terms to the vulnerability
     if g.kind == "soft01" and phi.kind in ("log", "q_log"):
@@ -390,7 +412,8 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
         beta = 0.0 if use_log else 1.0 - phi.q
         # phi(g) is affine in r**beta, so the direction flips with q > 1
         sense_max = maximize if (use_log or phi.q < 1.0) else not maximize
-        stacked = partial(_kernels.tsallis_eg, wt[ys], beta, use_log, posts)
+        data, start = wt, posts
+        solve = lambda w, r0, *run: _kernels.tsallis_eg(w, beta, use_log, r0, *run)
         if use_log:
             batch = lambda w, pi: lambda grid: np.where(grid > 0, np.log(np.maximum(grid, 1e-300)), -np.inf) @ w
             term = lambda m, val: val
@@ -401,8 +424,11 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
     elif (g.kind == "power" and phi.kind == "linear") or (
             g.kind == "power_loss" and phi.kind == "q_log"
             and phi.q is not None and abs(phi.q - g.alpha) <= 1e-9):
-        sense_max = g.alpha > 1.0
-        stacked = partial(_kernels.power_eg, posts, g.alpha, np.full(posts.shape, 1.0 / n_x))
+        # phi(g) is affine in the power score: with the slope of a linear
+        # generator, and with slope 1/(1-alpha) for the power loss
+        sense_max = maximize == (phi.increasing if g.kind == "power" else g.alpha < 1.0)
+        data, start = posts, np.full(posts.shape, 1.0 / n)
+        solve = lambda pi, r0, *run: _kernels.power_eg(pi, g.alpha, r0, *run)
         batch = lambda w, pi: power_rule_batch(pi, g.alpha)
         term = lambda m, val: m * val
         # an affine generator's mean is the arithmetic mean; the power loss's
@@ -412,21 +438,27 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
         finish = ((lambda s: s) if g.kind == "power"
                   else (lambda s: np.power(s, 1.0 / (1.0 - g.alpha))))
     else:
-        stacked, sense_max = None, maximize
+        solve, sense_max = None, maximize
         batch = lambda w, pi: _prior_objective(pi, g, phi)
         term = lambda m, val: m * val
         finish = phi.inverse
-    if method == "optimize" and stacked is not None:
-        # every observation is one row of a single stack
-        R, vals, resids, _, _ = stacked(sense_max, cfg.tolerance, cfg.max_iters, cfg.step_init)
+    if method == "optimize" and solve is not None:
+        # every (start, observation) pair is one row of a single stack; row
+        # j * n_obs + i runs start j of observation i
+        runs = [start] if starts is None else starts
+        n_obs = len(data)
+        R, vals, resids, _, _ = solve(np.concatenate([data] * len(runs)), np.concatenate(runs),
+                                      sense_max, cfg.tolerance, cfg.max_iters, cfg.step_init)
+        best = [i + n_obs * _best_row(vals[i::n_obs], sense_max) for i in range(n_obs)]
+        R, vals, resids = R[best], vals[best], resids[best]
     else:
         R, vals, resids = [], [], []
-        for w, pi in zip(wt[ys], posts):
+        for w, pi in zip(wt, posts):
             if method == "optimize":
                 res = _optimize_action(batch(w, pi), pi, maximize, cfg)
                 r, val, resid = res.point[0], res.value, res.residual
             else:
-                r, val = oracle_optimize_single(None, n_x, sense_max, cfg,
+                r, val = oracle_optimize_single(None, n, sense_max, cfg,
                                                 batch_objective=batch(w, pi))
                 resid = cfg.grid_resolution
             R.append(r)
@@ -434,11 +466,24 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
             resids.append(resid)
     aggregate = 0.0
     worst_resid = 0.0
-    for y, r, val, resid in zip(ys, R, vals, resids):
-        rows[y] = r
-        aggregate += term(float(mass[y]), float(val))
+    for m, val, resid in zip(mass, vals, resids):
+        aggregate += term(float(m), float(val))
         worst_resid = max(worst_resid, float(resid))
-    return float(finish(aggregate)), rows, worst_resid
+    return float(finish(aggregate)), R, worst_resid
+
+
+def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
+                       sense: str, method: str, cfg: OptimizerConfig):
+    """Per-observation numerical optimization for phi = psi: the columns
+    of the joint with positive mass are the weight rows."""
+    wt = np.ascontiguousarray(compose_joint(p, W).matrix.T)  # one row per observation
+    mass = wt.sum(axis=1)
+    ys = np.flatnonzero(mass > 0.0)
+    value, R, resid = _per_observation(wt[ys], mass[ys], wt[ys] / mass[ys, None],
+                                       g, phi, sense, method, cfg)
+    rows = np.full(wt.shape, 1.0 / wt.shape[1])
+    rows[ys] = R
+    return value, rows, resid
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Four engines, in increasing order of specialization:
 
 * ``simplex_grid`` + the ``oracle_*`` scanners: exhaustive, used as
-  brute-force oracles for everything else; a grid is built in one
-  vectorized stars-and-bars pass per call and is not cached;
+  brute-force oracles for everything else; a grid is built in numpy,
+  one leading part at a time, on every call and is not cached;
 * ``eg_optimize``: generic exponentiated-gradient (multiplicative
   weights with backtracking line search) over a product of simplices,
   gradient supplied or estimated by central differences in log space;
@@ -25,7 +25,6 @@ initializations are drawn from a generator seeded per call.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -80,19 +79,20 @@ DEFAULT_CONFIG = OptimizerConfig()
 def _compositions(n: int, k: int) -> np.ndarray:
     """All length-n nonnegative integer vectors summing to k, lex order.
 
-    Stars and bars: each composition is one choice of n-1 bar positions
-    among k+n-1 slots, and the gaps between consecutive bars (with
-    virtual bars at -1 and k+n-1) are its parts.  ``combinations`` emits
-    the bar tuples in lexicographic order, which is the lexicographic
-    order of the compositions as well.
+    Built one leading part at a time: a row with remainder ``rem`` has
+    children whose next part runs 0..rem in order, so repeating every
+    row ``rem + 1`` times and counting up within each run keeps the rows
+    in lexicographic order; the last part is what remains.
     """
-    slots = k + n - 1
-    count = math.comb(slots, n - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), n - 1)),
-        dtype=np.int64, count=count * (n - 1),
-    ).reshape(count, n - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    rem = np.array([k], dtype=np.int64)
+    cols = []
+    for _ in range(n - 1):
+        counts = rem + 1
+        parent = np.repeat(np.arange(rem.size), counts)
+        part = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = [c[parent] for c in cols] + [part]
+        rem = rem[parent] - part
+    return np.column_stack(cols + [rem])
 
 
 def simplex_grid(n: int, resolution: float) -> np.ndarray:

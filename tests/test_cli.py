@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import alphaleak
 from alphaleak import JointDist, ParseError, ValidationError
 from alphaleak.cli import (
     emit_plot_gain,
@@ -119,6 +123,17 @@ class TestMeasureCommand:
         assert "value_nats" in out.splitlines()[1]
 
 
+def test_python_dash_m_runs_the_cli(bsc_file):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(alphaleak.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "alphaleak", "measure", "--input", bsc_file,
+                          "--variant", "arimoto", "--alpha", "2"],
+                         capture_output=True, text=True, env=env, check=False)
+    assert out.returncode == 0, out.stderr
+    assert abs(json.loads(out.stdout)["rows"][0]["value_nats"] - 0.494696241836) < 1e-9
+
+
 class TestSweepCommand:
     def test_row_order_follows_request(self, bsc_file, capsys):
         code = main(["sweep", "--input", bsc_file, "--variant", "sibson,arimoto",
@@ -162,6 +177,22 @@ class TestSweepCommand:
     def test_order_no_variant_accepts_exit_2(self, bsc_file, capsys):
         assert main(["sweep", "--input", bsc_file, "--variant", "all",
                      "--alpha", "-1"]) == 2
+
+    def test_all_variants_via_leakage_optimize(self, tmp_path, capsys):
+        # the numeric prior vulnerability of the hayashi tuple above order 1
+        # once raised DomainError, which made this sweep exit 2
+        path = tmp_path / "dense3.json"
+        path.write_text(json.dumps({
+            "p_x": [0.2, 0.3, 0.5],
+            "channel": [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]}))
+        assert main(["sweep", "--input", str(path), "--variant", "all",
+                     "--via-leakage", "--method", "optimize"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = {(r["variant"], r["alpha"]) for r in doc["rows"]}
+        variants = {r["variant"] for r in doc["rows"]}
+        assert "hayashi" in variants and len(variants) == 6
+        for variant in variants:
+            assert {(variant, a) for a in (0.6, 2.0, 4.0)} <= got
 
 
 class TestVerifyCommand:

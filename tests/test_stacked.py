@@ -5,7 +5,9 @@ every row must follow the path it follows alone: the same value and
 residual (by ``float.hex``), the same iteration count and the same
 point.  The stacked objectives of the optimize routes must agree with
 their one-point forms, and the optimize routes must give the values
-recorded before restarts and observations were stacked.
+recorded before restarts and observations were stacked (the via_leakage
+routes: the values re-recorded when the numeric prior vulnerability moved
+onto the per-observation kernels, within 1e-7 of those).
 """
 
 import numpy as np
@@ -433,6 +435,37 @@ RECORDED = {
 }
 
 
+# via_leakage values re-recorded when the numeric prior vulnerability
+# became the one-observation problem of the per-observation kernels; the
+# values of RECORDED stay the reference they must keep within 1e-7
+RERECORDED = {
+    ('via_leakage', 'sibson', 0.6, 'dense'): '0x1.1449578af8bbfp-4',
+    ('via_leakage', 'sibson', 0.6, 'sparse'): '0x1.31a2a09f20a24p-5',
+    ('via_leakage', 'sibson', 2.0, 'sparse'): '0x1.aa35e474f9047p-3',
+    ('via_leakage', 'sibson', 4.0, 'dense'): '0x1.055767ec420cbp-2',
+    ('via_leakage', 'sibson', 4.0, 'sparse'): '0x1.79a50e85f99e3p-2',
+    ('via_leakage', 'sibson', 10.0, 'dense'): '0x1.9c9a3bcf74496p-2',
+    ('via_leakage', 'sibson', 10.0, 'sparse'): '0x1.041ed5989656fp-1',
+    ('via_leakage', 'arimoto', 0.6, 'dense'): '0x1.642830fcd3dd3p-4',
+    ('via_leakage', 'arimoto', 0.6, 'sparse'): '0x1.31434d163a1aap-3',
+    ('via_leakage', 'arimoto', 2.0, 'dense'): '0x1.3c79419cb0c00p-4',
+    ('via_leakage', 'arimoto', 2.0, 'sparse'): '0x1.bf5f7492e222dp-6',
+    ('via_leakage', 'arimoto', 4.0, 'dense'): '0x1.1524da4123250p-5',
+    ('via_leakage', 'arimoto', 4.0, 'sparse'): '0x1.074103f01b1e3p-6',
+    ('via_leakage', 'arimoto', 10.0, 'dense'): '0x1.652c1d82dc5d5p-8',
+    ('via_leakage', 'arimoto', 10.0, 'sparse'): '0x1.9d2bcdb47ad2ep-7',
+    ('via_leakage', 'augustin_csiszar', 0.6, 'sparse'): '0x1.d7001bbc1de9ep-5',
+    ('via_leakage', 'lapidoth_pfister', 0.6, 'dense'): '0x1.0e729374f09f6p-4',
+    ('via_leakage', 'lapidoth_pfister', 0.6, 'sparse'): '0x1.cf1611735c3e1p-6',
+    ('via_leakage', 'lapidoth_pfister', 2.0, 'dense'): '0x1.3332357ab2a4ap-3',
+    ('via_leakage', 'lapidoth_pfister', 2.0, 'sparse'): '0x1.34b0a8f4bfcf5p-3',
+    ('via_leakage', 'lapidoth_pfister', 4.0, 'dense'): '0x1.9403d16d54c44p-3',
+    ('via_leakage', 'lapidoth_pfister', 4.0, 'sparse'): '0x1.8adbf5395f904p-3',
+    ('via_leakage', 'lapidoth_pfister', 10.0, 'dense'): '0x1.ec3fedb606f2ep-3',
+    ('via_leakage', 'lapidoth_pfister', 10.0, 'sparse'): '0x1.ba36a980cd00dp-3',
+}
+
+
 def _pmf_channel(kind):
     p, W, _ = _seeded(kind)
     return make_pmf(p), make_channel(W)
@@ -443,6 +476,12 @@ def test_optimize_routes_match_recorded(key):
     route, variant, alpha, kind = key
     fn = alpha_mi if route == "alpha_mi" else alpha_mi_via_leakage
     expected = RECORDED[key]
+    if route == "via_leakage" and expected == "DomainError":
+        # the finite-difference prior route raised here: its points made the
+        # power score negative; the kernel route gives the closed form's value
+        value = fn(variant, *_pmf_channel(kind), alpha, method="optimize")
+        assert value == pytest.approx(alpha_mi(variant, *_pmf_channel(kind), alpha), rel=1e-3)
+        return
     if not expected.startswith(("0x", "-0x")):
         with pytest.raises(Exception) as info:
             fn(variant, *_pmf_channel(kind), alpha, method="optimize")
@@ -450,6 +489,7 @@ def test_optimize_routes_match_recorded(key):
         return
     value = fn(variant, *_pmf_channel(kind), alpha, method="optimize")
     if route == "via_leakage":
-        assert value.hex() == expected
+        assert value.hex() == RERECORDED.get(key, expected)
+        assert value == pytest.approx(float.fromhex(expected), rel=1e-7, abs=0.0)
     else:
         assert value == pytest.approx(float.fromhex(expected), rel=1e-12, abs=0.0)
