@@ -9,8 +9,9 @@ per-observation problems of a decomposable objective); each row keeps
 its own step, line search and stop, so it follows the path it would
 follow alone, and a single problem is a stack of one.  It is the only EG
 loop in the library: the four decision-rule kernels (``tsallis_eg``,
-``power_eg``, ``ac_eg``, ``lp_eg``) bind an objective and its gradient
-to it, and so does ``optimize.eg_optimize``.
+``power_eg``, ``ac_eg``, ``lp_eg``) bind to it the objective and
+gradient of their ``*_objective`` factory, and so does
+``optimize.eg_optimize``.  The grid oracles score the same objectives.
 
 ``augustin_solve`` is the fixed-point iteration for the minimizing output
 distribution and ``lp_alternating_solve`` the alternating minimization
@@ -21,6 +22,8 @@ The kernels are plain numpy, deterministic, and floor simplex iterates at
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,14 @@ _HITS_TO_CONVERGE = 3
 def backend() -> str:
     """Kernel backend; the kernels are numpy only."""
     return "numpy"
+
+
+class _Stacked(NamedTuple):
+    """An objective and its gradient over a stack of points, as ``eg``
+    takes them; the grid oracles scan the same objective."""
+
+    objective: Callable
+    grad: Callable
 
 
 def _floor_rows(R):
@@ -152,12 +163,9 @@ def _stack_run(objective, grad, X0, single_ndim, maximize, tol, max_iters, step_
     return X, f, resid, total, iters
 
 
-def tsallis_eg(w, beta, use_log, r0, maximize, tol, max_iters, step_init):
-    """Optimize f(r) = sum_x w[x] r[x]^beta (or sum w log r) over one simplex.
-
-    Returns (r, f, residual, iterations); (m, n) stacks of weights and
-    starts solve m problems and return what ``eg`` returns.
-    """
+def tsallis_objective(beta, use_log):
+    """f(r) = sum_x w[x] r[x]^beta (or sum w log r) per row of a stack of
+    points, the weights w the per-row data, and its gradient."""
     if use_log:
         def objective(b, w):
             return (w * np.log(b[0])).sum(axis=-1), None
@@ -171,13 +179,22 @@ def tsallis_eg(w, beta, use_log, r0, maximize, tol, max_iters, step_init):
         def grad(b, cache, w):
             return [beta * w * b[0] ** (beta - 1.0)]
 
-    return _stack_run(objective, grad, r0, 1, maximize, tol, max_iters, step_init,
-                      np.atleast_2d(w))
+    return _Stacked(objective, grad)
 
 
-def power_eg(pi, alpha, r0, maximize, tol, max_iters, step_init):
-    """Optimize the expected power score sum_x pi[x] f_pw(x, r) over one
-    simplex; (m, n) stacks of posteriors and starts solve m problems."""
+def tsallis_eg(w, beta, use_log, r0, maximize, tol, max_iters, step_init):
+    """Optimize ``tsallis_objective`` over one simplex.
+
+    Returns (r, f, residual, iterations); (m, n) stacks of weights and
+    starts solve m problems and return what ``eg`` returns.
+    """
+    return _stack_run(*tsallis_objective(beta, use_log), r0, 1, maximize, tol, max_iters,
+                      step_init, np.atleast_2d(w))
+
+
+def power_objective(alpha):
+    """The expected power score sum_x pi[x] f_pw(x, r) per row of a stack
+    of points, the posterior pi the per-row data, and its gradient."""
     def objective(b, pi):
         r = b[0]
         ra = r ** (alpha - 1.0)
@@ -186,14 +203,19 @@ def power_eg(pi, alpha, r0, maximize, tol, max_iters, step_init):
     def grad(b, ra, pi):
         return [alpha * (alpha - 1.0) * (pi * b[0] ** (alpha - 2.0) - ra)]
 
-    return _stack_run(objective, grad, r0, 1, maximize, tol, max_iters, step_init,
+    return _Stacked(objective, grad)
+
+
+def power_eg(pi, alpha, r0, maximize, tol, max_iters, step_init):
+    """Optimize ``power_objective`` over one simplex; (m, n) stacks of
+    posteriors and starts solve m problems."""
+    return _stack_run(*power_objective(alpha), r0, 1, maximize, tol, max_iters, step_init,
                       np.atleast_2d(pi))
 
 
-def ac_eg(p, W, beta, R0, maximize, tol, max_iters, step_init):
-    """Optimize Phi(R) = sum_x p[x] log(sum_y W[x,y] R[y,x]^beta) over a
-    family of simplices (rows of R, one per y); an (m, n_y, n_x) stack of
-    starts runs m restarts."""
+def ac_objective(p, W, beta):
+    """Phi(R) = sum_x p[x] log(sum_y W[x,y] R[y,x]^beta) per rule of a
+    stack of rules (rows of R are simplices, one per y), and its gradient."""
     def objective(b, data):
         S = np.einsum("xy,byx->bx", W, b[0] ** beta)
         return (p * np.log(S)).sum(axis=-1), S
@@ -201,13 +223,18 @@ def ac_eg(p, W, beta, R0, maximize, tol, max_iters, step_init):
     def grad(b, S, data):
         return [beta * (p / S)[:, None, :] * W.T * b[0] ** (beta - 1.0)]
 
-    return _stack_run(objective, grad, R0, 2, maximize, tol, max_iters, step_init)
+    return _Stacked(objective, grad)
 
 
-def lp_eg(pt, W, beta, qt, R0, maximize, tol, max_iters, step_init):
-    """Optimize log G(R), G = sum_x pt[x] (sum_y W[x,y] R[y,x]^beta)^qt,
-    over the family of per-observation simplices; an (m, n_y, n_x) stack
-    of starts runs m restarts."""
+def ac_eg(p, W, beta, R0, maximize, tol, max_iters, step_init):
+    """Optimize ``ac_objective`` over a family of simplices; an
+    (m, n_y, n_x) stack of starts runs m restarts."""
+    return _stack_run(*ac_objective(p, W, beta), R0, 2, maximize, tol, max_iters, step_init)
+
+
+def lp_objective(pt, W, beta, qt):
+    """log G(R), G = sum_x pt[x] (sum_y W[x,y] R[y,x]^beta)^qt, per rule of
+    a stack of rules, and its gradient."""
     def objective(b, data):
         S = np.einsum("xy,byx->bx", W, b[0] ** beta)
         return np.log((pt * S ** qt).sum(axis=-1)), S
@@ -217,7 +244,14 @@ def lp_eg(pt, W, beta, qt, R0, maximize, tol, max_iters, step_init):
         coeff = pt * qt * S ** (qt - 1.0) / G_tot[:, None]
         return [beta * coeff[:, None, :] * W.T * b[0] ** (beta - 1.0)]
 
-    return _stack_run(objective, grad, R0, 2, maximize, tol, max_iters, step_init)
+    return _Stacked(objective, grad)
+
+
+def lp_eg(pt, W, beta, qt, R0, maximize, tol, max_iters, step_init):
+    """Optimize ``lp_objective`` over the family of per-observation
+    simplices; an (m, n_y, n_x) stack of starts runs m restarts."""
+    return _stack_run(*lp_objective(pt, W, beta, qt), R0, 2, maximize, tol, max_iters,
+                      step_init)
 
 
 def augustin_solve(p, Wa, alpha, q0, tol, max_iters, damp):

@@ -66,17 +66,14 @@ from .optimize import (
     _best_row,
     _eg_run,
     _fd_grad_stack,
+    _grid_values,
     _rowwise,
     _Stacked,
-    ac_rule_batch,
     augustin_fixed_point,
     eg_optimize,
     lp_alternating,
-    lp_rule_batch,
     oracle_optimize_rule,
     oracle_optimize_single,
-    power_rule_batch,
-    qlog_rule_batch,
 )
 from .qcalc import Aggregator, _apply, q_log
 from .renyi import (
@@ -276,12 +273,13 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
                         cfg: OptimizerConfig = DEFAULT_CONFIG) -> VulnerabilityResult:
     """Optimal phi-aggregated gain of a single action against the prior.
 
-    The numeric route (``optimize``, and ``auto`` without a closed form)
-    is the one-observation case of the per-observation problem of
-    ``cond_vulnerability``: the kernel objectives run from the prior and
-    from uniform as two rows of one stack (the power scores under their
-    own sense from the prior alone), and only objectives outside the
-    kernel table use central differences.  ``oracle`` scans a grid.
+    The numeric routes (``optimize``, and ``auto`` without a closed
+    form, and ``oracle``) are the one-observation case of the
+    per-observation problem of ``cond_vulnerability``: the kernel
+    objectives run from the prior and from uniform as two rows of one
+    stack (the power scores under their own sense from the prior alone),
+    and only objectives outside the kernel table use central
+    differences; ``oracle`` scans a grid with the same objectives.
     """
     sense = _resolve(sense, g)
     closed = _prior_closed(p, g, phi, sense)
@@ -292,23 +290,17 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
         raise UnsupportedVariant(
             f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
         )
-    if method == "oracle":
-        action, agg = oracle_optimize_single(None, p.n, _maximize_inner(sense, phi), cfg,
-                                             batch_objective=_prior_objective(p.probs, g, phi))
-        return VulnerabilityResult(
-            value=float(phi.inverse(agg)), rule=Pmf(p.labels, action),
-            method="oracle", residual=cfg.grid_resolution,
-        )
     # a channel that reveals nothing: one observation, of mass 1, whose
     # weights and posterior are the prior; a power score is proper, so
     # under its own sense the prior is the optimum and needs no second start
+    run = "oracle" if method == "oracle" else "optimize"
     row = p.probs[None, :]
     proper = g.kind in ("power", "power_loss") and sense == g.sense
     starts = [row] if proper else [row, np.full(row.shape, 1.0 / p.n)]
-    value, R, resid = _per_observation(row, np.ones(1), row, g, phi, sense, "optimize", cfg,
+    value, R, resid = _per_observation(row, np.ones(1), row, g, phi, sense, run, cfg,
                                        starts=starts)
-    return VulnerabilityResult(value=value, rule=Pmf(p.labels, R[0]),
-                               method="optimize", residual=resid)
+    return VulnerabilityResult(value=value, rule=Pmf(p.labels, R[0]), method=run,
+                               residual=resid)
 
 
 # ----------------------------------------------------------------------
@@ -397,14 +389,17 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
     for a prior vulnerability.  ``mass[i]`` is its total and ``posts[i]``
     its normalization.  ``starts``, a list of (m, n) arrays, replaces the
     one start of a kernel's rows: every start runs as its own rows of the
-    stack, and per observation the best run wins.  Returns
-    (vulnerability, (m, n) optimal actions, worst residual).
+    stack, and per observation the best run wins.  The oracle scores the
+    same objective on a grid, one grid for all the rows of a kernel
+    objective.  Returns (vulnerability, (m, n) optimal actions, worst
+    residual).
     """
     n = wt.shape[1]
     maximize = _maximize_inner(sense, phi)
-    # per objective, chosen once: its stacked kernel (None for the generic
-    # objective) with the kernel's per-row data and start, its grid
-    # objective and sense, its aggregate term from
+    # per objective, chosen once: its per-row data and sense; for the
+    # kernel objectives, the stacked objective, its kernel and the kernel's
+    # start, whether the oracle floors grid points under it and whether
+    # each coordinate enters only its own term; its aggregate term from
     # (observation mass, optimal value), and the map from the sum of the
     # terms to the vulnerability
     if g.kind == "soft01" and phi.kind in ("log", "q_log"):
@@ -413,13 +408,10 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         # phi(g) is affine in r**beta, so the direction flips with q > 1
         sense_max = maximize if (use_log or phi.q < 1.0) else not maximize
         data, start = wt, posts
+        objective = _kernels.tsallis_objective(beta, use_log).objective
         solve = lambda w, r0, *run: _kernels.tsallis_eg(w, beta, use_log, r0, *run)
-        if use_log:
-            batch = lambda w, pi: lambda grid: np.where(grid > 0, np.log(np.maximum(grid, 1e-300)), -np.inf) @ w
-            term = lambda m, val: val
-        else:
-            batch = lambda w, pi: qlog_rule_batch(w, beta)
-            term = lambda m, val: (val - m) / (1.0 - phi.q)
+        floor, separable = beta < 0.0, True
+        term = (lambda m, val: val) if use_log else (lambda m, val: (val - m) / (1.0 - phi.q))
         finish = phi.inverse
     elif (g.kind == "power" and phi.kind == "linear") or (
             g.kind == "power_loss" and phi.kind == "q_log"
@@ -428,8 +420,9 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         # generator, and with slope 1/(1-alpha) for the power loss
         sense_max = maximize == (phi.increasing if g.kind == "power" else g.alpha < 1.0)
         data, start = posts, np.full(posts.shape, 1.0 / n)
+        objective = _kernels.power_objective(g.alpha).objective
         solve = lambda pi, r0, *run: _kernels.power_eg(pi, g.alpha, r0, *run)
-        batch = lambda w, pi: power_rule_batch(pi, g.alpha)
+        floor, separable = g.alpha < 1.0, False
         term = lambda m, val: m * val
         # an affine generator's mean is the arithmetic mean; the power loss's
         # deformed-log mean is the 1/(1-alpha) power of the mean score, taken
@@ -438,11 +431,23 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         finish = ((lambda s: s) if g.kind == "power"
                   else (lambda s: np.power(s, 1.0 / (1.0 - g.alpha))))
     else:
-        solve, sense_max = None, maximize
-        batch = lambda w, pi: _prior_objective(pi, g, phi)
+        data, sense_max, solve = posts, maximize, None
         term = lambda m, val: m * val
         finish = phi.inverse
-    if method == "optimize" and solve is not None:
+    if solve is None:
+        # the generic objective, one observation at a time
+        R, vals, resids = [], [], []
+        for d in data:
+            if method == "optimize":
+                res = _optimize_action(_prior_objective(d, g, phi), d, maximize, cfg)
+                r, val, resid = res.point[0], res.value, res.residual
+            else:
+                r, val = oracle_optimize_single(_prior_objective(d, g, phi), n, sense_max, cfg)
+                resid = cfg.grid_resolution
+            R.append(r)
+            vals.append(val)
+            resids.append(resid)
+    elif method == "optimize":
         # every (start, observation) pair is one row of a single stack; row
         # j * n_obs + i runs start j of observation i
         runs = [start] if starts is None else starts
@@ -452,18 +457,14 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         best = [i + n_obs * _best_row(vals[i::n_obs], sense_max) for i in range(n_obs)]
         R, vals, resids = R[best], vals[best], resids[best]
     else:
-        R, vals, resids = [], [], []
-        for w, pi in zip(wt, posts):
-            if method == "optimize":
-                res = _optimize_action(batch(w, pi), pi, maximize, cfg)
-                r, val, resid = res.point[0], res.value, res.residual
-            else:
-                r, val = oracle_optimize_single(None, n, sense_max, cfg,
-                                                batch_objective=batch(w, pi))
-                resid = cfg.grid_resolution
-            R.append(r)
-            vals.append(val)
-            resids.append(resid)
+        # one scan of one grid: each observation's data is broadcast along
+        # the grid axis, so the objective gives one row of values per
+        # observation
+        rows = data[:, None, :]
+        R, vals = oracle_optimize_single(
+            _grid_values(objective, rows, floor, rows > 0.0 if separable else None),
+            n, sense_max, cfg)
+        resids = np.full(len(data), cfg.grid_resolution)
     aggregate = 0.0
     worst_resid = 0.0
     for m, val, resid in zip(mass, vals, resids):
@@ -537,9 +538,10 @@ def _cond_ac(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig
         )
         i = _best_row(vals, maximize)
         return math.exp(coeff * float(vals[i])), R[i], "optimize", float(resids[i])
+    objective = _kernels.ac_objective(p.probs, W.matrix, beta).objective
     R, val = oracle_optimize_rule(
-        None, p.n, W.n_y, maximize, cfg,
-        batch_objective=ac_rule_batch(p.probs, W.matrix, beta),
+        _grid_values(objective, floor=beta < 0.0, live=p.probs > 0.0),
+        p.n, W.n_y, maximize, cfg,
     )
     return math.exp(coeff * val), R, "oracle", cfg.grid_resolution
 
@@ -563,10 +565,9 @@ def _cond_lp(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig
         )
         i = _best_row(vals, maximize)
         return math.exp(float(vals[i]) / (1.0 - qt)), R[i], "optimize", float(resids[i])
-    R, val = oracle_optimize_rule(
-        None, p.n, W.n_y, maximize, cfg,
-        batch_objective=lp_rule_batch(p.probs, W.matrix, beta, qt),
-    )
+    objective = _kernels.lp_objective(p.probs, W.matrix, beta, qt).objective
+    R, val = oracle_optimize_rule(_grid_values(objective, floor=beta < 0.0),
+                                  p.n, W.n_y, maximize, cfg)
     return math.exp(val / (1.0 - qt)), R, "oracle", cfg.grid_resolution
 
 
@@ -596,8 +597,9 @@ def _cond_generic_mixed(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
     if method == "oracle":
         # grid rules floored, as every rule oracle floors them: a zero entry
         # can make a gain infinite and its generator image a saturation value
-        R, val = oracle_optimize_rule(lambda R: objective_rows(np.maximum(R, _EVAL_FLOOR)),
-                                      p.n, W.n_y, maximize, cfg)
+        R, val = oracle_optimize_rule(
+            lambda stack: np.array([objective_rows(R) for R in np.maximum(stack, _EVAL_FLOOR)]),
+            p.n, W.n_y, maximize, cfg)
         return val, R, "oracle", cfg.grid_resolution
     prior_act = prior_vulnerability(p, g, phi, sense, "auto", cfg).rule
     inits = _joint_eg_inits(p, W, prior_act.probs, cfg)

@@ -4,7 +4,8 @@ Four engines, in increasing order of specialization:
 
 * ``simplex_grid`` + the ``oracle_*`` scanners: exhaustive, used as
   brute-force oracles for everything else; a grid is built in numpy,
-  one leading part at a time, on every call and is not cached;
+  one leading part at a time, on every call and is not cached; the
+  scanners score the same stacked objectives that EG optimizes;
 * ``eg_optimize``: generic exponentiated-gradient (multiplicative
   weights with backtracking line search) over a product of simplices,
   gradient supplied or estimated by central differences in log space;
@@ -27,15 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import _Stacked
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidOrder,
+    NumericalInconsistency,
     OracleTooLarge,
     ValidationError,
 )
@@ -44,6 +46,7 @@ from .simplex import Channel, JointDist, Pmf, make_pmf
 GRID_POINT_BUDGET = 10_000_000
 ORACLE_MAX_ALPHABET = 4
 _EVAL_FLOOR = 1e-30  # boundary grid points under negative powers stay finite
+_RULE_CHUNK = 4096  # rule combinations scored per objective call
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,9 @@ def _compositions(n: int, k: int) -> np.ndarray:
     Built one leading part at a time: a row with remainder ``rem`` has
     children whose next part runs 0..rem in order, so repeating every
     row ``rem + 1`` times and counting up within each run keeps the rows
-    in lexicographic order; the last part is what remains.
+    in lexicographic order; the last part is what remains.  The array is
+    column-major, so that an objective's sums over the short last axis
+    run as adds of whole columns (the same bits, in a fraction of the time).
     """
     rem = np.array([k], dtype=np.int64)
     cols = []
@@ -92,7 +97,7 @@ def _compositions(n: int, k: int) -> np.ndarray:
         part = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
         cols = [c[parent] for c in cols] + [part]
         rem = rem[parent] - part
-    return np.column_stack(cols + [rem])
+    return np.array(cols + [rem]).T
 
 
 def simplex_grid(n: int, resolution: float) -> np.ndarray:
@@ -120,36 +125,58 @@ def _check_oracle_alphabet(*sizes: int):
             )
 
 
-def oracle_scan(values: np.ndarray, maximize: bool) -> tuple[int, float]:
-    """Best index and value; ties break to the lowest index."""
-    idx = int(np.argmax(values)) if maximize else int(np.argmin(values))
-    return idx, float(values[idx])
+def oracle_scan(values: np.ndarray, maximize: bool):
+    """Best index and value along the last axis, one pair per problem of
+    a (k, m) stack of values; ties break to the lowest index.  A NaN score
+    raises: ``argmax``/``argmin`` would return it as the best."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        raise NumericalInconsistency(
+            f"oracle objective is NaN at {int(np.isnan(values).sum())} grid points")
+    idx = np.argmax(values, axis=-1) if maximize else np.argmin(values, axis=-1)
+    val = np.take_along_axis(values, idx[..., None], axis=-1)[..., 0]
+    return (int(idx), float(val)) if values.ndim == 1 else (idx, val)
+
+
+def _grid_values(objective, data=None, floor: bool = False, live=None):
+    """Values of a stacked ``_kernels.eg`` objective for a stack of grid
+    points, under the oracles' boundary rule: points are floored at
+    ``_EVAL_FLOOR`` only when the objective takes a negative power of them
+    (``floor``; under a small positive power a floor is wrong near order
+    one, 1e-30**0.01 = 0.5, and a log keeps its exact -inf at 0), and a
+    last-axis coordinate outside ``live``, which enters only its own
+    zero-weight term, is set to 1 by ``np.where``, so that term is exactly
+    0 rather than 0 * log 0.  EG iterates never reach the boundary, so the
+    EG path does none of this.
+    """
+    if live is not None and live.all():
+        live = None
+
+    def values(points):
+        if floor:
+            points = np.maximum(points, _EVAL_FLOOR)
+        if live is not None:
+            points = np.where(live, points, 1.0)
+        with np.errstate(divide="ignore"):
+            return objective([points], data)[0]
+    return values
 
 
 def oracle_optimize_single(objective, n: int, maximize: bool,
-                           cfg: OptimizerConfig = DEFAULT_CONFIG,
-                           batch_objective=None) -> tuple[np.ndarray, float]:
-    """Exhaustive scan of one simplex.  ``batch_objective(grid)->values``
-    may replace the per-point loop."""
+                           cfg: OptimizerConfig = DEFAULT_CONFIG) -> tuple:
+    """Exhaustive scan of one simplex; ``objective`` maps the (m, n) stack
+    of grid points to m values, or to (k, m) values of k problems that
+    share the grid, each with its own best point and value."""
     _check_oracle_alphabet(n)
     grid = simplex_grid(n, cfg.grid_resolution)
-    if batch_objective is not None:
-        vals = np.asarray(batch_objective(grid), dtype=np.float64)
-    else:
-        vals = np.array([objective(row) for row in grid], dtype=np.float64)
-    idx, val = oracle_scan(vals, maximize)
+    idx, val = oracle_scan(objective(grid), maximize)
     return grid[idx].copy(), val
 
 
 def oracle_optimize_rule(objective, n_x: int, n_y: int, maximize: bool,
-                         cfg: OptimizerConfig = DEFAULT_CONFIG,
-                         batch_objective=None,
-                         chunk: int = 4096) -> tuple[np.ndarray, float]:
-    """Exhaustive scan over the product of n_y simplices of size n_x.
-
-    ``objective`` takes a rule matrix of shape (n_y, n_x);
-    ``batch_objective`` takes a stack of shape (b, n_y, n_x).
-    """
+                         cfg: OptimizerConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, float]:
+    """Exhaustive scan over the product of n_y simplices of size n_x;
+    ``objective`` maps a (b, n_y, n_x) stack of rules to b values."""
     _check_oracle_alphabet(n_x, n_y)
     grid = simplex_grid(n_x, cfg.grid_resolution)
     m = grid.shape[0]
@@ -162,15 +189,10 @@ def oracle_optimize_rule(objective, n_x: int, n_y: int, maximize: bool,
     best_val = -np.inf if maximize else np.inf
     best_combo = 0
     powers = m ** np.arange(n_y - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _RULE_CHUNK):
+        flat = np.arange(start, min(start + _RULE_CHUNK, total), dtype=np.int64)
         combos = (flat[:, None] // powers[None, :]) % m  # lex order over index tuples
-        stack = grid[combos]  # (b, n_y, n_x)
-        if batch_objective is not None:
-            vals = np.asarray(batch_objective(stack), dtype=np.float64)
-        else:
-            vals = np.array([objective(R) for R in stack], dtype=np.float64)
-        idx, val = oracle_scan(vals, maximize)
+        idx, val = oracle_scan(objective(grid[combos]), maximize)
         if (maximize and val > best_val) or (not maximize and val < best_val):
             best_val = val
             best_combo = start + idx
@@ -191,12 +213,12 @@ class EgResult:
     converged: bool
 
 
-def _fd_grad_stack(batch_objective, b: np.ndarray, delta: float = 1e-6) -> np.ndarray:
-    """Central differences of ``batch_objective`` at ``b``, a point or an
+def _fd_grad_stack(objective, b: np.ndarray, delta: float = 1e-6) -> np.ndarray:
+    """Central differences of ``objective`` at ``b``, a point or an
     (m, n) stack of points, along multiplicative perturbations (which
     keep every point positive).
 
-    All 2n perturbed points of every row go through ``batch_objective``
+    All 2n perturbed points of every row go through ``objective``
     as one (m * 2n, n) stack: per row, points 0..n-1 scale one
     coordinate up by exp(delta), points n..2n-1 scale it down.
     """
@@ -206,7 +228,7 @@ def _fd_grad_stack(batch_objective, b: np.ndarray, delta: float = 1e-6) -> np.nd
     stack = np.repeat(B[:, None, :], 2 * n, axis=1)
     stack[:, diag, diag] = B * math.exp(delta)
     stack[:, n + diag, diag] = B * math.exp(-delta)
-    vals = np.asarray(batch_objective(stack.reshape(m * 2 * n, n)), dtype=np.float64)
+    vals = np.asarray(objective(stack.reshape(m * 2 * n, n)), dtype=np.float64)
     vals = vals.reshape(m, 2 * n)
     g = (vals[:, :n] - vals[:, n:]) / (B * (math.exp(delta) - math.exp(-delta)))
     return g.reshape(np.shape(b))
@@ -220,13 +242,6 @@ def _fd_grad(objective, blocks: list[np.ndarray], delta: float = 1e-6) -> list[n
             return [objective(blocks[:bi] + [row] + blocks[bi + 1:]) for row in stack]
         grads.append(_fd_grad_stack(batch, b, delta))
     return grads
-
-
-class _Stacked(NamedTuple):
-    """A stacked objective and gradient for ``_kernels.eg``, passed to ``eg_optimize``."""
-
-    objective: Callable
-    grad: Callable
 
 
 def _rowwise(objective, grad) -> _Stacked:
@@ -326,8 +341,9 @@ def _expected_divergence(p: np.ndarray, Wa: np.ndarray, alpha: float, q: np.ndar
     """sum_x p(x) log S(x) / (alpha - 1), S = Wa q^(1-alpha), at a point
     q or per row of an (m, n_y) stack; returns the value(s) and S."""
     S = (Wa @ np.maximum(q, _kernels.EPS)[..., None] ** (1.0 - alpha))[..., 0]
-    mask = p > 0.0
-    return (p[mask] * np.log(S.compress(mask, axis=-1))).sum(axis=-1) / (alpha - 1.0), S
+    live = p > 0.0
+    logS = np.log(S if live.all() else S.compress(live, axis=-1))
+    return (p[live] * logS).sum(axis=-1) / (alpha - 1.0), S
 
 
 def _expected_divergence_eg(p: np.ndarray, Wa: np.ndarray, alpha: float) -> _Stacked:
@@ -424,44 +440,3 @@ def lp_alternating(joint: JointDist, alpha: float,
         q_y=make_pmf(qy, renormalize=True, labels=joint.y_labels),
         value=float(value), residual=float(resid), iterations=int(iters),
     )
-
-
-# ----------------------------------------------------------------------
-# batch objectives shared by the rule oracles (boundary-safe)
-# ----------------------------------------------------------------------
-
-def qlog_rule_batch(weights: np.ndarray, beta: float):
-    """Batch per-observation objective sum_x w[x] r[x]^beta for grid rows."""
-    def batch(grid: np.ndarray) -> np.ndarray:
-        base = np.maximum(grid, _EVAL_FLOOR) if beta < 0.0 else grid
-        return base ** beta @ weights
-    return batch
-
-
-def power_rule_batch(pi: np.ndarray, alpha: float):
-    def batch(grid: np.ndarray) -> np.ndarray:
-        base = np.maximum(grid, _EVAL_FLOOR) if alpha < 1.0 else grid
-        return alpha * (base ** (alpha - 1.0) @ pi) + (1.0 - alpha) * (base ** alpha).sum(axis=1)
-    return batch
-
-
-def ac_rule_batch(p: np.ndarray, Wm: np.ndarray, beta: float):
-    """Batch of the coupled log-sum objective over rule stacks (b, n_y, n_x).
-
-    All-boundary rows give -inf, the legitimate worst value for the
-    maximizing sense."""
-    def batch(stack: np.ndarray) -> np.ndarray:
-        base = np.maximum(stack, _EVAL_FLOOR) if beta < 0.0 else stack
-        S = np.einsum("xy,byx->bx", Wm, base ** beta)
-        with np.errstate(divide="ignore"):
-            return np.log(S) @ p
-    return batch
-
-
-def lp_rule_batch(pt: np.ndarray, Wm: np.ndarray, beta: float, qt: float):
-    def batch(stack: np.ndarray) -> np.ndarray:
-        base = np.maximum(stack, _EVAL_FLOOR) if beta < 0.0 else stack
-        S = np.einsum("xy,byx->bx", Wm, base ** beta)
-        with np.errstate(divide="ignore"):
-            return np.log(S ** qt @ pt)
-    return batch

@@ -40,7 +40,9 @@ from .errors import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
+    _EVAL_FLOOR,
     _expected_divergence_eg,
+    _grid_values,
     _Stacked,
     augustin_fixed_point,
     eg_optimize,
@@ -254,15 +256,17 @@ def _sibson_closed(p: Pmf, W: Channel, alpha: float) -> float:
     return alpha / (alpha - 1.0) * _log_sum_col_norms(L, alpha)
 
 
-def _sibson_objective(p: Pmf, W: Channel, alpha: float):
-    """Stacked objective and gradient over q for ``eg_optimize``, and the
-    batch objective of the grid oracle."""
+def _sibson_objective(p: Pmf, W: Channel, alpha: float) -> _Stacked:
+    """Stacked objective and gradient over q, for ``eg_optimize`` and the
+    grid oracle."""
     A = p.probs @ W.matrix ** alpha
     live = A > 0.0
 
     def objective(blocks, data):
         q = np.maximum(blocks[0], _kernels.EPS)
-        S = (A[live] * q.compress(live, axis=-1) ** (1.0 - alpha)).sum(axis=-1)
+        if not live.all():
+            q = q.compress(live, axis=-1)
+        S = (A[live] * q ** (1.0 - alpha)).sum(axis=-1)
         return np.log(S) / (alpha - 1.0), S
 
     def grad(blocks, S, data):
@@ -271,25 +275,7 @@ def _sibson_objective(p: Pmf, W: Channel, alpha: float):
         g[:, live] = -A[live] * q.compress(live, axis=-1) ** (-alpha) / S[:, None]
         return [g]
 
-    def batch(grid):
-        base = np.maximum(grid[:, live], 1e-30) if alpha > 1.0 else grid[:, live]
-        return np.log(base ** (1.0 - alpha) @ A[live]) / (alpha - 1.0)
-
-    return _Stacked(objective, grad), batch
-
-
-def _ac_objective(p: Pmf, W: Channel, alpha: float):
-    """The expected divergence over q stacked for ``eg_optimize``, and the
-    batch objective of the grid oracle."""
-    Wa = W.matrix ** alpha
-
-    def batch(grid):
-        base = np.maximum(grid, 1e-30) if alpha > 1.0 else grid
-        T = base ** (1.0 - alpha) @ Wa.T  # (m, n_x)
-        with np.errstate(divide="ignore"):
-            return np.log(T) @ p.probs / (alpha - 1.0)
-
-    return _expected_divergence_eg(p.probs, Wa, alpha), batch
+    return _Stacked(objective, grad)
 
 
 def _lp_objective(Pa: np.ndarray, alpha: float) -> _Stacked:
@@ -334,34 +320,21 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
     if abs(alpha - 1.0) <= ALPHA_ONE_ATOL:
         return shannon_measures(p, W).mutual_information
 
-    if variant is MiVariant.SIBSON:
-        if method is Method.CLOSED_FORM:
-            value = _sibson_closed(p, W, alpha)
+    if variant is MiVariant.SIBSON and method is Method.CLOSED_FORM:
+        value = _sibson_closed(p, W, alpha)
+    elif variant is MiVariant.AUGUSTIN_CSISZAR and method is Method.CLOSED_FORM:
+        value = augustin_fixed_point(p, W, alpha, cfg).value
+    elif variant in (MiVariant.SIBSON, MiVariant.AUGUSTIN_CSISZAR):
+        # both minimize over the output distribution q; their objectives
+        # floor q at the kernels' EPS, so the grid needs no floor of its own
+        stacked = (_sibson_objective(p, W, alpha) if variant is MiVariant.SIBSON
+                   else _expected_divergence_eg(p.probs, W.matrix ** alpha, alpha))
+        if method is Method.OPTIMIZE:
+            value = eg_optimize(stacked, [W.n_y], "min", cfg, inits=[p.probs @ W.matrix]).value
         else:
-            stacked, batch = _sibson_objective(p, W, alpha)
-            if method is Method.OPTIMIZE:
-                p_y = p.probs @ W.matrix
-                res = eg_optimize(stacked, [W.n_y], "min", cfg, inits=[p_y])
-                value = res.value
-            else:
-                _, value = oracle_optimize_single(None, W.n_y, False, cfg,
-                                                  batch_objective=batch)
-    elif variant is MiVariant.ARIMOTO:
+            _, value = oracle_optimize_single(_grid_values(stacked.objective), W.n_y, False, cfg)
+    elif variant in (MiVariant.ARIMOTO, MiVariant.HAYASHI):
         value = renyi_entropy(p, alpha) - cond_renyi_entropy(variant, p, W, alpha, method, cfg)
-    elif variant is MiVariant.HAYASHI:
-        value = renyi_entropy(p, alpha) - cond_renyi_entropy(variant, p, W, alpha, method, cfg)
-    elif variant is MiVariant.AUGUSTIN_CSISZAR:
-        if method is Method.CLOSED_FORM:
-            value = augustin_fixed_point(p, W, alpha, cfg).value
-        else:
-            stacked, batch = _ac_objective(p, W, alpha)
-            if method is Method.OPTIMIZE:
-                p_y = p.probs @ W.matrix
-                res = eg_optimize(stacked, [W.n_y], "min", cfg, inits=[p_y])
-                value = res.value
-            else:
-                _, value = oracle_optimize_single(None, W.n_y, False, cfg,
-                                                  batch_objective=batch)
     elif variant is MiVariant.LAPIDOTH_PFISTER:
         joint = compose_joint(p, W)
         if method is Method.CLOSED_FORM:
@@ -379,8 +352,8 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
             gy = simplex_grid(W.n_y, cfg.grid_resolution)
             if gx.shape[0] * gy.shape[0] > GRID_POINT_BUDGET:
                 raise OracleTooLarge("double grid too large; coarsen the resolution")
-            bx = np.maximum(gx, 1e-30) if alpha > 1.0 else gx
-            by = np.maximum(gy, 1e-30) if alpha > 1.0 else gy
+            bx = np.maximum(gx, _EVAL_FLOOR) if alpha > 1.0 else gx
+            by = np.maximum(gy, _EVAL_FLOOR) if alpha > 1.0 else gy
             M = bx ** (1.0 - alpha) @ Pa @ (by ** (1.0 - alpha)).T
             # minimizing the signed value flips to maximizing T below order 1
             T_opt = M.min() if alpha > 1.0 else M.max()

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._kernels import power_objective
 from .leakage import (
     alpha_mi_via_leakage,
     cond_vulnerability,
@@ -33,7 +34,13 @@ from .leakage import (
     prior_vulnerability,
     soft01_gain,
 )
-from .optimize import DEFAULT_CONFIG, OptimizerConfig, simplex_grid
+from .optimize import (
+    DEFAULT_CONFIG,
+    OptimizerConfig,
+    _grid_values,
+    oracle_optimize_single,
+    simplex_grid,
+)
 from .qcalc import gibbs_optimum, q_log, q_log_aggregator, reverse_holder_check
 from .renyi import (
     MiVariant,
@@ -297,13 +304,12 @@ def _check_posterior_form(report: VerifyReport, p, W, alpha: float, tag: str,
 def _check_power_score(report: VerifyReport, rng, trial: int, tol,
                        grid_resolution: float):
     p = make_pmf(0.9 * rng.dirichlet(np.ones(3)) + 0.1 / 3, renormalize=True)
-    grid = simplex_grid(3, grid_resolution)
     for alpha in (0.5, 2.0):
         tag = f"trial={trial} alpha={alpha}"
-        base = np.maximum(grid, 1e-30) if alpha < 1.0 else grid
-        vals = alpha * (base ** (alpha - 1.0) @ p.probs) \
-            + (1.0 - alpha) * (base ** alpha).sum(axis=1)
-        extremum = float(vals.max() if alpha > 1.0 else vals.min())
+        # the grid scan of the objective that power_eg optimizes
+        scores = _grid_values(power_objective(alpha).objective, p.probs, alpha < 1.0)
+        _, extremum = oracle_optimize_single(scores, 3, alpha > 1.0,
+                                             OptimizerConfig(grid_resolution=grid_resolution))
         target = float((p.probs ** alpha).sum())
         report.add("power-score-extremum", tag, extremum, target,
                    tol["power-score-extremum"] * 3 * grid_resolution)

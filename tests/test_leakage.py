@@ -174,17 +174,24 @@ class TestPriorVulnerability:
         assert abs(res.value - value) <= 1e-9 * abs(value)
 
     def test_oracle_batch_matches_pointwise_scan(self):
+        # the transformed gain is scanned through _prior_objective itself;
+        # the other two families through their kernel objectives, which
+        # compute the same values in another order
         p = make_pmf([0.5, 0.3, 0.2])
         cfg = OptimizerConfig(grid_resolution=0.05)
         for g, phi in ((soft01_gain(), q_log_aggregator(2.0)),
-                       (power_score_gain(0.5), linear_aggregator())):
+                       (power_score_gain(0.5), linear_aggregator()),
+                       (transformed_gain(3.0), linear_aggregator())):
             res = prior_vulnerability(p, g, phi, method="oracle", cfg=cfg)
             aggregate = _prior_objective(p.probs, g, phi)
             grid = simplex_grid(3, cfg.grid_resolution)
             vals = np.array([aggregate(row) for row in grid])
             best = vals.argmax() if phi.increasing == (g.sense == "gain") else vals.argmin()
             np.testing.assert_array_equal(res.rule.probs, grid[best])
-            assert res.value == phi.inverse(vals[best])
+            if g.kind == "transformed":
+                assert res.value == phi.inverse(vals[best])
+            else:
+                assert res.value == pytest.approx(phi.inverse(vals[best]), rel=1e-12, abs=0.0)
 
 
 def _kernel_family(name, alpha):
@@ -562,3 +569,41 @@ class TestPowerScoreExtremum:
                 extremum = vals.max() if alpha > 1.0 else vals.min()
                 target = (p.probs ** alpha).sum()
                 assert abs(extremum - target) <= 3 * 5e-3
+
+
+class TestOraclesOnAZeroMassInput:
+    """The grid oracles score the objectives that EG optimizes: on a prior
+    with a zero-mass input, and on boundary grid points, every value is
+    finite and within n_x * resolution of its closed form."""
+
+    P = make_pmf([0.0, 0.4, 0.6])
+    W = make_channel([[0.6, 0.4, 0.0], [0.2, 0.5, 0.3], [0.0, 0.3, 0.7]])
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6])
+    def test_augustin_csiszar_alpha_mi(self, alpha):
+        cfg = OptimizerConfig()
+        oracle = alpha_mi("augustin_csiszar", self.P, self.W, alpha, "oracle", cfg)
+        closed = alpha_mi("augustin_csiszar", self.P, self.W, alpha)
+        assert math.isfinite(oracle)
+        assert abs(oracle - closed) <= self.P.n * cfg.grid_resolution
+
+    def test_soft01_log_cond_vulnerability(self):
+        cfg = OptimizerConfig()
+        args = (self.P, self.W, soft01_gain(), log_aggregator(), log_aggregator())
+        oracle = cond_vulnerability(*args, method="oracle", cfg=cfg).value
+        closed = cond_vulnerability(*args).value
+        assert math.isfinite(oracle)
+        assert abs(oracle - closed) <= self.P.n * cfg.grid_resolution
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("probs", [[0.2, 0.3, 0.5], [0.0, 0.4, 0.6]])
+    def test_power_loss_prior_vulnerability(self, alpha, probs):
+        # the boundary grid points, where the power score is infinite or
+        # zero, are scored by the power-score objective
+        p, cfg = make_pmf(probs), OptimizerConfig()
+        args = (p, power_loss(alpha), q_log_aggregator(alpha))
+        oracle = prior_vulnerability(*args, method="oracle", cfg=cfg)
+        closed = prior_vulnerability(*args)
+        assert oracle.method == "oracle" and closed.method == "closed_form"
+        assert math.isfinite(oracle.value)
+        assert abs(oracle.value - closed.value) <= p.n * cfg.grid_resolution

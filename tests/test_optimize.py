@@ -6,6 +6,7 @@ import pytest
 from alphaleak import (
     ConvergenceFailure,
     InvalidOrder,
+    NumericalInconsistency,
     OracleTooLarge,
     ValidationError,
     augustin_fixed_point,
@@ -19,11 +20,13 @@ from alphaleak import (
     q_log,
     simplex_grid,
 )
+from alphaleak._kernels import power_objective
 from alphaleak.optimize import (
     OptimizerConfig,
     _compositions,
+    _grid_values,
+    oracle_optimize_rule,
     oracle_optimize_single,
-    power_rule_batch,
 )
 from conftest import random_pair
 
@@ -255,6 +258,38 @@ class TestLpAlternating:
             lp_alternating(compose_joint(p, W), 50.0, OptimizerConfig(max_iters=5))
 
 
+class TestOracleScanners:
+    def test_nan_score_raises(self):
+        # argmax and argmin would return a NaN score as the best one, and a
+        # chunk of rules whose best score is NaN would be skipped
+        cfg = OptimizerConfig(grid_resolution=0.1)
+
+        def single(grid):
+            vals = grid[:, 0].copy()
+            vals[7] = np.nan
+            return vals
+
+        def rule(stack):
+            vals = stack[:, 0, 0].copy()
+            vals[vals.size // 2] = np.nan
+            return vals
+
+        for maximize in (True, False):
+            with pytest.raises(NumericalInconsistency, match="NaN"):
+                oracle_optimize_single(single, 3, maximize, cfg)
+            with pytest.raises(NumericalInconsistency, match="NaN"):
+                oracle_optimize_rule(rule, 2, 2, maximize, cfg)
+
+    def test_rule_scan_takes_a_stacked_objective(self):
+        # one stacked objective per call; the best rule of the lexicographic
+        # scan wins, ties to the first
+        cfg = OptimizerConfig(grid_resolution=0.25)
+        R, val = oracle_optimize_rule(lambda stack: stack[:, 1, 0] - stack[:, 0, 0],
+                                      2, 2, True, cfg)
+        np.testing.assert_array_equal(R, [[0.0, 1.0], [1.0, 0.0]])
+        assert val == 1.0
+
+
 class TestOracleSandwich:
     def test_power_score_sandwich(self, rng):
         # closed-form optimum dominates the grid; gap below L * resolution
@@ -264,7 +299,7 @@ class TestOracleSandwich:
             alpha = 2.0
             closed = float((p.probs ** alpha).sum())
             point, val = oracle_optimize_single(
-                None, 3, True, cfg, batch_objective=power_rule_batch(p.probs, alpha)
+                _grid_values(power_objective(alpha).objective, p.probs), 3, True, cfg
             )
             assert val <= closed + 1e-9
             grid = simplex_grid(3, cfg.grid_resolution)

@@ -6,11 +6,22 @@ Hayashi loss tuple).  Its values must stay those recorded when each
 variant solved its decision-rule problem through a route of its own.
 """
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from alphaleak import cond_renyi_entropy, make_channel, make_pmf
+from alphaleak import (
+    cond_renyi_entropy,
+    cond_vulnerability,
+    log_aggregator,
+    make_channel,
+    make_pmf,
+    q_log_aggregator,
+    simplex_grid,
+    soft01_gain,
+)
 from alphaleak.optimize import OptimizerConfig
 from test_kernels import _seeded
 
@@ -20,8 +31,8 @@ ORACLE_CFG = {"dense": OptimizerConfig(grid_resolution=0.1),
               "sparse": OptimizerConfig(grid_resolution=0.2)}
 
 # float.hex of cond_renyi_entropy, recorded while each variant had a route
-# of its own; the sparse augustin_csiszar oracle values above order 1 miss
-# the grid's best rule (NaN scores of the zero-mass input hide part of it)
+# of its own; the sparse augustin_csiszar oracle values above order 1 are
+# those of the best rule of test_rule_oracles_match_a_pointwise_scan
 RECORDED = {
     ('optimize', 'sibson', 0.3, 'dense'): '0x1.56af5ce9922b8p-1',
     ('optimize', 'sibson', 0.3, 'sparse'): '0x1.440ce97526bdep-2',
@@ -122,13 +133,13 @@ RECORDED = {
     ('oracle', 'augustin_csiszar', 0.6, 'dense'): '0x1.c04e12574581dp-1',
     ('oracle', 'augustin_csiszar', 0.6, 'sparse'): '0x1.a08782c0a42a7p-4',
     ('oracle', 'augustin_csiszar', 2.0, 'dense'): '0x1.942be48724cfep-1',
-    ('oracle', 'augustin_csiszar', 2.0, 'sparse'): '0x1.6ddb86ba7d99bp-6',
+    ('oracle', 'augustin_csiszar', 2.0, 'sparse'): '0x1.19b73f22fde90p-6',
     ('oracle', 'augustin_csiszar', 4.0, 'dense'): '0x1.7f8a6ddc50965p-1',
-    ('oracle', 'augustin_csiszar', 4.0, 'sparse'): '0x1.35702f0750202p-6',
+    ('oracle', 'augustin_csiszar', 4.0, 'sparse'): '0x1.c34bb21277952p-7',
     ('oracle', 'augustin_csiszar', 10.0, 'dense'): '0x1.6dfecfb971b81p-1',
-    ('oracle', 'augustin_csiszar', 10.0, 'sparse'): '0x1.0ed23caa49eb6p-6',
+    ('oracle', 'augustin_csiszar', 10.0, 'sparse'): '0x1.88460e8f61ebap-7',
     ('oracle', 'augustin_csiszar', 50.0, 'dense'): '0x1.603b453b25f6dp-1',
-    ('oracle', 'augustin_csiszar', 50.0, 'sparse'): '0x1.fbdd4b3197763p-7',
+    ('oracle', 'augustin_csiszar', 50.0, 'sparse'): '0x1.68405683ad877p-7',
     ('oracle', 'lapidoth_pfister', 0.6, 'dense'): '0x1.66b1e7461f7eap-1',
     ('oracle', 'lapidoth_pfister', 0.6, 'sparse'): '0x1.5b1cd3b19b687p-4',
     ('oracle', 'lapidoth_pfister', 2.0, 'dense'): '0x1.a8bd44c34199dp-1',
@@ -184,3 +195,49 @@ def test_optimize_route_just_off_order_one(variant, alpha):
     closed = cond_renyi_entropy(variant, p, W, alpha)
     assert math.isclose(cond_renyi_entropy(variant, p, W, alpha, "optimize"), closed,
                         rel_tol=0.0, abs_tol=1e-6)
+
+
+def _pointwise_rule_scan(p, W, alpha, tuple_, resolution):
+    """(best value, best rule) of the inner objective of the AC or LP tuple
+    over every rule of the grid, in lexicographic order, each rule's value
+    summed term by term over the inputs of positive mass (a grid point
+    under a negative power is floored at 1e-30, as the oracles floor it)."""
+    grid = simplex_grid(p.size, resolution)
+    beta = 1.0 - 1.0 / alpha
+    qt = alpha / (2.0 * alpha - 1.0)
+    base = np.maximum(grid, 1e-30) if beta < 0.0 else grid
+    # terms[x][y][i] = W[x, y] * r(x)**beta, r grid point i, the action at y
+    terms = [[(W[x, y] * base[:, x] ** beta).tolist() for y in range(W.shape[1])]
+             for x in np.flatnonzero(p > 0.0)]
+    mass = p[p > 0.0].tolist()
+    best, best_combo = None, None
+    for combo in itertools.product(range(len(grid)), repeat=W.shape[1]):
+        S = [sum(t[i] for t, i in zip(tx, combo)) for tx in terms]
+        if tuple_ == "ac":
+            v = sum(m * (math.log(s) if s > 0.0 else -math.inf) for m, s in zip(mass, S))
+        else:
+            total = sum(m * s ** qt for m, s in zip(mass, S))
+            v = math.log(total) if total > 0.0 else -math.inf
+        if best is None or (v > best if alpha > 1.0 else v < best):
+            best, best_combo = v, combo
+    return best, grid[list(best_combo)]
+
+
+@pytest.mark.parametrize("tuple_, alpha", [("ac", 0.6), ("ac", 2.0), ("ac", 4.0),
+                                           ("ac", 10.0), ("ac", 50.0), ("lp", 0.6),
+                                           ("lp", 2.0), ("lp", 10.0)])
+def test_rule_oracles_match_a_pointwise_scan(tuple_, alpha):
+    # the sparse instance has a zero-mass input: its terms must count 0,
+    # never 0 * log 0, at every rule
+    p, W, _ = _seeded("sparse")
+    cfg = ORACLE_CFG["sparse"]
+    best, rule = _pointwise_rule_scan(p, W, alpha, tuple_, cfg.grid_resolution)
+    if tuple_ == "ac":
+        phi, expected = log_aggregator(), math.exp(alpha / (alpha - 1.0) * best)
+    else:
+        qt = alpha / (2.0 * alpha - 1.0)
+        phi, expected = q_log_aggregator(qt), math.exp(best / (1.0 - qt))
+    res = cond_vulnerability(make_pmf(p), make_channel(W), soft01_gain(), phi,
+                             q_log_aggregator(1.0 / alpha), method="oracle", cfg=cfg)
+    assert res.value == pytest.approx(expected, rel=1e-12, abs=0.0)
+    np.testing.assert_array_equal(res.rule.matrix, rule)
