@@ -34,7 +34,10 @@ case of a single observation whose weights are the prior (what a channel
 that reveals nothing produces); both go through one table: the soft 0-1
 score under log/deformed-log generators and the power score and power
 loss above run on the analytic-gradient kernels, every other objective
-on central differences with restarts.  When the two generators differ
+on central differences with restarts.  The kernels start each
+observation at its posterior, which for a power score under its own
+sense is the optimum (the score is strictly proper), and a power score
+against its own sense at uniform.  When the two generators differ
 the objective couples observations and the optimization runs jointly
 over all per-observation simplices, initialized at the posterior family
 plus the constant prior-optimal rule (which pins conditional >= prior
@@ -275,30 +278,31 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
 
     The numeric routes (``optimize``, and ``auto`` without a closed
     form, and ``oracle``) are the one-observation case of the
-    per-observation problem of ``cond_vulnerability``: the kernel
-    objectives run from the prior and from uniform as two rows of one
-    stack (the power scores under their own sense from the prior alone),
-    and only objectives outside the kernel table use central
-    differences; ``oracle`` scans a grid with the same objectives.
+    per-observation problem of ``cond_vulnerability``, with its start
+    rule: a power score under its own sense starts at the prior alone, its
+    optimum; every other kernel objective runs from the prior and, as the
+    prior's rescue, from uniform, as two rows of one stack.  Only
+    objectives outside the kernel table use central differences;
+    ``oracle`` scans a grid with the same objectives.  The closed form is
+    computed only for ``auto`` and ``closed_form``.
     """
     sense = _resolve(sense, g)
-    closed = _prior_closed(p, g, phi, sense)
-    if method in ("auto", "closed_form") and closed is not None:
-        value, action = closed
-        return VulnerabilityResult(value=value, rule=action, method="closed_form", residual=0.0)
-    if method == "closed_form":
-        raise UnsupportedVariant(
-            f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
-        )
+    if method in ("auto", "closed_form"):
+        closed = _prior_closed(p, g, phi, sense)
+        if closed is not None:
+            value, action = closed
+            return VulnerabilityResult(value=value, rule=action, method="closed_form",
+                                       residual=0.0)
+        if method == "closed_form":
+            raise UnsupportedVariant(
+                f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
+            )
     # a channel that reveals nothing: one observation, of mass 1, whose
-    # weights and posterior are the prior; a power score is proper, so
-    # under its own sense the prior is the optimum and needs no second start
+    # weights and posterior are the prior
     run = "oracle" if method == "oracle" else "optimize"
     row = p.probs[None, :]
-    proper = g.kind in ("power", "power_loss") and sense == g.sense
-    starts = [row] if proper else [row, np.full(row.shape, 1.0 / p.n)]
     value, R, resid = _per_observation(row, np.ones(1), row, g, phi, sense, run, cfg,
-                                       starts=starts)
+                                       rescue=True)
     return VulnerabilityResult(value=value, rule=Pmf(p.labels, R[0]), method=run,
                                residual=resid)
 
@@ -381,24 +385,33 @@ def _cond_closed_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator, sens
 
 def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
                      g: GainFunction, phi: Aggregator, sense: str, method: str,
-                     cfg: OptimizerConfig, starts=None):
+                     cfg: OptimizerConfig, rescue: bool = False):
     """One decision problem per weight row, for phi = psi.
 
     Row i of ``wt`` is the weight vector of one observation: a column of
     the joint for a conditional vulnerability, the prior itself (mass 1)
     for a prior vulnerability.  ``mass[i]`` is its total and ``posts[i]``
-    its normalization.  ``starts``, a list of (m, n) arrays, replaces the
-    one start of a kernel's rows: every start runs as its own rows of the
-    stack, and per observation the best run wins.  The oracle scores the
-    same objective on a grid, one grid for all the rows of a kernel
-    objective.  Returns (vulnerability, (m, n) optimal actions, worst
-    residual).
+    its normalization.
+
+    The kernel rows start at their posterior; with ``rescue`` (the prior)
+    they also run from uniform, as rows of their own in the same stack,
+    and per observation the best run wins.  A power score is strictly
+    proper (Gneiting & Raftery 2007): under its own sense each
+    observation's posterior is its optimum, so those rows start there
+    alone and stop within a few iterations.  Against its own sense an
+    interior posterior is the score's optimum in the other direction, a
+    stationary point that exponentiated gradient does not leave, so
+    without ``rescue`` those rows start at uniform alone.  The oracle
+    scores the same objective on a grid, one grid for all the rows of a
+    kernel objective.  Returns (vulnerability, (m, n) optimal actions,
+    worst residual).
     """
     n = wt.shape[1]
     maximize = _maximize_inner(sense, phi)
+    uniform = np.full(posts.shape, 1.0 / n)
     # per objective, chosen once: its per-row data and sense; for the
     # kernel objectives, the stacked objective, its kernel and the kernel's
-    # start, whether the oracle floors grid points under it and whether
+    # starts, whether the oracle floors grid points under it and whether
     # each coordinate enters only its own term; its aggregate term from
     # (observation mass, optimal value), and the map from the sum of the
     # terms to the vulnerability
@@ -407,7 +420,7 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         beta = 0.0 if use_log else 1.0 - phi.q
         # phi(g) is affine in r**beta, so the direction flips with q > 1
         sense_max = maximize if (use_log or phi.q < 1.0) else not maximize
-        data, start = wt, posts
+        data, starts = wt, ([posts, uniform] if rescue else [posts])
         objective = _kernels.tsallis_objective(beta, use_log).objective
         solve = lambda w, r0, *run: _kernels.tsallis_eg(w, beta, use_log, r0, *run)
         floor, separable = beta < 0.0, True
@@ -419,7 +432,11 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         # phi(g) is affine in the power score: with the slope of a linear
         # generator, and with slope 1/(1-alpha) for the power loss
         sense_max = maximize == (phi.increasing if g.kind == "power" else g.alpha < 1.0)
-        data, start = posts, np.full(posts.shape, 1.0 / n)
+        data = posts
+        if sense == g.sense:
+            starts = [posts]
+        else:
+            starts = [posts, uniform] if rescue else [uniform]
         objective = _kernels.power_objective(g.alpha).objective
         solve = lambda pi, r0, *run: _kernels.power_eg(pi, g.alpha, r0, *run)
         floor, separable = g.alpha < 1.0, False
@@ -450,10 +467,10 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
     elif method == "optimize":
         # every (start, observation) pair is one row of a single stack; row
         # j * n_obs + i runs start j of observation i
-        runs = [start] if starts is None else starts
         n_obs = len(data)
-        R, vals, resids, _, _ = solve(np.concatenate([data] * len(runs)), np.concatenate(runs),
-                                      sense_max, cfg.tolerance, cfg.max_iters, cfg.step_init)
+        R, vals, resids, _, _ = solve(np.concatenate([data] * len(starts)),
+                                      np.concatenate(starts), sense_max, cfg.tolerance,
+                                      cfg.max_iters, cfg.step_init)
         best = [i + n_obs * _best_row(vals[i::n_obs], sense_max) for i in range(n_obs)]
         R, vals, resids = R[best], vals[best], resids[best]
     else:
@@ -630,15 +647,16 @@ def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
         raise DimensionMismatch("prior labels do not match channel input labels")
     sense = _resolve(sense, g)
     if phi.matches(psi):
-        closed = _cond_closed_same(p, W, g, phi, sense)
-        if method in ("auto", "closed_form") and closed is not None:
-            value, rows = closed
-            return VulnerabilityResult(value=value, rule=_rows_to_rule(p, W, rows),
-                                       method="closed_form", residual=0.0)
-        if method == "closed_form":
-            raise UnsupportedVariant(
-                f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
-            )
+        if method in ("auto", "closed_form"):
+            closed = _cond_closed_same(p, W, g, phi, sense)
+            if closed is not None:
+                value, rows = closed
+                return VulnerabilityResult(value=value, rule=_rows_to_rule(p, W, rows),
+                                           method="closed_form", residual=0.0)
+            if method == "closed_form":
+                raise UnsupportedVariant(
+                    f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
+                )
         run_method = "optimize" if method == "auto" else method
         value, rows, resid = _cond_numeric_same(p, W, g, phi, sense, run_method, cfg)
         return VulnerabilityResult(value=value, rule=_rows_to_rule(p, W, rows),

@@ -119,6 +119,10 @@ class TestAggregators:
     def test_q_one_collapses_to_log(self):
         assert q_log_aggregator(1.0).kind == "log"
 
+    def test_one_validated_instance_per_order(self):
+        assert q_log_aggregator(0.25) is q_log_aggregator(0.25)
+        assert q_log_aggregator(1.0) is log_aggregator() is log_aggregator()
+
 
 class TestKnMean:
     def test_linear_is_expectation(self):

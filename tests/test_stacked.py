@@ -7,7 +7,9 @@ point.  The stacked objectives of the optimize routes must agree with
 their one-point forms, and the optimize routes must give the values
 recorded before restarts and observations were stacked (the via_leakage
 routes: the values re-recorded when the numeric prior vulnerability moved
-onto the per-observation kernels, within 1e-7 of those).
+onto the per-observation kernels, within 1e-7 of those; the Hayashi
+routes: the values re-recorded when its power-score problems started at
+their posteriors, no farther from the closed form).
 """
 
 import numpy as np
@@ -467,6 +469,23 @@ RERECORDED = {
 }
 
 
+# Hayashi values re-recorded when the conditional power-score problems
+# started at their posteriors; each must lie at least as close to the
+# closed form as the value it replaced
+POSTERIOR_STARTS = {
+    ('alpha_mi', 'hayashi', 0.6, 'dense'): '0x1.7a0d8fa265fc8p-4',
+    ('alpha_mi', 'hayashi', 0.6, 'sparse'): '0x1.34aa4d9e91d1cp-3',
+    ('alpha_mi', 'hayashi', 2.0, 'dense'): '0x1.9b40559f49cd8p-4',
+    ('alpha_mi', 'hayashi', 2.0, 'sparse'): '0x1.d6b9ea40754e4p-6',
+    ('alpha_mi', 'hayashi', 4.0, 'dense'): '0x1.233001bce83f0p-3',
+    ('alpha_mi', 'hayashi', 4.0, 'sparse'): '0x1.4a25db28d5c80p-6',
+    ('alpha_mi', 'hayashi', 10.0, 'dense'): '0x1.074278703edb4p-2',
+    ('alpha_mi', 'hayashi', 10.0, 'sparse'): '0x1.391babbdb80f8p-6',
+    ('via_leakage', 'hayashi', 0.6, 'dense'): '0x1.7a0d8fa265fcbp-4',
+    ('via_leakage', 'hayashi', 0.6, 'sparse'): '0x1.34aa5568a5116p-3',
+}
+
+
 def _pmf_channel(kind):
     p, W, _ = _seeded(kind)
     return make_pmf(p), make_channel(W)
@@ -489,8 +508,14 @@ def test_optimize_routes_match_recorded(key):
         assert type(info.value).__name__ == expected
         return
     value = fn(variant, *_pmf_channel(kind), alpha, method="optimize")
-    if route == "via_leakage":
+    if key in POSTERIOR_STARTS:
+        assert value.hex() == POSTERIOR_STARTS[key]
+        replaced = float.fromhex(RERECORDED.get(key, expected))
+        closed = alpha_mi(variant, *_pmf_channel(kind), alpha)
+        assert abs(value - closed) <= abs(replaced - closed) + 1e-12 * abs(closed)
+    elif route == "via_leakage":
         assert value.hex() == RERECORDED.get(key, expected)
-        assert value == pytest.approx(float.fromhex(expected), rel=1e-7, abs=0.0)
     else:
         assert value == pytest.approx(float.fromhex(expected), rel=1e-12, abs=0.0)
+    if route == "via_leakage":
+        assert value == pytest.approx(float.fromhex(expected), rel=1e-7, abs=0.0)
