@@ -46,7 +46,8 @@ class NumericalInconsistency(AlphaleakError, RuntimeError):
 
 
 class DegenerateVulnerability(AlphaleakError, ValueError):
-    """A leakage ratio is undefined (zero or non-finite prior vulnerability)."""
+    """A leakage ratio is undefined (zero or non-finite prior vulnerability),
+    or a vulnerability problem has no finite optimum."""
 
 
 class ParseError(AlphaleakError, ValueError):

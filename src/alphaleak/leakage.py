@@ -27,6 +27,9 @@ Closed forms exist for the soft 0-1 score under log/deformed-log
 generators (via the generalized Gibbs optimum), for the power score
 under a linear generator (proper scoring rule, optimum at the honest
 posterior), and for its loss companion under the matching deformed log.
+They are written once, over a stack of observation rows (weights, mass,
+posterior), with one masked reduction along each row; the prior
+vulnerability is their one-observation case, a single row of mass 1.
 Everything else runs through exponentiated gradient with a brute-force
 grid cross-check.  With matching generators the numeric problem is one
 decision problem per observation, and the prior vulnerability is the
@@ -194,51 +197,82 @@ def _maximize_inner(sense: str, phi: Aggregator) -> bool:
     return (sense == "gain") == phi.increasing
 
 
+def _check_bounded(g: GainFunction, sense: str, n: int, *generators: Aggregator):
+    """Below order 1 a power score (and the power loss, its 1/(1-alpha)
+    power) grows without bound as a coordinate of the action goes to 0, so
+    on two or more secrets its gain-sense optimum is +inf wherever every
+    generator maps +inf to an infinite value: raise before any solve."""
+    if g.kind in ("power", "power_loss") and g.alpha < 1.0 and sense == "gain" and n > 1:
+        with np.errstate(all="ignore"):
+            if all(np.isinf(_apply(a.forward, np.array([np.inf]))[0]) for a in generators):
+                raise DegenerateVulnerability(
+                    f"the {g.kind} gain of order {g.alpha!r} has no finite gain-sense optimum")
+
+
 # ----------------------------------------------------------------------
 # prior vulnerability
 # ----------------------------------------------------------------------
 
-def _prior_closed(p: Pmf, g: GainFunction, phi: Aggregator, sense: str):
-    """(value, action) when a closed form applies, else None."""
+def _matching_power_loss(g: GainFunction, phi: Aggregator) -> bool:
+    """The power loss under the deformed log of its own order (Hayashi)."""
+    return (g.kind == "power_loss" and phi.kind == "q_log" and phi.q is not None
+            and abs(phi.q - g.alpha) <= 1e-9)
+
+
+def _closed_same(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
+                 g: GainFunction, phi: Aggregator, sense: str):
+    """(vulnerability, (m, n) optimal actions) of the phi = psi closed
+    forms, else None, over the observation rows of ``_per_observation``
+    (each of positive mass; the prior is one row of mass 1).  Each row is
+    reduced along its C-contiguous last axis, so it keeps the sums it has
+    alone."""
     if sense != g.sense:
         return None
-    probs = p.probs
     if g.kind == "soft01":
         if phi.kind == "log":
-            mask = probs > 0.0
-            return float(np.exp((probs[mask] * np.log(probs[mask])).sum())), Pmf(p.labels, probs)
+            # the posterior itself: exp of the mean negative entropy
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ent = np.where(posts > 0.0, posts * np.log(posts), 0.0).sum(axis=-1)
+            return float(np.exp((mass * ent).sum())), posts
         if phi.kind == "q_log" and phi.q is not None and phi.q > 0.0:
+            # the posterior tilted to order 1/q (generalized Gibbs optimum)
             q = phi.q
-            lp = np.log(probs[probs > 0.0])
-            ln_norm = _logsumexp(lp / q) * q  # log of |p|_{1/q}
-            return float(np.exp(ln_norm / (1.0 - q))), tilt(p, 1.0 / q)
+            with np.errstate(divide="ignore"):
+                lw = np.log(wt) / q  # -inf on zeros
+            ln_t = _logsumexp(q * _logsumexp(lw))
+            w = np.exp(lw - lw.max(axis=-1, keepdims=True))
+            return float(np.exp(ln_t / (1.0 - q))), w / w.sum(axis=-1, keepdims=True)
         if phi.kind == "linear" and phi.increasing:
-            idx = int(np.argmax(probs))
-            action = np.zeros_like(probs)
-            action[idx] = 1.0
-            return float(probs[idx]), Pmf(p.labels, action)
+            # the most likely secret
+            best = wt.argmax(axis=-1)
+            return float(wt.max(axis=-1).sum()), np.eye(wt.shape[1])[best]
     elif g.kind == "power" and phi.kind == "linear" and phi.increasing:
-        return float((probs ** g.alpha).sum()), Pmf(p.labels, probs)
-    elif (
-        g.kind == "power_loss"
-        and phi.kind == "q_log"
-        and phi.q is not None
-        and abs(phi.q - g.alpha) <= 1e-9
-    ):
+        # a proper score: the posterior itself
+        return float((mass * (posts ** g.alpha).sum(axis=-1)).sum()), posts
+    elif _matching_power_loss(g, phi):
         al = g.alpha
-        lse = _logsumexp(al * np.log(probs[probs > 0.0]))
-        return float(np.exp(lse / (1.0 - al))), Pmf(p.labels, probs)
-    elif g.kind == "transformed" and phi.kind == "linear" and phi.increasing:
+        with np.errstate(divide="ignore"):
+            terms = (1.0 - al) * np.log(mass) + _logsumexp(al * np.log(wt))
+        return float(np.exp(_logsumexp(terms) / (1.0 - al))), posts
+    return None
+
+
+def _prior_closed(p: Pmf, g: GainFunction, phi: Aggregator, sense: str):
+    """(value, action) when a closed form applies, else None: the
+    one-observation case of ``_closed_same``, and the transformed gain."""
+    if g.kind == "transformed" and sense == g.sense and phi.kind == "linear" and phi.increasing:
         if np.isinf(g.alpha):
-            idx = int(np.argmax(probs))
-            action = np.zeros_like(probs)
-            action[idx] = 1.0
-            return float(probs[idx]) - 1.0, Pmf(p.labels, action)
+            return float(p.probs.max()) - 1.0, Pmf(p.labels, np.eye(p.n)[p.probs.argmax()])
         from .qcalc import gibbs_optimum
 
         opt = gibbs_optimum(p, 1.0 / g.alpha)
         return opt.value, opt.argmax
-    return None
+    row = p.probs[None, :]
+    closed = _closed_same(row, np.ones(1), row, g, phi, sense)
+    if closed is None:
+        return None
+    value, R = closed
+    return value, Pmf(p.labels, R[0])
 
 
 def _prior_objective(probs: np.ndarray, g: GainFunction, phi: Aggregator):
@@ -287,6 +321,7 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
     computed only for ``auto`` and ``closed_form``.
     """
     sense = _resolve(sense, g)
+    _check_bounded(g, sense, p.n, phi)
     if method in ("auto", "closed_form"):
         closed = _prior_closed(p, g, phi, sense)
         if closed is not None:
@@ -316,71 +351,20 @@ def _rows_to_rule(p: Pmf, W: Channel, rows: np.ndarray) -> DecisionRule:
 
 
 def _cond_closed_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator, sense: str):
-    """(value, rule_rows) for the phi = psi closed forms, else None."""
+    """(value, rule_rows) for the phi = psi closed forms, else None; a
+    zero-mass observation plays uniform."""
     if sense != g.sense:
         return None
     joint = compose_joint(p, W)
-    weights = joint.matrix  # (n_x, n_y)
-    n_x, n_y = weights.shape
-    rows = np.full((n_y, n_x), 1.0 / n_x)
-    if g.kind == "soft01":
-        if phi.kind == "log":
-            total = 0.0
-            for y in np.flatnonzero(joint.y_support):
-                pi = joint.posteriors[y]
-                mask = pi > 0.0
-                total += joint.p_y[y] * float((pi[mask] * np.log(pi[mask])).sum())
-                rows[y] = pi
-            return float(np.exp(total)), rows
-        if phi.kind == "q_log" and phi.q is not None and phi.q > 0.0:
-            q = phi.q
-            terms = []
-            with np.errstate(divide="ignore"):
-                LW = np.log(weights)
-            for y in range(n_y):
-                col = LW[:, y]
-                live = np.isfinite(col)
-                if not np.any(live):
-                    continue
-                terms.append(q * _logsumexp(col[live] / q))
-                tilted = np.zeros(n_x)
-                lw = col[live] / q
-                lw -= lw.max()
-                w = np.exp(lw)
-                tilted[live] = w / w.sum()
-                rows[y] = tilted
-            ln_t = _logsumexp(np.array(terms))
-            return float(np.exp(ln_t / (1.0 - q))), rows
-        if phi.kind == "linear" and phi.increasing:
-            total = 0.0
-            for y in range(n_y):
-                idx = int(np.argmax(weights[:, y]))
-                total += weights[idx, y]
-                rows[y] = np.zeros(n_x)
-                rows[y][idx] = 1.0
-            return float(total), rows
-    elif g.kind == "power" and phi.kind == "linear" and phi.increasing:
-        total = 0.0
-        for y in np.flatnonzero(joint.y_support):
-            pi = joint.posteriors[y]
-            total += joint.p_y[y] * float((pi ** g.alpha).sum())
-            rows[y] = pi
-        return float(total), rows
-    elif (
-        g.kind == "power_loss"
-        and phi.kind == "q_log"
-        and phi.q is not None
-        and abs(phi.q - g.alpha) <= 1e-9
-    ):
-        al = g.alpha
-        terms = []
-        for y in np.flatnonzero(joint.y_support):
-            col = weights[:, y]
-            lse = _logsumexp(al * np.log(col[col > 0.0]))
-            terms.append((1.0 - al) * np.log(joint.p_y[y]) + lse)
-            rows[y] = joint.posteriors[y]
-        return float(np.exp(_logsumexp(np.array(terms)) / (1.0 - al))), rows
-    return None
+    ys = joint.y_support
+    wt = np.ascontiguousarray(joint.matrix.T[ys])  # one row per observation
+    closed = _closed_same(wt, joint.p_y[ys], joint.posteriors[ys], g, phi, sense)
+    if closed is None:
+        return None
+    value, R = closed
+    rows = np.full((W.n_y, p.n), 1.0 / p.n)
+    rows[ys] = R
+    return value, rows
 
 
 def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
@@ -426,9 +410,7 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         floor, separable = beta < 0.0, True
         term = (lambda m, val: val) if use_log else (lambda m, val: (val - m) / (1.0 - phi.q))
         finish = phi.inverse
-    elif (g.kind == "power" and phi.kind == "linear") or (
-            g.kind == "power_loss" and phi.kind == "q_log"
-            and phi.q is not None and abs(phi.q - g.alpha) <= 1e-9):
+    elif (g.kind == "power" and phi.kind == "linear") or _matching_power_loss(g, phi):
         # phi(g) is affine in the power score: with the slope of a linear
         # generator, and with slope 1/(1-alpha) for the power loss
         sense_max = maximize == (phi.increasing if g.kind == "power" else g.alpha < 1.0)
@@ -646,6 +628,7 @@ def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
     if p.labels != W.x_labels:
         raise DimensionMismatch("prior labels do not match channel input labels")
     sense = _resolve(sense, g)
+    _check_bounded(g, sense, p.n, phi, psi)
     if phi.matches(psi):
         if method in ("auto", "closed_form"):
             closed = _cond_closed_same(p, W, g, phi, sense)

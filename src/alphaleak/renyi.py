@@ -166,12 +166,9 @@ def renyi_divergence(p: Pmf, q: Pmf, alpha: float) -> float:
 
 def _log_sum_col_norms(L: np.ndarray, alpha: float) -> float:
     """log sum_y exp(LSE_x L[x, y] / alpha) over the finite entries of the
-    log-weight matrix L; the core of the Sibson and Arimoto closed forms."""
-    inner = np.empty(L.shape[1])
-    for y in range(L.shape[1]):
-        col = L[:, y]
-        col = col[np.isfinite(col)]
-        inner[y] = _logsumexp(col) / alpha if col.size else -np.inf
+    log-weight matrix L (-inf on zeros); the core of the Sibson and Arimoto
+    closed forms.  Each column is a row of one C-contiguous stack."""
+    inner = _logsumexp(np.ascontiguousarray(L.T)) / alpha  # -inf on an all-zero column
     return _logsumexp(inner[np.isfinite(inner)])
 
 
@@ -184,12 +181,10 @@ def _arimoto_style_closed(prior: Pmf, W: Channel, alpha: float) -> float:
 
 def _hayashi_closed(p: Pmf, W: Channel, alpha: float) -> float:
     joint = compose_joint(p, W)
-    terms = []
-    for y in np.flatnonzero(joint.y_support):
-        pi = joint.posteriors[y]
-        lse = _logsumexp(alpha * np.log(pi[pi > 0.0]))
-        terms.append(np.log(joint.p_y[y]) + lse)
-    return _logsumexp(np.array(terms)) / (1.0 - alpha)
+    ys = joint.y_support
+    with np.errstate(divide="ignore"):
+        L = alpha * np.log(joint.posteriors[ys])  # -inf on zeros
+    return _logsumexp(np.log(joint.p_y[ys]) + _logsumexp(L)) / (1.0 - alpha)
 
 
 def cond_renyi_entropy(variant, p: Pmf, W: Channel, alpha: float,
@@ -354,7 +349,11 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
                 raise OracleTooLarge("double grid too large; coarsen the resolution")
             bx = np.maximum(gx, _EVAL_FLOOR) if alpha > 1.0 else gx
             by = np.maximum(gy, _EVAL_FLOOR) if alpha > 1.0 else gy
-            M = bx ** (1.0 - alpha) @ Pa @ (by ** (1.0 - alpha)).T
+            # above order 1 a floored boundary point's power can overflow to
+            # inf; its inf never wins the minimum taken there, so the
+            # overflow is harmless and stays silent
+            with np.errstate(over="ignore"):
+                M = bx ** (1.0 - alpha) @ Pa @ (by ** (1.0 - alpha)).T
             # minimizing the signed value flips to maximizing T below order 1
             T_opt = M.min() if alpha > 1.0 else M.max()
             value = float(np.log(T_opt) / (alpha - 1.0))

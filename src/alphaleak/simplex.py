@@ -12,6 +12,7 @@ simply absent for zero-mass observations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=256)
 def _default_labels(prefix: str, n: int) -> tuple[str, ...]:
+    # one shared tuple per (prefix, n): tuples of strings are immutable
     return tuple(f"{prefix}{i}" for i in range(n))
+
+
+def _check_rows(m: np.ndarray, what: str):
+    """Raise for the first row of the C-contiguous ``m`` with a negative
+    entry or a sum off one (each row summed as it is alone)."""
+    negative = (m < 0.0).any(axis=1)
+    sums = m.sum(axis=1)
+    bad = negative | (np.abs(sums - 1.0) > SUM_ATOL)
+    if bad.any():
+        i = int(bad.argmax())
+        if negative[i]:
+            raise NegativeWeight(f"negative entry in {what} row {i}")
+        raise NotNormalized(f"{what} row {i} sums to {float(sums[i])!r}")
 
 
 @dataclass(frozen=True)
@@ -126,13 +142,15 @@ def tilt(p: Pmf, beta: float) -> Pmf:
     return Pmf(p.labels, out)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log sum exp(a), shifted by the maximum; an infinite or NaN maximum
-    is returned as is."""
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(a - m).sum()))
+def _logsumexp(a: np.ndarray):
+    """log sum exp along the last axis, shifted by the maximum (an infinite
+    or NaN maximum is returned as is): a float for a vector, one value per
+    row of a stack, which if C-contiguous gives each row its lone value."""
+    m = a.max(axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0  # then the sum itself is 0, inf or NaN
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.log(np.exp(a - m).sum(axis=-1)) + m[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def p_norm(p: Pmf, beta: float) -> float:
@@ -152,18 +170,14 @@ class Channel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if m.ndim != 2:
             raise ValidationError("channel matrix must be two-dimensional")
         if m.shape != (len(self.x_labels), len(self.y_labels)):
             raise DimensionMismatch(
                 f"matrix shape {m.shape} vs labels ({len(self.x_labels)}, {len(self.y_labels)})"
             )
-        for i, row in enumerate(m):
-            if np.any(row < 0.0):
-                raise NegativeWeight(f"negative entry in channel row {i}")
-            if abs(float(row.sum()) - 1.0) > SUM_ATOL:
-                raise NotNormalized(f"channel row {i} sums to {float(row.sum())!r}")
+        _check_rows(m, "channel")
         object.__setattr__(self, "x_labels", tuple(self.x_labels))
         object.__setattr__(self, "y_labels", tuple(self.y_labels))
         object.__setattr__(self, "matrix", _readonly(m))
@@ -224,12 +238,13 @@ class JointDist:
         y_support.setflags(write=False)
         self.y_support = y_support
         post = np.zeros((m.shape[1], m.shape[0]))
-        for y in np.flatnonzero(self.p_y > 0.0):
-            post[y] = m[:, y] / self.p_y[y]
-            s = float(post[y].sum())
-            if abs(s - 1.0) > SUM_ATOL:
-                raise ValidationError(f"posterior for observation {y} sums to {s!r}")
-            post[y] /= s
+        rows = np.ascontiguousarray(m.T[y_support]) / self.p_y[y_support, None]
+        s = rows.sum(axis=1)  # each row summed as it is alone
+        bad = np.flatnonzero(np.abs(s - 1.0) > SUM_ATOL)
+        if bad.size:
+            raise ValidationError(f"posterior for observation {np.flatnonzero(y_support)[bad[0]]} "
+                                  f"sums to {float(s[bad[0]])!r}")
+        post[y_support] = rows / s[:, None]
         self.posteriors = _readonly(post)
 
     @property
@@ -286,16 +301,12 @@ class DecisionRule:
     matrix: np.ndarray  # shape (n_y, n_x); row y is the action taken at y
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape != (len(self.y_labels), len(self.x_labels)):
             raise DimensionMismatch(
                 f"rule matrix shape {m.shape} vs ({len(self.y_labels)}, {len(self.x_labels)})"
             )
-        for y, row in enumerate(m):
-            if np.any(row < 0.0):
-                raise NegativeWeight(f"negative entry in rule row {y}")
-            if abs(float(row.sum()) - 1.0) > SUM_ATOL:
-                raise NotNormalized(f"rule row {y} sums to {float(row.sum())!r}")
+        _check_rows(m, "rule")
         object.__setattr__(self, "x_labels", tuple(self.x_labels))
         object.__setattr__(self, "y_labels", tuple(self.y_labels))
         object.__setattr__(self, "matrix", _readonly(m))

@@ -607,3 +607,47 @@ class TestOraclesOnAZeroMassInput:
         assert oracle.method == "oracle" and closed.method == "closed_form"
         assert math.isfinite(oracle.value)
         assert abs(oracle.value - closed.value) <= p.n * cfg.grid_resolution
+
+
+class TestUnboundedPowerProblems:
+    """Below order 1 the power score grows without bound as a coordinate
+    of the action goes to 0, so maximizing it, or the power loss, has no
+    finite optimum: every method raises before any solve."""
+
+    P = make_pmf([0.2, 0.3, 0.5])
+    W = make_channel([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    METHODS = ("auto", "closed_form", "optimize", "oracle")
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("tuple_", ["power_score", "power_loss"])
+    def test_gain_sense_below_order_one_raises(self, tuple_, method):
+        g, phi = ((power_score_gain(0.3), linear_aggregator()) if tuple_ == "power_score"
+                  else (power_loss(0.3), q_log_aggregator(0.3)))
+        with pytest.raises(DegenerateVulnerability, match="no finite gain-sense optimum"):
+            prior_vulnerability(self.P, g, phi, sense="gain", method=method)
+        with pytest.raises(DegenerateVulnerability, match="no finite gain-sense optimum"):
+            cond_vulnerability(self.P, self.W, g, phi, phi, sense="gain", method=method)
+
+    def test_decreasing_generator_raises(self):
+        # minimizing -g is maximizing g
+        with pytest.raises(DegenerateVulnerability):
+            prior_vulnerability(self.P, power_score_gain(0.3), linear_aggregator(-1.0),
+                                sense="gain", method="optimize")
+
+    def test_bounded_generator_keeps_its_optimum(self):
+        # the deformed log of order 2 is bounded above by 1, so the power
+        # score's blow-up at the boundary leaves a finite optimum
+        res = prior_vulnerability(self.P, power_score_gain(0.3), q_log_aggregator(2.0),
+                                  sense="gain", method="optimize")
+        assert math.isfinite(res.value) and res.value > 5.0
+
+    @pytest.mark.parametrize("sense", ["gain", "loss"])
+    def test_order_two_runs_under_both_senses(self, sense):
+        res = prior_vulnerability(self.P, power_score_gain(2.0), linear_aggregator(),
+                                  sense=sense, method="optimize")
+        assert math.isfinite(res.value)
+
+    def test_one_secret_is_bounded(self):
+        res = prior_vulnerability(make_pmf([1.0]), power_score_gain(0.3), linear_aggregator(),
+                                  sense="gain")
+        assert res.value == pytest.approx(1.0)

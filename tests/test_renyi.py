@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,3 +287,22 @@ class TestAlphaMi:
                     viarule = head - cond_renyi_entropy(variant, p, W, alpha,
                                                         method="optimize", cfg=cfg)
                     assert abs(closed - viarule) < 1e-4, (variant, alpha)
+
+
+# float.hex of the lapidoth_pfister oracle on the dense 3x3 input at grid
+# resolution 0.05, recorded while the double-grid product still warned
+LP_ORACLE_RECORDED = {2.0: "0x1.2c9a4dba7a6ccp-2", 4.0: "0x1.aa10e3684eb5bp-2",
+                      10.0: "0x1.091a5f192d5e4p-1"}
+
+
+@pytest.mark.parametrize("alpha", sorted(LP_ORACLE_RECORDED))
+def test_lp_oracle_overflow_is_silent(alpha):
+    # floored boundary points overflow in the double-grid product above
+    # order 1; their inf never wins the minimum, so nothing is reported
+    p = make_pmf([0.2, 0.3, 0.5])
+    W = make_channel([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = alpha_mi("lapidoth_pfister", p, W, alpha, method="oracle",
+                         cfg=OptimizerConfig(grid_resolution=0.05))
+    assert value.hex() == LP_ORACLE_RECORDED[alpha]
