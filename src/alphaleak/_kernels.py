@@ -1,14 +1,29 @@
 """Numeric kernels: one exponentiated-gradient loop and two fixed-point solvers.
 
 ``eg`` is the exponentiated-gradient (multiplicative weights) update of
-Kivinen & Warmuth (1997) with a backtracking line search, a doubling of
-the step after each accepted step, and a stop after three consecutive
-iterations whose relative change of the value is below ``tol``.  It runs
-a stack of independent problems, one per row (restarts, or the separate
-per-observation problems of a decomposable objective); each row keeps
-its own step, line search and stop, so it follows the path it would
-follow alone, and a single problem is a stack of one.  It is the only EG
-loop in the library: the four decision-rule kernels (``tsallis_eg``,
+Kivinen & Warmuth (1997) with a backtracking line search on Armijo's
+sufficient-decrease test (Armijo, Pacific J. Math. 16(1), 1966), a
+doubling of the step after each accepted step, and a stop after three
+consecutive iterations whose relative change of the value is below
+``tol``.  A step is accepted when it improves the value by at least
+``_ARMIJO`` times its first-order gain: the inner product of the
+gradient with the step actually taken, summed over the row's simplices
+(a coordinate the floor holds does not move, so it adds nothing).
+Where that bound is below rounding, a step that does not make the value
+worse is accepted, so a row at its optimum does not halve its step some
+sixty times on every iteration; and where no step down to ``_MIN_STEP``
+meets it (a gradient so steep that every such step saturates the update
+at the same point), the row takes the largest step it tried that did
+not make the value worse.  A merely "not worse" test accepts a doubled
+step that overshoots the optimum to a point of almost equal value, and
+the iterates then zigzag across the optimum for tens of thousands of
+iterations.
+
+``eg`` runs a stack of independent problems, one per row (restarts, or
+the separate per-observation problems of a decomposable objective); each
+row keeps its own step, line search and stop, so it follows the path it
+would follow alone, and a single problem is a stack of one.  It is the
+only EG loop in the library: the four decision-rule kernels (``tsallis_eg``,
 ``power_eg``, ``ac_eg``, ``lp_eg``) bind to it the objective and
 gradient of their ``*_objective`` factory, and so does
 ``optimize.eg_optimize``.  The grid oracles score the same objectives.
@@ -32,6 +47,7 @@ EPS = 1e-12
 _MAX_STEP = 1e3
 _MIN_STEP = 1e-18
 _HITS_TO_CONVERGE = 3
+_ARMIJO = 0.2  # share of the first-order gain an accepted step must reach
 
 
 def backend() -> str:
@@ -65,11 +81,14 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, step_init, data=None):
     that stops leaves the blocks, the cache and the data.  Each step
     multiplies every simplex by exp(s (g - max g)) when maximizing and
     exp(s (min g - g)) when minimizing, floors at ``EPS`` and
-    renormalizes; per row, s halves until the value does not get worse
-    and doubles after each accepted step.  Returns (blocks, values,
-    residuals, total iterations, iterations per row); a residual is the
-    last relative change of the value, or 0 when no step size was
-    accepted.
+    renormalizes; per row, s halves until the value improves by at least
+    ``_ARMIJO`` times the step's first-order gain (when that bound is
+    below rounding, until the value does not get worse; when no step
+    down to ``_MIN_STEP`` meets it, s is the largest step tried that did
+    not make the value worse) and doubles after each accepted step.
+    Returns (blocks, values, residuals, total iterations, iterations per
+    row); a residual is the last relative change of the value, or 0 when
+    no step size was accepted.
     """
     blocks = [_floor_rows(np.asarray(b, dtype=np.float64)) for b in blocks]
     n = blocks[0].shape[0]
@@ -103,15 +122,36 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, step_init, data=None):
         # the same candidate, so the last candidate holds every row's
         rows = searching = range(len(ids))
         failed = []
+        # per row, the largest step tried that did not make the value worse
+        fallback = [0.0] * len(ids)
         for _ in range(80):
             cand = [_floor_rows(b * np.exp(v * g)) for b, v, g in zip(blocks, s_view, shifted)]
             fc, cache_c = objective(cand, data)
             fc = fc.tolist()
+            # the first-order gain of the step taken, summed over the row's
+            # simplices (the shifted gradient carries the sign); a coordinate
+            # the floor holds does not move, so it adds nothing
+            gain = 0.0
+            for c, b, g in zip(cand, blocks, shifted):
+                gain = gain + np.add.reduce(((c - b) * g).reshape(len(c), -1), axis=-1)
+            gain = gain.tolist()
             retry = []
             for i in searching:
-                if not (sign * (fc[i] - f[i]) >= 0.0):
-                    s[i] *= 0.5
-                    (failed if s[i] < _MIN_STEP else retry).append(i)
+                d = sign * (fc[i] - f[i])
+                if d >= 0.0:
+                    # below rounding, a step that does not make the value
+                    # worse will do
+                    need = _ARMIJO * gain[i]
+                    if d >= need or need < 1e-14 * max(1.0, abs(f[i])) or s.item(i) == fallback[i]:
+                        continue
+                    fallback[i] = fallback[i] or s.item(i)
+                s[i] *= 0.5
+                if s[i] < _MIN_STEP:
+                    # no step meets the bound (the gradient is so steep that
+                    # every step saturates): take the largest step that did
+                    # not make the value worse, if any
+                    s[i] = fallback[i]
+                (failed if s[i] < _MIN_STEP else retry).append(i)
             searching = retry
             if not searching:
                 break
@@ -126,7 +166,6 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, step_init, data=None):
                 stop.append(i)
                 continue
             rel = resid[i] = abs(fc[i] - f[i]) / max(1.0, abs(fc[i]))
-            s[i] = min(s.item(i) * 2.0, _MAX_STEP)
             if rel < tol:
                 hits[i] += 1
                 if hits[i] >= _HITS_TO_CONVERGE:
@@ -134,6 +173,9 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, step_init, data=None):
                     stop.append(i)
             else:
                 hits[i] = 0
+        # every row that goes on accepted its step: double it (in place, so
+        # that the views of s follow)
+        np.minimum(s * 2.0, _MAX_STEP, out=s)
         blocks, f, cache = cand, fc, cache_c
         if stop:
             keep = [i for i in rows if i not in stop]

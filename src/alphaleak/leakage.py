@@ -350,15 +350,22 @@ def _rows_to_rule(p: Pmf, W: Channel, rows: np.ndarray) -> DecisionRule:
     return DecisionRule(p.labels, W.y_labels, rows)
 
 
+def _observation_rows(p: Pmf, W: Channel):
+    """(support, weights, masses, posteriors) of the observations with
+    positive mass, one C-contiguous row per observation, all from the
+    joint."""
+    joint = compose_joint(p, W)
+    ys = joint.y_support
+    return ys, np.ascontiguousarray(joint.matrix.T[ys]), joint.p_y[ys], joint.posteriors[ys]
+
+
 def _cond_closed_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator, sense: str):
     """(value, rule_rows) for the phi = psi closed forms, else None; a
     zero-mass observation plays uniform."""
     if sense != g.sense:
         return None
-    joint = compose_joint(p, W)
-    ys = joint.y_support
-    wt = np.ascontiguousarray(joint.matrix.T[ys])  # one row per observation
-    closed = _closed_same(wt, joint.p_y[ys], joint.posteriors[ys], g, phi, sense)
+    ys, wt, mass, posts = _observation_rows(p, W)
+    closed = _closed_same(wt, mass, posts, g, phi, sense)
     if closed is None:
         return None
     value, R = closed
@@ -476,12 +483,9 @@ def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
                        sense: str, method: str, cfg: OptimizerConfig):
     """Per-observation numerical optimization for phi = psi: the columns
     of the joint with positive mass are the weight rows."""
-    wt = np.ascontiguousarray(compose_joint(p, W).matrix.T)  # one row per observation
-    mass = wt.sum(axis=1)
-    ys = np.flatnonzero(mass > 0.0)
-    value, R, resid = _per_observation(wt[ys], mass[ys], wt[ys] / mass[ys, None],
-                                       g, phi, sense, method, cfg)
-    rows = np.full(wt.shape, 1.0 / wt.shape[1])
+    ys, wt, mass, posts = _observation_rows(p, W)
+    value, R, resid = _per_observation(wt, mass, posts, g, phi, sense, method, cfg)
+    rows = np.full((W.n_y, p.n), 1.0 / p.n)
     rows[ys] = R
     return value, rows, resid
 

@@ -7,7 +7,8 @@ Four engines, in increasing order of specialization:
   one leading part at a time, on every call and is not cached; the
   scanners score the same stacked objectives that EG optimizes;
 * ``eg_optimize``: generic exponentiated-gradient (multiplicative
-  weights with backtracking line search) over a product of simplices,
+  weights with a backtracking line search that accepts a step only on
+  Armijo's sufficient decrease, Armijo 1966) over a product of simplices,
   gradient supplied or estimated by central differences in log space;
   all restarts run as the rows of one stack of the library's one EG
   loop, ``_kernels.eg``, the library's objectives evaluated for the
@@ -359,6 +360,13 @@ def _expected_divergence_eg(p: np.ndarray, Wa: np.ndarray, alpha: float) -> _Sta
     return _Stacked(objective, grad)
 
 
+def _check_finite_output(q: np.ndarray, what: str, alpha: float):
+    """Raise ``NumericalInconsistency`` for a solver output with a NaN or
+    infinite entry, before ``make_pmf`` would read it as invalid input."""
+    if not np.isfinite(q).all():
+        raise NumericalInconsistency(f"the {what} at order {alpha} is not finite")
+
+
 def augustin_fixed_point(p: Pmf, W: Channel, alpha: float,
                          cfg: OptimizerConfig = DEFAULT_CONFIG) -> AugustinResult:
     """Minimizing output distribution of the expected divergence of order alpha.
@@ -394,6 +402,7 @@ def augustin_fixed_point(p: Pmf, W: Channel, alpha: float,
                          cfg.with_(restarts=max(cfg.restarts, 3)), inits=[q])
         q, resid = eg.point[0], eg.residual
         engine = "fixed_point+eg"
+    _check_finite_output(q, "output distribution of the Augustin solve", alpha)
     value = float(_expected_divergence(p.probs, Wa, alpha, q)[0])
     return AugustinResult(
         q_y=make_pmf(q, renormalize=True, labels=W.y_labels),
@@ -435,6 +444,8 @@ def lp_alternating(joint: JointDist, alpha: float,
             f"alternating minimization residual {resid:g} above {cfg.tolerance:g} "
             f"after {iters} iterations"
         )
+    _check_finite_output(qx, "input distribution of the alternating solve", alpha)
+    _check_finite_output(qy, "output distribution of the alternating solve", alpha)
     return LpResult(
         q_x=make_pmf(qx, renormalize=True, labels=joint.x_labels),
         q_y=make_pmf(qy, renormalize=True, labels=joint.y_labels),

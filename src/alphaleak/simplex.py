@@ -42,6 +42,12 @@ def _default_labels(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
+def _check_finite(a: np.ndarray, what: str):
+    """Raise for a NaN or infinite entry (a NaN passes every sum check)."""
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has a non-finite entry")
+
+
 def _check_rows(m: np.ndarray, what: str):
     """Raise for the first row of the C-contiguous ``m`` with a negative
     entry or a sum off one (each row summed as it is alone)."""
@@ -107,6 +113,7 @@ def make_pmf(weights, renormalize: bool = False, labels=None) -> Pmf:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("weights must be a nonempty vector")
+    _check_finite(w, "weights")
     if np.any(w < 0.0):
         raise NegativeWeight(f"negative weight in {w!r}")
     total = float(w.sum())
@@ -198,6 +205,7 @@ def make_channel(rows, x_labels=None, y_labels=None, renormalize: bool = False) 
     m = np.asarray(rows, dtype=np.float64)
     if m.ndim != 2:
         raise ValidationError("channel rows must form a matrix")
+    _check_finite(m, "channel")
     if renormalize:
         totals = m.sum(axis=1, keepdims=True)
         if np.any(totals <= 0.0):
@@ -289,7 +297,9 @@ def compose_joint(p: Pmf, W: Channel) -> JointDist:
 
 
 def joint_from_matrix(matrix, x_labels=None, y_labels=None) -> JointDist:
-    return JointDist(matrix, x_labels, y_labels)
+    m = np.asarray(matrix, dtype=np.float64)
+    _check_finite(m, "joint matrix")
+    return JointDist(m, x_labels, y_labels)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,17 @@ values below were recorded before the per-kernel loops were merged into
 it: ``float.hex`` of the value and of the residual, and the iteration
 count, for the four EG entry points and three ``eg_optimize`` shapes on
 seeded dense and sparse instances.  Equality is exact, so any change to
-the update, the line search or the stop rule shows here.
+the update, the line search or the stop rule shows here.  The outputs
+that moved when the line search took Armijo's sufficient-decrease test
+were re-recorded once; the values they replace stay as the reference
+that each re-recorded value must keep to (``keeps_to_the_rule``).
 """
 
 import numpy as np
 import pytest
 
 from alphaleak import _kernels as K
-from alphaleak import optimize
+from alphaleak import alpha_mi, alpha_mi_via_leakage, make_channel, make_pmf, optimize
 
 ALPHAS = (0.3, 0.6, 2.0, 4.0, 10.0)
 TOL = 1e-10
@@ -194,18 +197,160 @@ EXPECTED_EG_OPTIMIZE = {
 }
 
 
+# the outputs re-recorded when a step had to reach Armijo's sufficient
+# decrease; the values above that they replace stay the reference
+SUFFICIENT_DECREASE_KERNELS = {
+    ('ac', 0.3, 'dense'): ('0x1.081487adabe95p+1', '0x1.476c5b2761b3ap-37', 24),
+    ('ac', 0.3, 'sparse'): ('0x1.44e5b7157a867p-3', '0x1.a74ce80000000p-34', 17462),
+    ('ac', 0.6, 'dense'): ('0x1.2364449fbf866p-1', '0x1.27b0000000000p-41', 15),
+    ('ac', 0.6, 'sparse'): ('0x1.ff4aeba3702bcp-6', '0x1.1e743f0000000p-34', 750),
+    ('ac', 2.0, 'dense'): ('-0x1.90ae9b925ca27p-2', '0x1.2d08000000000p-41', 24),
+    ('ac', 2.0, 'sparse'): ('-0x1.1718ae18ac8c7p-7', '0x1.158b4f0000000p-34', 111),
+    ('ac', 4.0, 'dense'): ('-0x1.1e8d97afc5844p-1', '0x1.cf43000000000p-37', 29),
+    ('ac', 4.0, 'sparse'): ('-0x1.510109ec16eb0p-7', '0x1.e1d3c60000000p-35', 43),
+    ('ac', 10.0, 'dense'): ('-0x1.48de6fe5a1cc8p-1', '0x1.6fcf000000000p-35', 60),
+    ('lp', 0.6, 'dense'): ('0x1.51c4f5023212ap+0', '0x1.c9af61c20003dp-38', 25),
+    ('lp', 0.6, 'sparse'): ('0x1.28a888267be26p-7', '0x1.7daaaa8000000p-34', 14177),
+    ('lp', 2.0, 'dense'): ('-0x1.19fb15aaf11adp-2', '0x1.2a9e000000000p-39', 20),
+    ('lp', 2.0, 'sparse'): ('-0x1.685be840c4790p-7', '0x1.562dd00000000p-35', 45),
+    ('lp', 4.0, 'dense'): ('-0x1.5cecbe7764c2ap-2', '0x1.115c000000000p-38', 23),
+    ('lp', 4.0, 'sparse'): ('-0x1.8e236d240167ap-7', '0x1.3bd4700000000p-37', 25),
+    ('lp', 10.0, 'dense'): ('-0x1.70911ece27f82p-2', '0x1.a95c000000000p-37', 30),
+    ('lp', 10.0, 'sparse'): ('-0x1.961782281a031p-7', '0x1.84e0000000000p-48', 14),
+    ('power', 0.3, 'dense'): ('0x1.10d8cc89d844ep+1', '0x1.e062fcdb64516p-53', 10),
+    ('power', 0.3, 'sparse'): ('0x1.9f25495a8607dp+0', '0x1.fdb671dc64f71p-36', 20),
+    ('power', 0.6, 'dense'): ('0x1.87c57a7368330p+0', '0x1.9cf9bc1845035p-42', 14),
+    ('power', 2.0, 'sparse'): ('0x1.047fb1f917f6ep-1', '0x1.a446600000000p-34', 718),
+    ('power', 4.0, 'dense'): ('0x1.16cc4a24da96cp-4', '0x1.a0c4000000000p-37', 22),
+    ('power', 4.0, 'sparse'): ('0x1.1b1265f8d7de4p-3', '0x1.6363d00000000p-34', 1510),
+    ('power', 10.0, 'dense'): ('0x1.bd05e7a349708p-11', '0x1.7a33be4000000p-34', 216),
+    ('power', 10.0, 'sparse'): ('0x1.db5631dcbbb20p-9', '0x1.2b14880000000p-34', 1133),
+    ('tsallis', 0.3, 'dense'): ('0x1.a411b34c06eeap+2', '0x1.1287ef5bbfd99p-37', 17),
+    ('tsallis', 0.6, 'sparse'): ('0x1.c6da8a487d5e6p-6', '0x1.0000000000000p-58', 11),
+    ('tsallis', 4.0, 'dense'): ('0x1.13687078087fep-2', '0x1.9a80000000000p-44', 14),
+    ('tsallis', 10.0, 'dense'): ('0x1.09d7d78d32e9cp-2', '0x1.262d000000000p-38', 18),
+}
+
+SUFFICIENT_DECREASE_EG_OPTIMIZE = {
+    ('fd', 0.3, 'sparse'): ('0x1.669d94a71a606p-6', '0x1.5c20000000000p-47', 12, True),
+    ('fd', 0.6, 'dense'): ('0x1.1449575be1053p-4', '0x1.0b20000000000p-45', 14, True),
+    ('fd', 2.0, 'dense'): ('0x1.4665429a6ddb0p-3', '0x1.c000000000000p-53', 5, True),
+    ('fd', 2.0, 'sparse'): ('0x1.aa35e4797ccf3p-3', '0x0.0p+0', 9, True),
+    ('fd', 4.0, 'dense'): ('0x1.055767ef3ece8p-2', '0x0.0p+0', 13, True),
+    ('fd', 4.0, 'sparse'): ('0x1.79a50e86119b4p-2', '0x1.0000000000000p-54', 16, True),
+    ('fd', 10.0, 'dense'): ('0x1.9c9a3bcfebb45p-2', '0x1.0340000000000p-43', 18, True),
+    ('fd', 10.0, 'sparse'): ('0x1.041ed59854edcp-1', '0x1.1d00000000000p-45', 19, True),
+    ('grad', 0.6, 'dense'): ('0x1.1cf7f250173c3p-4', '0x1.aec0000000000p-45', 15, True),
+    ('grad', 2.0, 'dense'): ('0x1.201b269d16496p-3', '0x1.3000000000000p-51', 15, True),
+    ('grad', 2.0, 'sparse'): ('0x1.6575f8c3097eep-4', '0x1.86c0000000000p-46', 14, True),
+    ('grad', 4.0, 'dense'): ('0x1.6a8d169322e38p-3', '0x1.c6c0000000000p-45', 20, True),
+    ('grad', 4.0, 'sparse'): ('0x1.73114d1e79615p-4', '0x1.e920000000000p-44', 21, True),
+    ('grad', 10.0, 'dense'): ('0x1.ad31dc7c255dep-3', '0x1.8000000000000p-49', 14, True),
+    ('grad', 10.0, 'sparse'): ('0x1.7a49fd4d8d02fp-4', '0x1.fbdc700000000p-36', 35, True),
+    ('lp', 2.0, 'dense'): ('0x1.3332357bc5717p-3', '0x1.c300000000000p-46', 22, True),
+    ('lp', 2.0, 'sparse'): ('0x1.34b0a8f95c061p-3', '0x1.18e6000000000p-39', 17, True),
+    ('lp', 4.0, 'dense'): ('0x1.9403d16d7a368p-3', '0x1.1ac7000000000p-39', 17, True),
+    ('lp', 4.0, 'sparse'): ('0x1.8adbf536aaa15p-3', '0x1.6fa7e00000000p-36', 34, True),
+    ('lp', 10.0, 'dense'): ('0x1.ec3fedb6ff0b5p-3', '0x1.42bf800000000p-38', 28, True),
+    ('lp', 10.0, 'sparse'): ('0x1.ba36a9831d8a2p-3', '0x1.74c5780000000p-34', 70, True),
+}
+
+# One re-recorded kernel value moved away from the optimum by more than
+# 1e-7: the run crawls (thousands of iterations whose value changes by
+# about tol, toward an optimum on the boundary), and the three-hit stop
+# ends either run at some point of its crawl.  The value lies 2.42e-5
+# above the minimum, 0.0090530748 (a run to tol 1e-15), where the value
+# it replaces lay 2.25e-5 above.  (key: the relative distance from the
+# replaced value that it keeps within)
+CRAWL_STOPS = {('lp', 0.6, 'sparse'): 2e-6}
+
+
+def recorded_kernel(key):
+    """(value, residual, iterations) pinned for a kernel case."""
+    return SUFFICIENT_DECREASE_KERNELS.get(key, EXPECTED_KERNELS[key])
+
+
+def keeps_to_the_rule(new, old, optimum, maximize=None):
+    """A re-recorded value lies within 1e-7 relative of the value it
+    replaces, or nearer the optimum: ``optimum()`` where it is known (None
+    where it is not), else whichever of the two values is the better in
+    the problem's sense (``maximize``), since both are values at feasible
+    points."""
+    if abs(new - old) <= 1e-7 * abs(old):
+        return True
+    best = optimum()
+    if best is not None:
+        return abs(new - best) <= abs(old - best)
+    return new > old if maximize else new < old
+
+
+def _kernel_optimum(name, alpha, kind):
+    """The optimum of a pinned power or tsallis problem, or None."""
+    p, W, _ = _seeded(kind)
+    col = (p[:, None] * W)[:, -1]
+    if name == "power":
+        # a proper score: the optimum is at r = pi, where it is sum pi**alpha
+        pi = col / col.sum()
+        return float((pi ** alpha).sum())
+    if name == "tsallis":
+        beta = 1.0 - 1.0 / alpha
+        w = col[col > 0.0]
+        return float((w ** (1.0 / (1.0 - beta))).sum() ** (1.0 - beta))
+    return None
+
+
 @pytest.mark.parametrize("key", sorted(EXPECTED_KERNELS), ids=lambda k: "-".join(map(str, k)))
 def test_eg_kernels_match_recorded(key):
-    assert _kernel_case(*key) == EXPECTED_KERNELS[key]
+    assert _kernel_case(*key) == recorded_kernel(key)
 
 
 @pytest.mark.parametrize("key", sorted(EXPECTED_EG_OPTIMIZE), ids=lambda k: "-".join(map(str, k)))
 def test_eg_optimize_matches_recorded(key):
-    assert _eg_optimize_case(*key) == EXPECTED_EG_OPTIMIZE[key]
+    assert _eg_optimize_case(*key) == SUFFICIENT_DECREASE_EG_OPTIMIZE.get(
+        key, EXPECTED_EG_OPTIMIZE[key])
 
 
-@pytest.mark.xfail(strict=True, reason="the three-hit stop counts iterations whose step the "
-                   "line search shrank to almost nothing as converged")
+@pytest.mark.parametrize("key", sorted(SUFFICIENT_DECREASE_KERNELS),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_rerecorded_kernels_keep_to_the_rule(key):
+    new = float.fromhex(SUFFICIENT_DECREASE_KERNELS[key][0])
+    old = float.fromhex(EXPECTED_KERNELS[key][0])
+    if key in CRAWL_STOPS:
+        assert abs(new - old) <= CRAWL_STOPS[key] * abs(old)
+    else:
+        assert keeps_to_the_rule(new, old, lambda: _kernel_optimum(*key), key[1] > 1.0)
+
+
+@pytest.mark.parametrize("key", sorted(SUFFICIENT_DECREASE_EG_OPTIMIZE),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_rerecorded_eg_optimize_keeps_to_the_rule(key):
+    name, alpha, kind = key
+    p, W, _ = _seeded(kind)
+
+    def optimum():
+        # the minimum of the Sibson objective is Sibson's closed form
+        return alpha_mi("sibson", make_pmf(p), make_channel(W), alpha) if name == "fd" else None
+
+    new = float.fromhex(SUFFICIENT_DECREASE_EG_OPTIMIZE[key][0])
+    old = float.fromhex(EXPECTED_EG_OPTIMIZE[key][0])
+    assert keeps_to_the_rule(new, old, optimum, False)
+
+
+# re-recorded runs whose line search failed (residual 0) where the run
+# they replace stopped on the three-hit rule.  A stall reports no residual
+# (ROADMAP item 3), so each new one is named here; this one ends on the
+# closed form, where no step improves the finite-difference objective
+NEW_STALLS = {('fd', 4.0, 'dense')}
+
+
+def test_rerecorded_stalls_are_named():
+    stalls = {key for table, old in ((SUFFICIENT_DECREASE_KERNELS, EXPECTED_KERNELS),
+                                     (SUFFICIENT_DECREASE_EG_OPTIMIZE, EXPECTED_EG_OPTIMIZE))
+              for key, new in table.items()
+              if float.fromhex(new[1]) == 0.0 < float.fromhex(old[key][1])}
+    assert stalls == NEW_STALLS
+
+
 def test_tsallis_eg_descent_reaches_minimum_on_sparse_weights():
     # one observation of the arimoto optimize route at order 0.3: the
     # minimum of sum w r^beta (beta < 0) is (sum w^(1/(1-beta)))^(1-beta),
@@ -215,6 +360,80 @@ def test_tsallis_eg_descent_reaches_minimum_on_sparse_weights():
     _, value, _, _ = K.tsallis_eg(w, beta, False, w / w.sum(), False, 1e-10, 100_000, 0.5)
     minimum = (w[w > 0.0] ** (1.0 / (1.0 - beta))).sum() ** (1.0 - beta)
     assert abs(value - minimum) <= 1e-6 * minimum
+
+
+def _hex_pair(p, W):
+    return (make_pmf([float.fromhex(h) for h in p]),
+            make_channel([[float.fromhex(h) for h in row] for row in W]))
+
+
+def test_sibson_restarts_stop_without_zigzag(monkeypatch):
+    # a 2x3 dense cell of the measure-numeric benchmark at order 4: under
+    # a "not worse" line search two restarts of the Sibson optimize route
+    # overshot the optimum to points of almost equal value and zigzagged
+    # across it for 71 897 and 73 361 iterations
+    P, C = _hex_pair(["0x1.0f99cd408888cp-1", "0x1.e0cc657eeeee8p-2"],
+                     [["0x1.254c8cdb58c0cp-2", "0x1.9d08b946b4d36p-2", "0x1.3daab9ddf26bfp-2"],
+                      ["0x1.e7efd70a8be51p-3", "0x1.3b99f104b4529p-1", "0x1.29a864e2a2d0cp-3"]])
+    iters = []
+    eg = K.eg
+
+    def counted(*args, **kwargs):
+        out = eg(*args, **kwargs)
+        iters.extend(out[4].tolist())
+        return out
+
+    monkeypatch.setattr(K, "eg", counted)
+    value = alpha_mi("sibson", P, C, 4.0, method="optimize")
+    closed = alpha_mi("sibson", P, C, 4.0)
+    assert len(iters) == optimize.OptimizerConfig().restarts
+    assert max(iters) <= 100
+    assert abs(value - closed) <= 1e-12 * closed
+
+
+def test_arimoto_optimize_below_order_one_on_sparse_input():
+    # a 3x4 sparse cell of the measure-numeric benchmark at order 0.3: the
+    # tsallis_eg descents stopped far from their minima, so alpha_mi raised
+    # NumericalInconsistency (-0.363) and the leakage route returned -0.363
+    P, C = _hex_pair(["0x1.eb204708a873ap-8", "0x0.0p+0", "0x1.fc29bf71eeaf2p-1"],
+                     [["0x1.462eac011cc0dp-21", "0x1.b4eeb1108c80ap-1", "0x0.0p+0",
+                       "0x1.2c44ea3222fd9p-3"],
+                      ["0x1.7afcc6878f1cap-4", "0x0.0p+0", "0x1.7b8faf2e80e5cp-1",
+                       "0x1.5442e00234dadp-3"],
+                      ["0x1.d758822309a93p-3", "0x1.49392092eb401p-3", "0x1.0313d19ac7997p-1",
+                       "0x1.a63e2dbdd9625p-4"]])
+    closed = alpha_mi("arimoto", P, C, 0.3)
+    assert closed == pytest.approx(0.142834, abs=1e-6)
+    for route in (alpha_mi, alpha_mi_via_leakage):
+        assert abs(route("arimoto", P, C, 0.3, method="optimize") - closed) <= 1e-3
+
+
+# cells of the measure-numeric benchmark at order 0.3 on which the Sibson
+# leakage route missed the closed form: under a "not worse" line search
+# (the 2x3 cell: -0.320 against 0.00137), and under a sufficient-decrease
+# test without a fallback for steps that no step size can meet (the 4x2
+# cell: at a posterior coordinate of 4.3e-10 the gradient is -1.1e22, so
+# every step down to _MIN_STEP saturates the update at the same point,
+# whose first-order gain, 1.05e22, dwarfs its decrease, 1.96e12, and the
+# row stalled at its start)
+SIBSON_LEAKAGE_CELLS = {
+    "2x3": (["0x1.ce1fe7461de05p-7", "0x1.f8c78062e7888p-1"],
+            [["0x1.9898e148fb54bp-1", "0x1.1f09ae83f968ep-5", "0x1.55da0f3b1452ep-3"],
+             ["0x1.0066ab3684aedp-1", "0x1.12496213556b0p-2", "0x1.d9d28eff426efp-3"]]),
+    "4x2": (["0x1.96dddef124cb9p-5", "0x1.be95ba57bf103p-2", "0x1.062863cf5a584p-1",
+             "0x1.1ee115b3d2ea3p-9"],
+            [["0x1.7ac3f4b66bf59p-1", "0x1.0a7816932814fp-2"],
+             ["0x1.d06ff7bfd5f6bp-1", "0x1.7c804201504aap-4"],
+             ["0x1.e8b669f65e7f3p-2", "0x1.0ba4cb04d0c07p-1"],
+             ["0x1.188c57ed8357bp-5", "0x1.ee773a8127ca8p-1"]]),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(SIBSON_LEAKAGE_CELLS))
+def test_sibson_leakage_route_below_order_one(cell):
+    P, C = _hex_pair(*SIBSON_LEAKAGE_CELLS[cell])
+    closed = alpha_mi("sibson", P, C, 0.3)
+    assert abs(alpha_mi_via_leakage("sibson", P, C, 0.3, method="optimize") - closed) <= 1e-3
 
 
 def test_kernel_determinism():

@@ -20,6 +20,7 @@ from alphaleak import (
     q_log,
     simplex_grid,
 )
+from alphaleak import _kernels
 from alphaleak._kernels import power_objective
 from alphaleak.optimize import (
     OptimizerConfig,
@@ -256,6 +257,29 @@ class TestLpAlternating:
         W = make_channel([[0.9, 0.1, 0, 0], [0, 0.2, 0.8, 0], [0, 0, 0.5, 0.5]])
         with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="nan"):
             lp_alternating(compose_joint(p, W), 50.0, OptimizerConfig(max_iters=5))
+
+
+class TestNonFiniteSolverOutputs:
+    # a solver output that is not finite is a numerical failure of the
+    # library, not invalid input: both solvers raise NumericalInconsistency,
+    # not the ValidationError of make_pmf
+    def test_augustin(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "augustin_solve",
+                            lambda p, Wa, *a: (np.array([np.nan, 0.5]), 0.0, 1, 0))
+        with pytest.raises(NumericalInconsistency, match="not finite"):
+            augustin_fixed_point(make_pmf([0.5, 0.5]), make_channel([[0.9, 0.1], [0.2, 0.8]]), 2.0)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_lp_alternating(self, monkeypatch, bad):
+        def solve(Pa, alpha, p_x, p_y, *a):
+            q = [p_x.copy(), p_y.copy()]
+            q[bad][0] = np.inf
+            return q[0], q[1], 0.1, 0.0, 1, 0
+
+        monkeypatch.setattr(_kernels, "lp_alternating_solve", solve)
+        joint = compose_joint(make_pmf([0.5, 0.5]), make_channel([[0.9, 0.1], [0.2, 0.8]]))
+        with pytest.raises(NumericalInconsistency, match="not finite"):
+            lp_alternating(joint, 2.0)
 
 
 class TestOracleScanners:

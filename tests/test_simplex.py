@@ -9,8 +9,10 @@ from alphaleak import (
     InvalidOrder,
     NegativeWeight,
     NotNormalized,
+    ValidationError,
     ZeroTotal,
     compose_joint,
+    joint_from_matrix,
     make_channel,
     make_pmf,
     p_norm,
@@ -56,6 +58,13 @@ class TestMakePmf:
 
     def test_default_labels(self):
         assert make_pmf([1, 1, 2], renormalize=True).labels == ("x0", "x1", "x2")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_non_finite_weight(self, bad, renormalize):
+        # NaN passes every sum check, and inf turns NaN when renormalized
+        with pytest.raises(ValidationError):
+            make_pmf([bad, 1.0], renormalize=renormalize)
 
 
 class TestTilt:
@@ -127,6 +136,17 @@ class TestChannelAndJoint:
     def test_row_validation(self):
         with pytest.raises(NotNormalized):
             make_channel([[0.5, 0.49], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_non_finite_channel_entry(self, bad, renormalize):
+        with pytest.raises(ValidationError):
+            make_channel([[bad, 1.0], [0.5, 0.5]], renormalize=renormalize)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_joint_entry(self, bad):
+        with pytest.raises(ValidationError):
+            joint_from_matrix([[bad, 0.5], [0.25, 0.25]])
 
     def test_compose_identity(self, identity_channel):
         j = compose_joint(make_pmf([0.5, 0.5]), identity_channel)

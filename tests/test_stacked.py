@@ -9,7 +9,9 @@ recorded before restarts and observations were stacked (the via_leakage
 routes: the values re-recorded when the numeric prior vulnerability moved
 onto the per-observation kernels, within 1e-7 of those; the Hayashi
 routes: the values re-recorded when its power-score problems started at
-their posteriors, no farther from the closed form).
+their posteriors, no farther from the closed form; then the values
+re-recorded when the line search took Armijo's sufficient-decrease test,
+each within 1e-7 of the value it replaced or nearer the closed form).
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ from alphaleak.leakage import (
 from alphaleak.optimize import _eg_run, _expected_divergence_eg, _fd_grad_stack, _rowwise
 from alphaleak.qcalc import linear_aggregator, log_aggregator, q_log_aggregator
 from alphaleak.renyi import _lp_objective, _sibson_objective, alpha_mi
-from test_kernels import EXPECTED_KERNELS, ITERS, TOL, _seeded
+from test_kernels import ITERS, TOL, _seeded, keeps_to_the_rule, recorded_kernel
 
 ORDERS = (0.3, 0.6, 2.0, 4.0, 10.0)
 
@@ -76,28 +78,32 @@ def test_vector_kernel_rows_match_their_recorded_solo_runs(name, alpha):
     _assert_rows_alone(stacked, solo)
     for i, kind in enumerate(("dense", "sparse")):
         assert _hexes(stacked[1][i], stacked[2][i], stacked[4][i]) == \
-            EXPECTED_KERNELS[(name, alpha, kind)]
+            recorded_kernel((name, alpha, kind))
 
 
 def test_far_apart_stops_keep_their_counts():
     # power at order 2: the dense row stops after 18 iterations, the
-    # sparse one runs on alone to 929
+    # sparse one runs on alone to 718
     stacked = _vector_kernel("power", 2.0, *map(np.stack, zip(
         _vector_case("power", 2.0, "dense"), _vector_case("power", 2.0, "sparse"))))
-    assert list(stacked[4]) == [18, 929]
-    assert stacked[3] == 947
+    assert list(stacked[4]) == [18, 718]
+    assert stacked[3] == 736
 
 
 def test_a_row_whose_line_search_fails_stops_alone():
-    # tsallis at order 4 on the sparse weights: no step size is accepted
-    # at iteration 15 (residual 0); the dense row goes on to 23
-    cases = [_vector_case("tsallis", 4.0, kind) for kind in ("sparse", "dense")]
-    X, values, resids, total, iters = _vector_kernel(
-        "tsallis", 4.0, np.stack([c[0] for c in cases]), np.stack([c[1] for c in cases]))
+    # tsallis at order 4: on the sparse weights of the pinned case no step
+    # size is accepted at iteration 15 (residual 0); the dense weights of
+    # the second observation go on to 18
+    p, W, _ = _seeded("dense")
+    col = np.ascontiguousarray((p[:, None] * W)[:, 1])
+    cases = [_vector_case("tsallis", 4.0, "sparse"), (col, col / col.sum())]
+    stacked = _vector_kernel("tsallis", 4.0, np.stack([c[0] for c in cases]),
+                             np.stack([c[1] for c in cases]))
+    _, values, resids, total, iters = stacked
     assert resids[0] == 0.0 and resids[1] > 0.0
-    assert list(iters) == [15, 23] and total == 38
-    assert _hexes(values[0], resids[0], iters[0]) == EXPECTED_KERNELS[("tsallis", 4.0, "sparse")]
-    assert _hexes(values[1], resids[1], iters[1]) == EXPECTED_KERNELS[("tsallis", 4.0, "dense")]
+    assert list(iters) == [15, 18] and total == 33
+    assert _hexes(values[0], resids[0], iters[0]) == recorded_kernel(("tsallis", 4.0, "sparse"))
+    _assert_rows_alone(stacked, [_vector_kernel("tsallis", 4.0, *c) for c in cases])
 
 
 def _rule_kernel(name, alpha, p, W, R0):
@@ -123,9 +129,9 @@ def test_rule_kernel_restarts_match_solo_runs(name, alpha, kind):
     stacked = _rule_kernel(name, alpha, p, W, starts)
     solo = [_rule_kernel(name, alpha, p, W, S) for S in starts]
     _assert_rows_alone(stacked, solo)
-    assert _hexes(*solo[0][1:]) == EXPECTED_KERNELS[(name, alpha, kind)]
+    assert _hexes(*solo[0][1:]) == recorded_kernel((name, alpha, kind))
     if (name, alpha, kind) == ("ac", 0.6, "sparse"):
-        assert stacked[4][0] == 789 and stacked[4][1] <= 10
+        assert stacked[4][0] == 750 and stacked[4][1] <= 10
 
 
 def _sibson_problem(kind, alpha):
@@ -486,6 +492,67 @@ POSTERIOR_STARTS = {
 }
 
 
+# values re-recorded when a step of the EG line search had to reach
+# Armijo's sufficient decrease; each must lie within 1e-7 of the value it
+# replaced (of POSTERIOR_STARTS, RERECORDED or RECORDED, in that order) or
+# nearer the closed form
+SUFFICIENT_DECREASE = {
+    ('alpha_mi', 'sibson', 0.6, 'sparse'): '0x1.31a2a0a10223ap-5',
+    ('alpha_mi', 'sibson', 4.0, 'sparse'): '0x1.79a50e86119b4p-2',
+    ('alpha_mi', 'sibson', 10.0, 'dense'): '0x1.9c9a3bcfebadbp-2',
+    ('alpha_mi', 'sibson', 10.0, 'sparse'): '0x1.041ed59854edbp-1',
+    ('alpha_mi', 'arimoto', 0.6, 'dense'): '0x1.642830fe5d718p-4',
+    ('alpha_mi', 'arimoto', 0.6, 'sparse'): '0x1.31434d289fe73p-3',
+    ('alpha_mi', 'arimoto', 2.0, 'dense'): '0x1.3c7941a9a3750p-4',
+    ('alpha_mi', 'arimoto', 2.0, 'sparse'): '0x1.bf5f748f2fbe9p-6',
+    ('alpha_mi', 'arimoto', 4.0, 'dense'): '0x1.1524da3119280p-5',
+    ('alpha_mi', 'arimoto', 4.0, 'sparse'): '0x1.074103efd39dep-6',
+    ('alpha_mi', 'arimoto', 10.0, 'dense'): '0x1.652c1d5afeb80p-8',
+    ('alpha_mi', 'arimoto', 10.0, 'sparse'): '0x1.9d2bcdb3981f7p-7',
+    ('alpha_mi', 'augustin_csiszar', 0.6, 'dense'): '0x1.1cf7f2501735bp-4',
+    ('alpha_mi', 'augustin_csiszar', 2.0, 'dense'): '0x1.201b269d16483p-3',
+    ('alpha_mi', 'augustin_csiszar', 2.0, 'sparse'): '0x1.6575f8c3097ccp-4',
+    ('alpha_mi', 'augustin_csiszar', 4.0, 'dense'): '0x1.6a8d169322e38p-3',
+    ('alpha_mi', 'augustin_csiszar', 4.0, 'sparse'): '0x1.73114d1e79615p-4',
+    ('alpha_mi', 'augustin_csiszar', 10.0, 'dense'): '0x1.ad31dc7c255dep-3',
+    ('alpha_mi', 'augustin_csiszar', 10.0, 'sparse'): '0x1.7a49fd4d8d02fp-4',
+    ('alpha_mi', 'lapidoth_pfister', 2.0, 'dense'): '0x1.3332357bc5717p-3',
+    ('alpha_mi', 'lapidoth_pfister', 2.0, 'sparse'): '0x1.34b0a8f95c061p-3',
+    ('alpha_mi', 'lapidoth_pfister', 4.0, 'dense'): '0x1.9403d16d78d0bp-3',
+    ('alpha_mi', 'lapidoth_pfister', 4.0, 'sparse'): '0x1.8adbf536aaa15p-3',
+    ('alpha_mi', 'lapidoth_pfister', 10.0, 'dense'): '0x1.ec3fedb6ff0b7p-3',
+    ('alpha_mi', 'lapidoth_pfister', 10.0, 'sparse'): '0x1.ba36a9831d8a2p-3',
+    ('via_leakage', 'sibson', 0.6, 'dense'): '0x1.1449575bc9008p-4',
+    ('via_leakage', 'sibson', 0.6, 'sparse'): '0x1.31a2a0a0ebd1bp-5',
+    ('via_leakage', 'sibson', 2.0, 'sparse'): '0x1.aa35e479774fcp-3',
+    ('via_leakage', 'sibson', 4.0, 'dense'): '0x1.055767ef3c772p-2',
+    ('via_leakage', 'sibson', 4.0, 'sparse'): '0x1.79a50e8602ddfp-2',
+    ('via_leakage', 'sibson', 10.0, 'dense'): '0x1.9c9a3bcfd32d3p-2',
+    ('via_leakage', 'sibson', 10.0, 'sparse'): '0x1.041ed5985367cp-1',
+    ('via_leakage', 'arimoto', 0.6, 'dense'): '0x1.642830fe5d71fp-4',
+    ('via_leakage', 'arimoto', 0.6, 'sparse'): '0x1.31434d28a8f87p-3',
+    ('via_leakage', 'arimoto', 2.0, 'dense'): '0x1.3c7941a9a5d36p-4',
+    ('via_leakage', 'arimoto', 2.0, 'sparse'): '0x1.bf5f748f7622ap-6',
+    ('via_leakage', 'arimoto', 4.0, 'dense'): '0x1.1524da3119493p-5',
+    ('via_leakage', 'arimoto', 10.0, 'dense'): '0x1.652c1d5afed30p-8',
+    ('via_leakage', 'augustin_csiszar', 0.6, 'dense'): '0x1.1cf7f250166a9p-4',
+    ('via_leakage', 'augustin_csiszar', 0.6, 'sparse'): '0x1.d7001bbb8410bp-5',
+    ('via_leakage', 'augustin_csiszar', 2.0, 'dense'): '0x1.201b269d1408cp-3',
+    ('via_leakage', 'augustin_csiszar', 2.0, 'sparse'): '0x1.6575f89f5a46ap-4',
+    ('via_leakage', 'augustin_csiszar', 4.0, 'dense'): '0x1.6a8d1692b1cfap-3',
+    ('via_leakage', 'augustin_csiszar', 4.0, 'sparse'): '0x1.73114d1773e4ap-4',
+    ('via_leakage', 'augustin_csiszar', 10.0, 'dense'): '0x1.ad31dc794b8b0p-3',
+    ('via_leakage', 'lapidoth_pfister', 0.6, 'dense'): '0x1.0e729374d4865p-4',
+    ('via_leakage', 'lapidoth_pfister', 0.6, 'sparse'): '0x1.cf16118ee6425p-6',
+    ('via_leakage', 'lapidoth_pfister', 2.0, 'dense'): '0x1.3332357bc5224p-3',
+    ('via_leakage', 'lapidoth_pfister', 2.0, 'sparse'): '0x1.34b0a8f21483ep-3',
+    ('via_leakage', 'lapidoth_pfister', 4.0, 'dense'): '0x1.9403d16d4e1edp-3',
+    ('via_leakage', 'lapidoth_pfister', 4.0, 'sparse'): '0x1.8adbf5358c10dp-3',
+    ('via_leakage', 'lapidoth_pfister', 10.0, 'dense'): '0x1.ec3fedb5f985cp-3',
+    ('via_leakage', 'lapidoth_pfister', 10.0, 'sparse'): '0x1.ba36a97d7b6e0p-3',
+}
+
+
 def _pmf_channel(kind):
     p, W, _ = _seeded(kind)
     return make_pmf(p), make_channel(W)
@@ -496,6 +563,15 @@ def test_optimize_routes_match_recorded(key):
     route, variant, alpha, kind = key
     fn = alpha_mi if route == "alpha_mi" else alpha_mi_via_leakage
     expected = RECORDED[key]
+    if key in SUFFICIENT_DECREASE:
+        value = fn(variant, *_pmf_channel(kind), alpha, method="optimize")
+        assert value.hex() == SUFFICIENT_DECREASE[key]
+        replaced = float.fromhex(POSTERIOR_STARTS.get(key) or RERECORDED.get(key) or expected)
+        assert keeps_to_the_rule(value, replaced,
+                                 lambda: alpha_mi(variant, *_pmf_channel(kind), alpha))
+        if route == "via_leakage":
+            assert value == pytest.approx(float.fromhex(expected), rel=1e-7, abs=0.0)
+        return
     if route == "via_leakage" and expected == "DomainError":
         # the finite-difference prior route raised here: its points made the
         # power score negative; the kernel route gives the closed form's value
