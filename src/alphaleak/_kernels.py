@@ -25,8 +25,9 @@ row keeps its own step, line search and stop, so it follows the path it
 would follow alone, and a single problem is a stack of one.  It is the
 only EG loop in the library: the four decision-rule kernels (``tsallis_eg``,
 ``power_eg``, ``ac_eg``, ``lp_eg``) bind to it the objective and
-gradient of their ``*_objective`` factory, and so does
-``optimize.eg_optimize``.  The grid oracles score the same objectives.
+gradient of their ``*_objective`` factory, and ``optimize._eg_run``
+binds every other stacked objective.  The grid oracles score the same
+objectives.
 
 ``augustin_solve`` is the fixed-point iteration for the minimizing output
 distribution and ``lp_alternating_solve`` the alternating minimization
@@ -44,6 +45,7 @@ import numpy as np
 
 EPS = 1e-12
 
+_STEP_INIT = 0.5  # every row's first trial step
 _MAX_STEP = 1e3
 _MIN_STEP = 1e-18
 _HITS_TO_CONVERGE = 3
@@ -69,7 +71,7 @@ def _floor_rows(R):
     return R
 
 
-def eg(objective, grad, blocks, maximize, tol, max_iters, step_init, data=None):
+def eg(objective, grad, blocks, maximize, tol, max_iters, data=None):
     """Exponentiated gradient over a stack of products of simplices.
 
     ``blocks`` is a list of arrays whose leading axis is the stack (row i
@@ -81,11 +83,12 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, step_init, data=None):
     that stops leaves the blocks, the cache and the data.  Each step
     multiplies every simplex by exp(s (g - max g)) when maximizing and
     exp(s (min g - g)) when minimizing, floors at ``EPS`` and
-    renormalizes; per row, s halves until the value improves by at least
-    ``_ARMIJO`` times the step's first-order gain (when that bound is
-    below rounding, until the value does not get worse; when no step
-    down to ``_MIN_STEP`` meets it, s is the largest step tried that did
-    not make the value worse) and doubles after each accepted step.
+    renormalizes; per row, s starts at ``_STEP_INIT``, halves until the
+    value improves by at least ``_ARMIJO`` times the step's first-order
+    gain (when that bound is below rounding, until the value does not get
+    worse; when no step down to ``_MIN_STEP`` meets it, s is the largest
+    step tried that did not make the value worse) and doubles after each
+    accepted step.
     Returns (blocks, values, residuals, total iterations, iterations per
     row); a residual is the last relative change of the value, or 0 when
     no step size was accepted.
@@ -114,7 +117,7 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, step_init, data=None):
     # per-row values, residuals and hits as Python lists: cheaper on a few rows
     resid = [1.0] * n
     hits = [0] * n
-    s, s_view = steps([step_init] * n)
+    s, s_view = steps([_STEP_INIT] * n)
     it = 0
     for it in range(1, max_iters + 1):
         shifted = [shift(g) for g in grad(blocks, cache, data)]
@@ -192,14 +195,13 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, step_init, data=None):
     return out_blocks, np.array(out_f), np.array(out_resid), sum(out_it), np.array(out_it)
 
 
-def _stack_run(objective, grad, X0, single_ndim, maximize, tol, max_iters, step_init,
-               data=None):
+def _stack_run(objective, grad, X0, single_ndim, maximize, tol, max_iters, data=None):
     """``eg`` over one block; a single problem (``X0.ndim == single_ndim``)
     runs as a stack of one and gets (point, value, residual, iterations)."""
     X0 = np.asarray(X0, dtype=np.float64)
     single = X0.ndim == single_ndim
     (X,), f, resid, total, iters = eg(objective, grad, [X0[None] if single else X0],
-                                      maximize, tol, max_iters, step_init, data)
+                                      maximize, tol, max_iters, data)
     if single:
         return X[0], float(f[0]), float(resid[0]), int(iters[0])
     return X, f, resid, total, iters
@@ -224,14 +226,14 @@ def tsallis_objective(beta, use_log):
     return _Stacked(objective, grad)
 
 
-def tsallis_eg(w, beta, use_log, r0, maximize, tol, max_iters, step_init):
+def tsallis_eg(w, beta, use_log, r0, maximize, tol, max_iters):
     """Optimize ``tsallis_objective`` over one simplex.
 
     Returns (r, f, residual, iterations); (m, n) stacks of weights and
     starts solve m problems and return what ``eg`` returns.
     """
     return _stack_run(*tsallis_objective(beta, use_log), r0, 1, maximize, tol, max_iters,
-                      step_init, np.atleast_2d(w))
+                      np.atleast_2d(w))
 
 
 def power_objective(alpha):
@@ -248,10 +250,10 @@ def power_objective(alpha):
     return _Stacked(objective, grad)
 
 
-def power_eg(pi, alpha, r0, maximize, tol, max_iters, step_init):
+def power_eg(pi, alpha, r0, maximize, tol, max_iters):
     """Optimize ``power_objective`` over one simplex; (m, n) stacks of
     posteriors and starts solve m problems."""
-    return _stack_run(*power_objective(alpha), r0, 1, maximize, tol, max_iters, step_init,
+    return _stack_run(*power_objective(alpha), r0, 1, maximize, tol, max_iters,
                       np.atleast_2d(pi))
 
 
@@ -268,10 +270,10 @@ def ac_objective(p, W, beta):
     return _Stacked(objective, grad)
 
 
-def ac_eg(p, W, beta, R0, maximize, tol, max_iters, step_init):
+def ac_eg(p, W, beta, R0, maximize, tol, max_iters):
     """Optimize ``ac_objective`` over a family of simplices; an
     (m, n_y, n_x) stack of starts runs m restarts."""
-    return _stack_run(*ac_objective(p, W, beta), R0, 2, maximize, tol, max_iters, step_init)
+    return _stack_run(*ac_objective(p, W, beta), R0, 2, maximize, tol, max_iters)
 
 
 def lp_objective(pt, W, beta, qt):
@@ -289,11 +291,10 @@ def lp_objective(pt, W, beta, qt):
     return _Stacked(objective, grad)
 
 
-def lp_eg(pt, W, beta, qt, R0, maximize, tol, max_iters, step_init):
+def lp_eg(pt, W, beta, qt, R0, maximize, tol, max_iters):
     """Optimize ``lp_objective`` over the family of per-observation
     simplices; an (m, n_y, n_x) stack of starts runs m restarts."""
-    return _stack_run(*lp_objective(pt, W, beta, qt), R0, 2, maximize, tol, max_iters,
-                      step_init)
+    return _stack_run(*lp_objective(pt, W, beta, qt), R0, 2, maximize, tol, max_iters)
 
 
 def augustin_solve(p, Wa, alpha, q0, tol, max_iters, damp):

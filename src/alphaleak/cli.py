@@ -31,7 +31,7 @@ from .optimize import DEFAULT_CONFIG
 from .qcalc import q_log
 from .renyi import MiVariant, _check_alpha, alpha_mi
 from .simplex import Channel, JointDist, Pmf, joint_from_matrix, make_channel, make_pmf
-from .verify import DEFAULT_ALPHAS, DEFAULT_SIZES, run_verify
+from .verify import DEFAULT_ALPHAS, DEFAULT_SIZES, DEFAULT_TOLERANCES, run_verify
 
 OUTPUT_DIR_ENV = "ALPHALEAK_OUTPUT_DIR"
 _PLOT_INF_PROXY = 1e6  # stands in for the infinite-order column
@@ -109,6 +109,32 @@ def _parse_variants(text: str) -> list[MiVariant]:
         return [MiVariant(t.strip()) for t in text.split(",") if t.strip()]
     except ValueError as e:
         raise ParseError(f"unknown variant in {text!r}") from e
+
+
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    try:
+        sizes = tuple(int(t) for t in text.split(","))
+        if min(sizes) < 1:
+            raise ValueError("alphabet sizes must be positive")
+    except ValueError as e:
+        raise ParseError(f"bad size list {text!r}: {e}") from e
+    return sizes
+
+
+def _parse_overrides(text: str) -> dict[str, float]:
+    """A JSON object mapping known identity ids to tolerances >= 0."""
+    try:
+        overrides = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad tolerance overrides: {e}") from e
+    if not isinstance(overrides, dict):
+        raise ParseError(f"tolerance overrides must be a JSON object, got {text!r}")
+    for key, value in overrides.items():
+        if key not in DEFAULT_TOLERANCES:
+            raise ParseError(f"unknown identity id {key!r} in tolerance overrides")
+        if type(value) not in (int, float) or not value >= 0.0:
+            raise ParseError(f"tolerance of {key!r} must be a number >= 0, got {value!r}")
+    return overrides
 
 
 def _domain_error(variant: MiVariant, alpha: float) -> str | None:
@@ -312,13 +338,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             overrides = None
             if args.tolerance_overrides:
-                try:
-                    overrides = json.loads(args.tolerance_overrides)
-                except json.JSONDecodeError as e:
-                    raise ParseError(f"bad tolerance overrides: {e}") from e
+                overrides = _parse_overrides(args.tolerance_overrides)
             report = run_verify(
                 trials=args.trials, seed=args.seed,
-                sizes=tuple(int(s) for s in args.sizes.split(",")),
+                sizes=_parse_sizes(args.sizes),
                 alphas=tuple(_parse_alphas(args.alpha)),
                 tolerances=overrides, cfg=cfg.with_(seed=args.seed),
                 grid_resolution=args.grid_res,

@@ -31,20 +31,25 @@ They are written once, over a stack of observation rows (weights, mass,
 posterior), with one masked reduction along each row; the prior
 vulnerability is their one-observation case, a single row of mass 1.
 Everything else runs through exponentiated gradient with a brute-force
-grid cross-check.  With matching generators the numeric problem is one
+grid cross-check, and every objective is stacked: one ``_kernels.eg``
+stack runs all its starts, and the oracle scores the same objective on
+the grid.  With matching generators the numeric problem is one
 decision problem per observation, and the prior vulnerability is the
 case of a single observation whose weights are the prior (what a channel
 that reveals nothing produces); both go through one table: the soft 0-1
 score under log/deformed-log generators and the power score and power
 loss above run on the analytic-gradient kernels, every other objective
-on central differences with restarts.  The kernels start each
-observation at its posterior, which for a power score under its own
-sense is the optimum (the score is strictly proper), and a power score
-against its own sense at uniform.  When the two generators differ
-the objective couples observations and the optimization runs jointly
-over all per-observation simplices, initialized at the posterior family
-plus the constant prior-optimal rule (which pins conditional >= prior
-for gains) plus seeded random restarts.
+on central differences from the posterior and seeded restarts.  The
+kernels start each observation at its posterior, which for a power score
+under its own sense is the optimum (the score is strictly proper), and a
+power score against its own sense at uniform.  When the two generators
+differ the objective couples observations and the optimization runs
+jointly over all per-observation simplices, initialized at the
+posterior family plus the constant prior-optimal rule (which pins
+conditional >= prior for gains) plus seeded random restarts; the
+Augustin-Csiszar and Lapidoth-Pfister kernels and the generic mixed
+objective (central differences on the flattened rule) share that one
+optimize/oracle body.
 
 A point-mass prior makes every soft 0-1 vulnerability equal one and
 every leakage zero; this falls out of the formulas, no special case.
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,15 +74,13 @@ from .errors import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
-    _EVAL_FLOOR,
     _best_row,
     _eg_run,
     _fd_grad_stack,
     _grid_values,
-    _rowwise,
+    _require_convergence,
     _Stacked,
     augustin_fixed_point,
-    eg_optimize,
     lp_alternating,
     oracle_optimize_rule,
     oracle_optimize_single,
@@ -275,34 +279,20 @@ def _prior_closed(p: Pmf, g: GainFunction, phi: Aggregator, sense: str):
     return value, Pmf(p.labels, R[0])
 
 
-def _prior_objective(probs: np.ndarray, g: GainFunction, phi: Aggregator):
-    """sum_x p(x) phi(g(x, r)) of one action (a float) or of a (b, n)
-    stack of actions (one value per row)."""
-    mask = probs > 0.0
-    live = probs[mask]
+def _prior_objective(g: GainFunction, phi: Aggregator) -> _Stacked:
+    """sum_x w[x] phi(g(x, r)) per row of a stack of actions, the weights w
+    the per-row data (a zero weight drops its term, so a -inf image there
+    adds nothing), and its gradient by central differences: every
+    perturbed point of every row in one call, with the row's weights."""
+    def objective(b, w):
+        fv = _apply(phi.forward, _gain_vector(g, b[0]))
+        return (w * np.where(w > 0.0, fv, 0.0)).sum(axis=-1), None
 
-    def aggregate(actions: np.ndarray):
-        fv = _apply(phi.forward, _gain_vector(g, actions))
-        vals = (live * fv.compress(mask, axis=-1)).sum(axis=-1)
-        return float(vals) if vals.ndim == 0 else vals
+    def grad(b, cache, w):
+        w_points = np.repeat(w, 2 * b[0].shape[-1], axis=0)
+        return [_fd_grad_stack(lambda points: objective([points], w_points)[0], b[0])]
 
-    return aggregate
-
-
-def _optimize_action(aggregate, init: np.ndarray, maximize: bool,
-                     cfg: OptimizerConfig):
-    """EG over one simplex, all restarts stacked; the gradient by central
-    differences, every perturbed point of every restart evaluated in one
-    batched call of ``aggregate``.  Used for the per-observation
-    objectives outside the kernel table of ``_per_observation``."""
-    def objective(blocks, data):
-        return aggregate(blocks[0]), None
-
-    def grad(blocks, cache, data):
-        return [_fd_grad_stack(aggregate, blocks[0])]
-
-    return eg_optimize(_Stacked(objective, grad), [init.size],
-                       "max" if maximize else "min", cfg, inits=[init])
+    return _Stacked(objective, grad)
 
 
 def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
@@ -315,10 +305,10 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
     per-observation problem of ``cond_vulnerability``, with its start
     rule: a power score under its own sense starts at the prior alone, its
     optimum; every other kernel objective runs from the prior and, as the
-    prior's rescue, from uniform, as two rows of one stack.  Only
-    objectives outside the kernel table use central differences;
-    ``oracle`` scans a grid with the same objectives.  The closed form is
-    computed only for ``auto`` and ``closed_form``.
+    prior's rescue, from uniform, as two rows of one stack.  Objectives
+    outside the kernel table use central differences, from the prior and
+    seeded draws; ``oracle`` scans a grid with the same objectives.  The
+    closed form is computed only for ``auto`` and ``closed_form``.
     """
     sense = _resolve(sense, g)
     _check_bounded(g, sense, p.n, phi)
@@ -346,32 +336,15 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
 # conditional vulnerability, phi = psi (per-observation decomposition)
 # ----------------------------------------------------------------------
 
-def _rows_to_rule(p: Pmf, W: Channel, rows: np.ndarray) -> DecisionRule:
-    return DecisionRule(p.labels, W.y_labels, rows)
+def _eg_block(stacked: _Stacked):
+    """``_eg_run`` of ``stacked`` over one block, called as a kernel entry
+    point is: (starts, maximize, tol, max_iters, data) -> (points, values,
+    residuals, total iterations, iterations per row)."""
+    def solve(X0, maximize, tol, max_iters, data=None):
+        (X,), *out = _eg_run(stacked, [[x] for x in X0], maximize, tol, max_iters, data)
+        return (X, *out)
 
-
-def _observation_rows(p: Pmf, W: Channel):
-    """(support, weights, masses, posteriors) of the observations with
-    positive mass, one C-contiguous row per observation, all from the
-    joint."""
-    joint = compose_joint(p, W)
-    ys = joint.y_support
-    return ys, np.ascontiguousarray(joint.matrix.T[ys]), joint.p_y[ys], joint.posteriors[ys]
-
-
-def _cond_closed_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator, sense: str):
-    """(value, rule_rows) for the phi = psi closed forms, else None; a
-    zero-mass observation plays uniform."""
-    if sense != g.sense:
-        return None
-    ys, wt, mass, posts = _observation_rows(p, W)
-    closed = _closed_same(wt, mass, posts, g, phi, sense)
-    if closed is None:
-        return None
-    value, R = closed
-    rows = np.full((W.n_y, p.n), 1.0 / p.n)
-    rows[ys] = R
-    return value, rows
+    return solve
 
 
 def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
@@ -384,39 +357,43 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
     for a prior vulnerability.  ``mass[i]`` is its total and ``posts[i]``
     its normalization.
 
-    The kernel rows start at their posterior; with ``rescue`` (the prior)
-    they also run from uniform, as rows of their own in the same stack,
-    and per observation the best run wins.  A power score is strictly
-    proper (Gneiting & Raftery 2007): under its own sense each
-    observation's posterior is its optimum, so those rows start there
-    alone and stop within a few iterations.  Against its own sense an
-    interior posterior is the score's optimum in the other direction, a
-    stationary point that exponentiated gradient does not leave, so
-    without ``rescue`` those rows start at uniform alone.  The oracle
-    scores the same objective on a grid, one grid for all the rows of a
-    kernel objective.  Returns (vulnerability, (m, n) optimal actions,
+    Every objective is stacked: all its (start, observation) rows run as
+    one ``_kernels.eg`` stack, and the oracle scores it on one grid shared
+    by all the rows.  The kernel rows start at their posterior; with
+    ``rescue`` (the prior) they also run from uniform, and per observation
+    the best run wins.  A power score is strictly proper (Gneiting &
+    Raftery 2007): under its own sense each observation's posterior is its
+    optimum, so those rows start there alone and stop within a few
+    iterations.  Against its own sense an interior posterior is the
+    score's optimum in the other direction, a stationary point that
+    exponentiated gradient does not leave, so without ``rescue`` those
+    rows start at uniform alone.  Every other objective runs on central
+    differences from the posterior and ``cfg.restarts - 1`` seeded draws,
+    and raises ``ConvergenceFailure`` for an observation none of whose
+    starts converges.  Returns (vulnerability, (m, n) optimal actions,
     worst residual).
     """
     n = wt.shape[1]
     maximize = _maximize_inner(sense, phi)
     uniform = np.full(posts.shape, 1.0 / n)
-    # per objective, chosen once: its per-row data and sense; for the
-    # kernel objectives, the stacked objective, its kernel and the kernel's
-    # starts, whether the oracle floors grid points under it and whether
-    # each coordinate enters only its own term; its aggregate term from
-    # (observation mass, optimal value), and the map from the sum of the
-    # terms to the vulnerability
+    # per objective, chosen once: its per-row data and sense, the stacked
+    # objective, the EG run of a stack of rows and its starts, whether a
+    # run must converge, whether the oracle floors grid points under it
+    # and whether each coordinate enters only its own term; its aggregate
+    # term from (observation mass, optimal value), and the map from the
+    # sum of the terms to the vulnerability
+    converge, floor, separable = False, False, False
+    term, finish = (lambda m, val: m * val), phi.inverse
     if g.kind == "soft01" and phi.kind in ("log", "q_log"):
         use_log = phi.kind == "log"
         beta = 0.0 if use_log else 1.0 - phi.q
         # phi(g) is affine in r**beta, so the direction flips with q > 1
         sense_max = maximize if (use_log or phi.q < 1.0) else not maximize
         data, starts = wt, ([posts, uniform] if rescue else [posts])
-        objective = _kernels.tsallis_objective(beta, use_log).objective
+        stacked = _kernels.tsallis_objective(beta, use_log)
         solve = lambda w, r0, *run: _kernels.tsallis_eg(w, beta, use_log, r0, *run)
         floor, separable = beta < 0.0, True
         term = (lambda m, val: val) if use_log else (lambda m, val: (val - m) / (1.0 - phi.q))
-        finish = phi.inverse
     elif (g.kind == "power" and phi.kind == "linear") or _matching_power_loss(g, phi):
         # phi(g) is affine in the power score: with the slope of a linear
         # generator, and with slope 1/(1-alpha) for the power loss
@@ -426,10 +403,9 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
             starts = [posts]
         else:
             starts = [posts, uniform] if rescue else [uniform]
-        objective = _kernels.power_objective(g.alpha).objective
+        stacked = _kernels.power_objective(g.alpha)
         solve = lambda pi, r0, *run: _kernels.power_eg(pi, g.alpha, r0, *run)
-        floor, separable = g.alpha < 1.0, False
-        term = lambda m, val: m * val
+        floor = g.alpha < 1.0
         # an affine generator's mean is the arithmetic mean; the power loss's
         # deformed-log mean is the 1/(1-alpha) power of the mean score, taken
         # directly since phi.inverse's base 1 + (1-alpha) * (mean of phi)
@@ -437,30 +413,22 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         finish = ((lambda s: s) if g.kind == "power"
                   else (lambda s: np.power(s, 1.0 / (1.0 - g.alpha))))
     else:
-        data, sense_max, solve = posts, maximize, None
-        term = lambda m, val: m * val
-        finish = phi.inverse
-    if solve is None:
-        # the generic objective, one observation at a time
-        R, vals, resids = [], [], []
-        for d in data:
-            if method == "optimize":
-                res = _optimize_action(_prior_objective(d, g, phi), d, maximize, cfg)
-                r, val, resid = res.point[0], res.value, res.residual
-            else:
-                r, val = oracle_optimize_single(_prior_objective(d, g, phi), n, sense_max, cfg)
-                resid = cfg.grid_resolution
-            R.append(r)
-            vals.append(val)
-            resids.append(resid)
-    elif method == "optimize":
+        sense_max, data, converge = maximize, posts, True
+        rng = np.random.default_rng(cfg.seed)
+        starts = [posts] + [np.broadcast_to(rng.dirichlet(np.ones(n)), posts.shape)
+                            for _ in range(cfg.restarts - 1)]
+        stacked = _prior_objective(g, phi)
+        solve = lambda d, r0, *run: _eg_block(stacked)(r0, *run, d)
+    if method == "optimize":
         # every (start, observation) pair is one row of a single stack; row
         # j * n_obs + i runs start j of observation i
         n_obs = len(data)
         R, vals, resids, _, _ = solve(np.concatenate([data] * len(starts)),
                                       np.concatenate(starts), sense_max, cfg.tolerance,
-                                      cfg.max_iters, cfg.step_init)
+                                      cfg.max_iters)
         best = [i + n_obs * _best_row(vals[i::n_obs], sense_max) for i in range(n_obs)]
+        for i, b in enumerate(best if converge else ()):
+            _require_convergence(resids[i::n_obs], resids[b], cfg)
         R, vals, resids = R[best], vals[best], resids[best]
     else:
         # one scan of one grid: each observation's data is broadcast along
@@ -468,7 +436,7 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         # observation
         rows = data[:, None, :]
         R, vals = oracle_optimize_single(
-            _grid_values(objective, rows, floor, rows > 0.0 if separable else None),
+            _grid_values(stacked.objective, rows, floor, rows > 0.0 if separable else None),
             n, sense_max, cfg)
         resids = np.full(len(data), cfg.grid_resolution)
     aggregate = 0.0
@@ -477,17 +445,6 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         aggregate += term(float(m), float(val))
         worst_resid = max(worst_resid, float(resid))
     return float(finish(aggregate)), R, worst_resid
-
-
-def _cond_numeric_same(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
-                       sense: str, method: str, cfg: OptimizerConfig):
-    """Per-observation numerical optimization for phi = psi: the columns
-    of the joint with positive mass are the weight rows."""
-    ys, wt, mass, posts = _observation_rows(p, W)
-    value, R, resid = _per_observation(wt, mass, posts, g, phi, sense, method, cfg)
-    rows = np.full((W.n_y, p.n), 1.0 / p.n)
-    rows[ys] = R
-    return value, rows, resid
 
 
 # ----------------------------------------------------------------------
@@ -526,33 +483,46 @@ def _joint_eg_inits(p: Pmf, W: Channel, prior_action: np.ndarray,
                     + [rng.dirichlet(np.ones(n_x), size=n_y) for _ in range(cfg.restarts - 1)])
 
 
+def _coupled_rule(p: Pmf, W: Channel, stacked: _Stacked, solve, prior_action,
+                  maximize: bool, floor: bool, live, finish, method: str,
+                  cfg: OptimizerConfig):
+    """The optimize and oracle routes of a coupled decision-rule objective.
+
+    ``solve`` runs EG on an (m, n_y, n_x) stack of rule starts, as a
+    kernel entry point does: the posterior family, the constant rule of
+    ``prior_action()`` and seeded draws; the best row wins.  The oracle
+    scans the rule grid with ``stacked``'s objective under the boundary
+    rule of ``_grid_values``.  ``finish`` maps the objective's optimum to
+    the vulnerability.  Returns (value, rule rows, method, residual).
+    """
+    if method == "optimize":
+        R, vals, resids, _, _ = solve(_joint_eg_inits(p, W, prior_action(), cfg), maximize,
+                                      cfg.tolerance, cfg.max_iters)
+        i = _best_row(vals, maximize)
+        return finish(float(vals[i])), R[i], "optimize", float(resids[i])
+    R, val = oracle_optimize_rule(_grid_values(stacked.objective, floor=floor, live=live),
+                                  p.n, W.n_y, maximize, cfg)
+    return finish(val), R, "oracle", cfg.grid_resolution
+
+
 def _cond_ac(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig):
     beta = 1.0 - 1.0 / alpha
     coeff = alpha / (alpha - 1.0)
-    maximize = alpha > 1.0  # of the inner log-sum objective
     if method in ("auto", "closed_form"):
         fp = augustin_fixed_point(p, W, alpha, cfg)
         value = math.exp(fp.value - shannon_entropy(p))
         return value, None, "closed_form", fp.residual
-    if method == "optimize":
-        R, vals, resids, _, _ = _kernels.ac_eg(
-            p.probs, W.matrix, beta, _joint_eg_inits(p, W, p.probs, cfg), maximize,
-            cfg.tolerance, cfg.max_iters, cfg.step_init,
-        )
-        i = _best_row(vals, maximize)
-        return math.exp(coeff * float(vals[i])), R[i], "optimize", float(resids[i])
-    objective = _kernels.ac_objective(p.probs, W.matrix, beta).objective
-    R, val = oracle_optimize_rule(
-        _grid_values(objective, floor=beta < 0.0, live=p.probs > 0.0),
-        p.n, W.n_y, maximize, cfg,
-    )
-    return math.exp(coeff * val), R, "oracle", cfg.grid_resolution
+    # the inner log-sum objective is maximized above order 1
+    return _coupled_rule(
+        p, W, _kernels.ac_objective(p.probs, W.matrix, beta),
+        lambda R0, *run: _kernels.ac_eg(p.probs, W.matrix, beta, R0, *run),
+        lambda: p.probs, alpha > 1.0, beta < 0.0, p.probs > 0.0,
+        lambda v: math.exp(coeff * v), method, cfg)
 
 
 def _cond_lp(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig):
     beta = 1.0 - 1.0 / alpha
     qt = alpha / (2.0 * alpha - 1.0)
-    maximize = alpha > 1.0
     if method in ("auto", "closed_form"):
         # the passed prior is the tilted one; undo the tilt for the
         # product-divergence route
@@ -560,64 +530,48 @@ def _cond_lp(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig
         res = lp_alternating(compose_joint(p_orig, W), alpha, cfg)
         value = math.exp(res.value - renyi_entropy(p_orig, qt))
         return value, None, "closed_form", res.residual
-    if method == "optimize":
-        prior_action = tilt(p, 1.0 / qt).probs
-        R, vals, resids, _, _ = _kernels.lp_eg(
-            p.probs, W.matrix, beta, qt, _joint_eg_inits(p, W, prior_action, cfg), maximize,
-            cfg.tolerance, cfg.max_iters, cfg.step_init,
-        )
-        i = _best_row(vals, maximize)
-        return math.exp(float(vals[i]) / (1.0 - qt)), R[i], "optimize", float(resids[i])
-    objective = _kernels.lp_objective(p.probs, W.matrix, beta, qt).objective
-    R, val = oracle_optimize_rule(_grid_values(objective, floor=beta < 0.0),
-                                  p.n, W.n_y, maximize, cfg)
-    return math.exp(val / (1.0 - qt)), R, "oracle", cfg.grid_resolution
+    return _coupled_rule(
+        p, W, _kernels.lp_objective(p.probs, W.matrix, beta, qt),
+        lambda R0, *run: _kernels.lp_eg(p.probs, W.matrix, beta, qt, R0, *run),
+        lambda: tilt(p, 1.0 / qt).probs, alpha > 1.0, beta < 0.0, None,
+        lambda v: math.exp(v / (1.0 - qt)), method, cfg)
 
 
-def _kn_conditional_value(p: Pmf, W: Channel, g: GainFunction,
-                          phi: Aggregator, psi: Aggregator, R: np.ndarray) -> float:
-    """The defining doubly-aggregated value of a rule (no optimization)."""
-    n_x = p.n
-    psi_g = _apply(psi.forward, _gain_vector(g, R))
-    inner = np.empty(n_x)
-    for x in range(n_x):
-        live = W.matrix[x] > 0.0  # avoid 0 * (-inf) at boundary rules
-        inner[x] = psi.inverse(float((W.matrix[x, live] * psi_g[live, x]).sum()))
-    fv = _apply(phi.forward, inner)
-    mask = p.probs > 0.0
-    return float(phi.inverse(float((p.probs[mask] * fv[mask]).sum())))
+def _kn_conditional_value(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
+                          psi: Aggregator, R: np.ndarray) -> np.ndarray:
+    """The defining doubly-aggregated value of each rule of a (b, n_y, n_x)
+    stack (no optimization).  A zero channel or prior weight drops its
+    term, so the -inf image of a boundary rule there adds nothing."""
+    psi_g = np.swapaxes(_apply(psi.forward, _gain_vector(g, R)), -1, -2)
+    inner = (W.matrix * np.where(W.matrix > 0.0, psi_g, 0.0)).sum(axis=-1)
+    fv = _apply(phi.forward, _apply(psi.inverse, inner))
+    return _apply(phi.inverse, (p.probs * np.where(p.probs > 0.0, fv, 0.0)).sum(axis=-1))
 
 
 def _cond_generic_mixed(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
                         psi: Aggregator, sense: str, method: str,
                         cfg: OptimizerConfig):
-    """phi != psi without a recognized tuple: optimize the value directly."""
-    maximize = sense == "gain"
+    """phi != psi without a recognized tuple: optimize the value directly,
+    its gradient by central differences on the flattened rule.  The
+    oracle floors grid rules, as every rule oracle floors them: a zero
+    entry can make a gain infinite and its generator image a saturation
+    value."""
+    value = partial(_kn_conditional_value, p, W, g, phi, psi)
 
-    def objective_rows(R: np.ndarray) -> float:
-        return _kn_conditional_value(p, W, g, phi, psi, R)
+    def objective(b, data):
+        return value(b[0]), None
 
-    if method == "oracle":
-        # grid rules floored, as every rule oracle floors them: a zero entry
-        # can make a gain infinite and its generator image a saturation value
-        R, val = oracle_optimize_rule(
-            lambda stack: np.array([objective_rows(R) for R in np.maximum(stack, _EVAL_FLOOR)]),
-            p.n, W.n_y, maximize, cfg)
-        return val, R, "oracle", cfg.grid_resolution
-    prior_act = prior_vulnerability(p, g, phi, sense, "auto", cfg).rule
-    inits = _joint_eg_inits(p, W, prior_act.probs, cfg)
+    def grad(b, cache, data):
+        n_y, n_x = b[0].shape[1:]
+        flat = _fd_grad_stack(lambda rules: value(rules.reshape(-1, n_y, n_x)),
+                              b[0].reshape(-1, n_y * n_x))
+        return [flat.reshape(b[0].shape)]
 
-    def objective(blocks):
-        return objective_rows(np.vstack(blocks))
-
-    # one block per observation, one stack row per start; the value is
-    # evaluated row by row with central-difference gradients
-    blocks, vals, resids, _, _ = _eg_run(
-        _rowwise(objective, None), [list(R0) for R0 in inits], maximize,
-        cfg.tolerance, cfg.max_iters, cfg.step_init,
-    )
-    i = _best_row(vals, maximize)
-    return float(vals[i]), np.vstack([b[i] for b in blocks]), "optimize", float(resids[i])
+    stacked = _Stacked(objective, grad)
+    return _coupled_rule(
+        p, W, stacked, _eg_block(stacked),
+        lambda: prior_vulnerability(p, g, phi, sense, "auto", cfg).rule.probs,
+        sense == "gain", True, None, float, method, cfg)
 
 
 def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
@@ -625,49 +579,46 @@ def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
                        cfg: OptimizerConfig = DEFAULT_CONFIG) -> VulnerabilityResult:
     """Optimal doubly-aggregated gain of a decision rule.
 
-    With matching generators the problem decomposes per observation;
-    otherwise it couples them and runs jointly (see module docstring).
-    The identity-based closed routes return ``rule=None``.
+    With matching generators the problem decomposes per observation (a
+    zero-mass observation plays uniform); otherwise it couples them and
+    runs jointly (see module docstring).  The identity-based closed routes
+    return ``rule=None``.
     """
     if p.labels != W.x_labels:
         raise DimensionMismatch("prior labels do not match channel input labels")
     sense = _resolve(sense, g)
     _check_bounded(g, sense, p.n, phi, psi)
+    run = "optimize" if method == "auto" else method
     if phi.matches(psi):
-        if method in ("auto", "closed_form"):
-            closed = _cond_closed_same(p, W, g, phi, sense)
-            if closed is not None:
-                value, rows = closed
-                return VulnerabilityResult(value=value, rule=_rows_to_rule(p, W, rows),
-                                           method="closed_form", residual=0.0)
-            if method == "closed_form":
-                raise UnsupportedVariant(
-                    f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
-                )
-        run_method = "optimize" if method == "auto" else method
-        value, rows, resid = _cond_numeric_same(p, W, g, phi, sense, run_method, cfg)
-        return VulnerabilityResult(value=value, rule=_rows_to_rule(p, W, rows),
-                                   method=run_method, residual=resid)
-
-    ac_alpha = _detect_ac_tuple(g, phi, psi)
-    if ac_alpha is not None and sense == "gain":
-        value, rows, used, resid = _cond_ac(p, W, ac_alpha, method, cfg)
-        rule = _rows_to_rule(p, W, rows) if rows is not None else None
-        return VulnerabilityResult(value=value, rule=rule, method=used, residual=resid)
-    lp_alpha = _detect_lp_tuple(g, phi, psi)
-    if lp_alpha is not None and sense == "gain":
-        value, rows, used, resid = _cond_lp(p, W, lp_alpha, method, cfg)
-        rule = _rows_to_rule(p, W, rows) if rows is not None else None
-        return VulnerabilityResult(value=value, rule=rule, method=used, residual=resid)
-
-    if method == "closed_form":
+        # the observations of positive mass, one C-contiguous weight row each
+        joint = compose_joint(p, W)
+        ys = joint.y_support
+        wt, mass, posts = (np.ascontiguousarray(joint.matrix.T[ys]), joint.p_y[ys],
+                           joint.posteriors[ys])
+        rows = np.full((W.n_y, p.n), 1.0 / p.n)
+        closed = (_closed_same(wt, mass, posts, g, phi, sense)
+                  if method in ("auto", "closed_form") else None)
+        if closed is not None:
+            value, rows[ys] = closed
+            run, resid = "closed_form", 0.0
+        elif method == "closed_form":
+            raise UnsupportedVariant(
+                f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
+            )
+        else:
+            value, rows[ys], resid = _per_observation(wt, mass, posts, g, phi, sense, run, cfg)
+    elif (alpha := _detect_ac_tuple(g, phi, psi)) is not None and sense == "gain":
+        value, rows, run, resid = _cond_ac(p, W, alpha, method, cfg)
+    elif (alpha := _detect_lp_tuple(g, phi, psi)) is not None and sense == "gain":
+        value, rows, run, resid = _cond_lp(p, W, alpha, method, cfg)
+    elif method == "closed_form":
         raise UnsupportedVariant(
             "mismatched generators admit no closed form outside the recognized tuples"
         )
-    run_method = "optimize" if method == "auto" else method
-    value, rows, used, resid = _cond_generic_mixed(p, W, g, phi, psi, sense, run_method, cfg)
-    return VulnerabilityResult(value=value, rule=_rows_to_rule(p, W, rows),
-                               method=used, residual=resid)
+    else:
+        value, rows, run, resid = _cond_generic_mixed(p, W, g, phi, psi, sense, run, cfg)
+    rule = DecisionRule(p.labels, W.y_labels, rows) if rows is not None else None
+    return VulnerabilityResult(value=value, rule=rule, method=run, residual=resid)
 
 
 def posterior_vulnerability_hat(p: Pmf, W: Channel, g: GainFunction,

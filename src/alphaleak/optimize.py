@@ -5,14 +5,17 @@ Four engines, in increasing order of specialization:
 * ``simplex_grid`` + the ``oracle_*`` scanners: exhaustive, used as
   brute-force oracles for everything else; a grid is built in numpy,
   one leading part at a time, on every call and is not cached; the
-  scanners score the same stacked objectives that EG optimizes;
+  scanners score the same stacked objectives that EG optimizes, one
+  bounded chunk of points or rules at a time (``_scan_chunks``);
 * ``eg_optimize``: generic exponentiated-gradient (multiplicative
   weights with a backtracking line search that accepts a step only on
   Armijo's sufficient decrease, Armijo 1966) over a product of simplices,
   gradient supplied or estimated by central differences in log space;
   all restarts run as the rows of one stack of the library's one EG
-  loop, ``_kernels.eg``, the library's objectives evaluated for the
-  whole stack at once (``_Stacked``) and a user objective row by row;
+  loop, ``_kernels.eg``.  Every objective of the library is stacked
+  (``_Stacked``): it evaluates the whole stack at once, with
+  ``_fd_grad_stack`` where it has no analytic gradient; only a user
+  objective is evaluated row by row (``_rowwise``, ``_fd_grad``);
 * ``augustin_fixed_point``: the fixed-point iteration for the
   minimizing output distribution of the expected-divergence objective,
   damped for orders above one, with an EG fallback when it plateaus
@@ -48,6 +51,7 @@ GRID_POINT_BUDGET = 10_000_000
 ORACLE_MAX_ALPHABET = 4
 _EVAL_FLOOR = 1e-30  # boundary grid points under negative powers stay finite
 _RULE_CHUNK = 4096  # rule combinations scored per objective call
+_GRID_CHUNK = 1 << 17  # (problem, grid point) pairs scored per objective call
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,6 @@ class OptimizerConfig:
     restarts: int = 10
     seed: int = 0
     grid_resolution: float = 5e-3
-    step_init: float = 0.5
 
     def __post_init__(self):
         if not (self.tolerance > 0.0):
@@ -148,7 +151,8 @@ def _grid_values(objective, data=None, floor: bool = False, live=None):
     last-axis coordinate outside ``live``, which enters only its own
     zero-weight term, is set to 1 by ``np.where``, so that term is exactly
     0 rather than 0 * log 0.  EG iterates never reach the boundary, so the
-    EG path does none of this.
+    EG path does none of this.  Axes of ``data`` before its last two index
+    problems that share each point; ``problems`` counts them for the scan.
     """
     if live is not None and live.all():
         live = None
@@ -160,24 +164,43 @@ def _grid_values(objective, data=None, floor: bool = False, live=None):
             points = np.where(live, points, 1.0)
         with np.errstate(divide="ignore"):
             return objective([points], data)[0]
+
+    values.problems = math.prod(np.shape(data)[:-2])
     return values
+
+
+def _scan_chunks(score, total: int, chunk: int, maximize: bool):
+    """``oracle_scan`` of indices 0..total-1, scored ``chunk`` at a time:
+    ``score(start, stop)`` gives the values of indices start..stop-1, a
+    vector or a (k, stop - start) stack of k problems.  Per problem, ties
+    break to the lowest index."""
+    idx, val = oracle_scan(score(0, min(chunk, total)), maximize)
+    for start in range(chunk, total, chunk):
+        i, v = oracle_scan(score(start, min(start + chunk, total)), maximize)
+        better = (v > val) if maximize else (v < val)
+        idx, val = np.where(better, i + start, idx), np.where(better, v, val)
+    return (int(idx), float(val)) if np.ndim(val) == 0 else (idx, val)
 
 
 def oracle_optimize_single(objective, n: int, maximize: bool,
                            cfg: OptimizerConfig = DEFAULT_CONFIG) -> tuple:
-    """Exhaustive scan of one simplex; ``objective`` maps the (m, n) stack
+    """Exhaustive scan of one simplex; ``objective`` maps an (m, n) stack
     of grid points to m values, or to (k, m) values of k problems that
-    share the grid, each with its own best point and value."""
+    share the grid, each with its own best point and value.  Each call
+    scores at most ``_GRID_CHUNK`` (problem, point) pairs, k being the
+    ``problems`` of an objective from ``_grid_values``, else 1."""
     _check_oracle_alphabet(n)
     grid = simplex_grid(n, cfg.grid_resolution)
-    idx, val = oracle_scan(objective(grid), maximize)
+    chunk = max(1, _GRID_CHUNK // getattr(objective, "problems", 1))
+    idx, val = _scan_chunks(lambda start, stop: objective(grid[start:stop]), grid.shape[0],
+                            chunk, maximize)
     return grid[idx].copy(), val
 
 
 def oracle_optimize_rule(objective, n_x: int, n_y: int, maximize: bool,
                          cfg: OptimizerConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, float]:
     """Exhaustive scan over the product of n_y simplices of size n_x;
-    ``objective`` maps a (b, n_y, n_x) stack of rules to b values."""
+    ``objective`` maps a (b <= ``_RULE_CHUNK``, n_y, n_x) stack to b values."""
     _check_oracle_alphabet(n_x, n_y)
     grid = simplex_grid(n_x, cfg.grid_resolution)
     m = grid.shape[0]
@@ -187,18 +210,14 @@ def oracle_optimize_rule(objective, n_x: int, n_y: int, maximize: bool,
             f"{total} rule combinations exceed budget {GRID_POINT_BUDGET}; "
             "use a coarser grid resolution"
         )
-    best_val = -np.inf if maximize else np.inf
-    best_combo = 0
     powers = m ** np.arange(n_y - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _RULE_CHUNK):
-        flat = np.arange(start, min(start + _RULE_CHUNK, total), dtype=np.int64)
-        combos = (flat[:, None] // powers[None, :]) % m  # lex order over index tuples
-        idx, val = oracle_scan(objective(grid[combos]), maximize)
-        if (maximize and val > best_val) or (not maximize and val < best_val):
-            best_val = val
-            best_combo = start + idx
-    combo = (best_combo // powers) % m
-    return grid[combo].copy(), float(best_val)
+
+    def score(start, stop):
+        flat = np.arange(start, stop, dtype=np.int64)
+        return objective(grid[(flat[:, None] // powers[None, :]) % m])  # lex order over tuples
+
+    best, val = _scan_chunks(score, total, _RULE_CHUNK, maximize)
+    return grid[(best // powers) % m].copy(), val
 
 
 # ----------------------------------------------------------------------
@@ -269,12 +288,20 @@ def _rowwise(objective, grad) -> _Stacked:
     return _Stacked(stacked_objective, stacked_grad)
 
 
-def _eg_run(stacked: _Stacked, starts, maximize, tol, max_iters, step_init):
+def _eg_run(stacked: _Stacked, starts, maximize, tol, max_iters, data=None):
     """Every start (a list of blocks) as one row of a single ``_kernels.eg``
-    stack; returns what ``_kernels.eg`` returns."""
+    stack, with per-row ``data``; returns what ``_kernels.eg`` returns."""
     blocks = [np.stack(col) for col in zip(*starts)]
-    return _kernels.eg(stacked.objective, stacked.grad, blocks, maximize, tol,
-                       max_iters, step_init)
+    return _kernels.eg(stacked.objective, stacked.grad, blocks, maximize, tol, max_iters, data)
+
+
+def _require_convergence(resids, best_resid: float, cfg: OptimizerConfig):
+    """Raise ``ConvergenceFailure`` unless some run of one problem reached
+    the tolerance."""
+    if not np.any(resids <= cfg.tolerance):
+        raise ConvergenceFailure(
+            f"no EG restart reached residual {cfg.tolerance:g} "
+            f"within {cfg.max_iters} iterations (best residual {best_resid:g})")
 
 
 def _best_row(values, maximize: bool) -> int:
@@ -311,15 +338,10 @@ def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CON
         starts.append([np.full(n, 1.0 / n) for n in shape])
     for _ in range(cfg.restarts - 1):
         starts.append([rng.dirichlet(np.ones(n)) for n in shape])
-    blocks, values, resids, _, iters = _eg_run(
-        stacked, starts, maximize, cfg.tolerance, cfg.max_iters, cfg.step_init
-    )
+    blocks, values, resids, _, iters = _eg_run(stacked, starts, maximize, cfg.tolerance,
+                                               cfg.max_iters)
     i = _best_row(values, maximize)
-    if not np.any(resids <= cfg.tolerance):
-        raise ConvergenceFailure(
-            f"no EG restart reached residual {cfg.tolerance:g} "
-            f"within {cfg.max_iters} iterations (best residual {resids[i]:g})"
-        )
+    _require_convergence(resids, resids[i], cfg)
     return EgResult(point=[b[i] for b in blocks], value=float(values[i]),
                     residual=float(resids[i]), iterations=int(iters[i]),
                     converged=bool(resids[i] <= cfg.tolerance))

@@ -222,6 +222,21 @@ class TestVerifyCommand:
         failing = [r for r in doc["records"] if not r["passed"]]
         assert all("lhs" in r and "rhs" in r for r in failing)
 
+    @pytest.mark.parametrize("args", [
+        ["--sizes", "2,x"],
+        ["--sizes", "0"],
+        ["--tolerance-overrides", "[1]"],
+        ["--tolerance-overrides", json.dumps({"gibbs-grid-gap": "x"})],
+        ["--tolerance-overrides", json.dumps({"gibbs-grid-gap": -1.0})],
+        ["--tolerance-overrides", json.dumps({"no-such-identity": 1e-3})],
+    ], ids=["size-not-int", "size-zero", "overrides-not-object", "tolerance-not-number",
+            "tolerance-negative", "unknown-identity"])
+    def test_bad_input_exits_two(self, args, capsys):
+        # exit 1 means a failed check: an input error must not look like one
+        assert main(["verify", "--trials", "1"] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_reproducible_bytes_modulo_timing(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["verify", "--trials", "1", "--seed", "11", "--out", str(a)])

@@ -35,7 +35,7 @@ from alphaleak import (
     soft01_gain,
 )
 from alphaleak import renyi
-from alphaleak.leakage import _cond_closed_same, _prior_closed
+from alphaleak.leakage import _prior_closed, cond_vulnerability
 from alphaleak.simplex import compose_joint
 
 ALPHAS = (0.3, 0.55, 2.0, 10.0, 50.0, 1000.0)
@@ -216,10 +216,10 @@ def test_closed_vulnerabilities_match_the_loops(case, kind, alpha):
     g, phi = _tuple(kind, alpha)
     for seed in range(2):
         p, W = _instance(*case, seed)
-        value, rows = _cond_closed_same(p, W, g, phi, g.sense)
+        res = cond_vulnerability(p, W, g, phi, phi, g.sense, "closed_form")
         want_value, want_rows = _ref_cond_closed(p, W, kind, alpha)
-        _same(value, want_value, p.n)
-        _same(rows, want_rows, p.n)
+        _same(res.value, want_value, p.n)
+        _same(res.rule.matrix, want_rows, p.n)
 
 
 @pytest.mark.parametrize("case", INSTANCES, ids=_ids)

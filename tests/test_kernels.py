@@ -58,16 +58,16 @@ def _kernel_case(name, alpha, kind):
     joint = p[:, None] * W
     if name == "tsallis":
         w = np.ascontiguousarray(joint[:, -1])
-        out = K.tsallis_eg(w, beta, False, w / w.sum(), maximize, TOL, ITERS, 0.5)
+        out = K.tsallis_eg(w, beta, False, w / w.sum(), maximize, TOL, ITERS)
     elif name == "power":
         pi = joint[:, -1] / joint[:, -1].sum()
-        out = K.power_eg(pi, alpha, np.full(p.size, 1.0 / p.size), maximize, TOL, ITERS, 0.5)
+        out = K.power_eg(pi, alpha, np.full(p.size, 1.0 / p.size), maximize, TOL, ITERS)
     elif name == "ac":
-        out = K.ac_eg(p, W, beta, R0, maximize, TOL, ITERS, 0.5)
+        out = K.ac_eg(p, W, beta, R0, maximize, TOL, ITERS)
     else:
         qt = alpha / (2.0 * alpha - 1.0)
         pt = p ** qt / (p ** qt).sum()
-        out = K.lp_eg(pt, W, beta, qt, R0, maximize, TOL, ITERS, 0.5)
+        out = K.lp_eg(pt, W, beta, qt, R0, maximize, TOL, ITERS)
     _, value, resid, iters = out
     return value.hex(), float(resid).hex(), iters
 
@@ -357,7 +357,7 @@ def test_tsallis_eg_descent_reaches_minimum_on_sparse_weights():
     # reached at r proportional to w^(1/(1-beta))
     w = np.array([4.55e-9, 0.0, 0.2284])
     beta = 1.0 - 1.0 / 0.3
-    _, value, _, _ = K.tsallis_eg(w, beta, False, w / w.sum(), False, 1e-10, 100_000, 0.5)
+    _, value, _, _ = K.tsallis_eg(w, beta, False, w / w.sum(), False, 1e-10, 100_000)
     minimum = (w[w > 0.0] ** (1.0 / (1.0 - beta))).sum() ** (1.0 - beta)
     assert abs(value - minimum) <= 1e-6 * minimum
 
@@ -438,8 +438,8 @@ def test_sibson_leakage_route_below_order_one(cell):
 
 def test_kernel_determinism():
     p, W, R0 = next(_instances(n=1))
-    a = K.ac_eg(p, W, 0.5, R0, True, TOL, ITERS, 0.5)
-    b = K.ac_eg(p, W, 0.5, R0, True, TOL, ITERS, 0.5)
+    a = K.ac_eg(p, W, 0.5, R0, True, TOL, ITERS)
+    b = K.ac_eg(p, W, 0.5, R0, True, TOL, ITERS)
     np.testing.assert_array_equal(a[0], b[0])
     assert a[1] == b[1]
 

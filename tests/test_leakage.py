@@ -119,9 +119,13 @@ class TestPriorVulnerability:
         for _ in range(5):
             n = int(rng.integers(2, 6))
             probs = rng.dirichlet(np.ones(n))
-            aggregate = _prior_objective(probs, g, phi)
+            stacked = _prior_objective(g, phi)
+
+            def aggregate(r):
+                return float(stacked.objective([r[None]], probs[None])[0][0])
+
             r = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
-            batched = _fd_grad_stack(aggregate, r)
+            batched = stacked.grad([r[None]], None, probs[None])[0][0]
             per_point = _fd_grad(lambda blocks: aggregate(blocks[0]), [r])[0]
             delta = 1e-6
             loop = np.array([
@@ -183,9 +187,9 @@ class TestPriorVulnerability:
                        (power_score_gain(0.5), linear_aggregator()),
                        (transformed_gain(3.0), linear_aggregator())):
             res = prior_vulnerability(p, g, phi, method="oracle", cfg=cfg)
-            aggregate = _prior_objective(p.probs, g, phi)
+            objective = _prior_objective(g, phi).objective
             grid = simplex_grid(3, cfg.grid_resolution)
-            vals = np.array([aggregate(row) for row in grid])
+            vals = np.array([objective([row[None]], p.probs[None])[0][0] for row in grid])
             best = vals.argmax() if phi.increasing == (g.sense == "gain") else vals.argmin()
             np.testing.assert_array_equal(res.rule.probs, grid[best])
             if g.kind == "transformed":

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from alphaleak import (
     NumericalInconsistency,
     OracleTooLarge,
     ValidationError,
+    alpha_mi,
     augustin_fixed_point,
     compose_joint,
     eg_optimize,
@@ -20,7 +22,7 @@ from alphaleak import (
     q_log,
     simplex_grid,
 )
-from alphaleak import _kernels
+from alphaleak import _kernels, optimize
 from alphaleak._kernels import power_objective
 from alphaleak.optimize import (
     OptimizerConfig,
@@ -303,6 +305,40 @@ class TestOracleScanners:
                 oracle_optimize_single(single, 3, maximize, cfg)
             with pytest.raises(NumericalInconsistency, match="NaN"):
                 oracle_optimize_rule(rule, 2, 2, maximize, cfg)
+
+    def test_chunked_scan_matches_one_scan(self, monkeypatch):
+        # two problems share a grid of 66 points; their rounded scores tie
+        # across chunk boundaries, and every tie breaks to the lowest index
+        cfg = OptimizerConfig(grid_resolution=0.1)
+        rows = np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]])[:, None, :]
+        values = _grid_values(lambda b, w: ((np.round(4.0 * b[0]) * w).sum(axis=-1), None),
+                              rows)
+        assert values.problems == 2
+        grid = simplex_grid(3, cfg.grid_resolution)
+        scores = values(grid)
+        for maximize in (True, False):
+            best = scores.argmax(axis=-1) if maximize else scores.argmin(axis=-1)
+            for chunk in (1 << 17, 14, 2):
+                monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
+                points, vals = oracle_optimize_single(values, 3, maximize, cfg)
+                np.testing.assert_array_equal(points, grid[best])
+                np.testing.assert_array_equal(vals, scores[[0, 1], best])
+
+    def test_per_observation_scan_memory_is_bounded(self):
+        # every observation was broadcast against the whole grid: 61 MB on
+        # this 4x64 instance, and about 3.4 GB at the default resolution
+        rng = np.random.default_rng(4)
+        p = make_pmf(rng.dirichlet(np.ones(4)))
+        W = make_channel(rng.dirichlet(np.ones(64), size=4))
+        cfg = OptimizerConfig(grid_resolution=0.02)
+        tracemalloc.start()
+        try:
+            value = alpha_mi("arimoto", p, W, 2.0, method="oracle", cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value.hex() == "0x1.398ab91a8dde0p-2"
+        assert peak < 16e6
 
     def test_rule_scan_takes_a_stacked_objective(self):
         # one stacked objective per call; the best rule of the lexicographic
