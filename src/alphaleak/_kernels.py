@@ -14,10 +14,12 @@ worse is accepted, so a row at its optimum does not halve its step some
 sixty times on every iteration; and where no step down to ``_MIN_STEP``
 meets it (a gradient so steep that every such step saturates the update
 at the same point), the row takes the largest step it tried that did
-not make the value worse.  A merely "not worse" test accepts a doubled
-step that overshoots the optimum to a point of almost equal value, and
-the iterates then zigzag across the optimum for tens of thousands of
-iterations.
+not make the value worse, and searches again from ``_STEP_INIT`` (from
+a doubled fallback step of about 1e-17, three moves below ``tol`` would
+read as convergence far from the optimum).  A merely "not worse" test
+accepts a doubled step that overshoots the optimum to a point of almost
+equal value, and the iterates then zigzag across the optimum for tens
+of thousands of iterations.
 
 ``eg`` runs a stack of independent problems, one per row (restarts, or
 the separate per-observation problems of a decomposable objective); each
@@ -87,8 +89,8 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, data=None):
     value improves by at least ``_ARMIJO`` times the step's first-order
     gain (when that bound is below rounding, until the value does not get
     worse; when no step down to ``_MIN_STEP`` meets it, s is the largest
-    step tried that did not make the value worse) and doubles after each
-    accepted step.
+    step tried that did not make the value worse, and the next search
+    starts at ``_STEP_INIT``) and doubles after each other accepted step.
     Returns (blocks, values, residuals, total iterations, iterations per
     row); a residual is the last relative change of the value, or 0 when
     no step size was accepted.
@@ -177,8 +179,10 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, data=None):
             else:
                 hits[i] = 0
         # every row that goes on accepted its step: double it (in place, so
-        # that the views of s follow)
+        # that the views of s follow), or after a fallback step restart it
+        restart = [i for i in rows if fallback[i] and s.item(i) == fallback[i]]
         np.minimum(s * 2.0, _MAX_STEP, out=s)
+        s[restart] = _STEP_INIT
         blocks, f, cache = cand, fc, cache_c
         if stop:
             keep = [i for i in rows if i not in stop]

@@ -269,9 +269,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def solver(p):
         p.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tolerance)
         p.add_argument("--grid-res", type=float, default=DEFAULT_CONFIG.grid_resolution)
         p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
+        common(p)
 
     m = sub.add_parser("measure", help="compute measures on one input")
     m.add_argument("--input", required=True)
@@ -280,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--method", choices=("closed_form", "optimize", "oracle"),
                    default="closed_form")
     m.add_argument("--via-leakage", action="store_true")
-    common(m)
+    solver(m)
 
     s = sub.add_parser("sweep", help="alpha sweep across variants")
     s.add_argument("--input", required=True)
@@ -289,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("closed_form", "optimize", "oracle"),
                    default="closed_form")
     s.add_argument("--via-leakage", action="store_true")
-    common(s)
+    solver(s)
 
     v = sub.add_parser("verify", help="run the identity-verification suite")
     v.add_argument("--trials", type=int, default=50)
@@ -297,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES))
     v.add_argument("--tolerance-overrides", default=None,
                    help="JSON object mapping identity ids to tolerances")
-    common(v)
+    solver(v)
 
     g = sub.add_parser("plot-gain", help="emit transformed-gain curve data")
     g.add_argument("--alpha", default="0.5,1,2,5,1000000")
@@ -317,8 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = DEFAULT_CONFIG.with_(tolerance=args.tol, grid_resolution=args.grid_res,
-                                   seed=args.seed) if hasattr(args, "tol") else DEFAULT_CONFIG
+        if args.command in ("measure", "sweep", "verify"):
+            cfg = DEFAULT_CONFIG.with_(tolerance=args.tol, grid_resolution=args.grid_res,
+                                       seed=args.seed)
         if args.command in ("measure", "sweep"):
             dist = load_distribution(args.input)
             variants = _parse_variants(args.variant)
@@ -343,8 +347,7 @@ def main(argv=None) -> int:
                 trials=args.trials, seed=args.seed,
                 sizes=_parse_sizes(args.sizes),
                 alphas=tuple(_parse_alphas(args.alpha)),
-                tolerances=overrides, cfg=cfg.with_(seed=args.seed),
-                grid_resolution=args.grid_res,
+                tolerances=overrides, cfg=cfg,
             )
             out, close = _open_out(args.out)
             if args.output == "json":

@@ -26,21 +26,22 @@ i.e. ``maximize_inner = (sense == "gain") == phi.increasing``.
 Closed forms exist for the soft 0-1 score under log/deformed-log
 generators (via the generalized Gibbs optimum), for the power score
 under a linear generator (proper scoring rule, optimum at the honest
-posterior), and for its loss companion under the matching deformed log.
-They are written once, over a stack of observation rows (weights, mass,
-posterior), with one masked reduction along each row; the prior
-vulnerability is their one-observation case, a single row of mass 1.
+posterior), for its loss companion under the matching deformed log, and
+for the transformed gain under a linear generator (q_log of a soft 0-1
+value).  They are written once, over a stack of observation rows
+(weights, mass, posterior), with one masked reduction along each row.
 Everything else runs through exponentiated gradient with a brute-force
 grid cross-check, and every objective is stacked: one ``_kernels.eg``
 stack runs all its starts, and the oracle scores the same objective on
-the grid.  With matching generators the numeric problem is one
-decision problem per observation, and the prior vulnerability is the
-case of a single observation whose weights are the prior (what a channel
-that reveals nothing produces); both go through one table: the soft 0-1
-score under log/deformed-log generators and the power score and power
-loss above run on the analytic-gradient kernels, every other objective
-on central differences from the posterior and seeded restarts.  The
-kernels start each observation at its posterior, which for a power score
+the grid.  With matching generators the problem is one decision problem
+per observation, and the prior vulnerability is the case of a single
+observation of mass 1 whose weights are the prior (what a channel that
+reveals nothing produces); both go through one body, the closed forms
+and then one numeric table: the soft 0-1 score under log/deformed-log
+generators and the power score and power loss above run on the
+analytic-gradient kernels, every other objective on central differences
+from the posterior and seeded restarts.  The kernels start each
+observation, the prior's too, at its posterior, which for a power score
 under its own sense is the optimum (the score is strictly proper), and a
 power score against its own sense at uniform.  When the two generators
 differ the objective couples observations and the optimization runs
@@ -69,6 +70,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InvalidOrder,
+    NumericalInconsistency,
     UnsupportedVariant,
 )
 from .optimize import (
@@ -85,10 +87,11 @@ from .optimize import (
     oracle_optimize_rule,
     oracle_optimize_single,
 )
-from .qcalc import Aggregator, _apply, q_log
+from .qcalc import Aggregator, _apply, log_aggregator, q_log, q_log_aggregator
 from .renyi import (
     ALPHA_ONE_ATOL,
     MiVariant,
+    _variant,
     lp_order_valid,
     renyi_entropy,
     shannon_entropy,
@@ -189,8 +192,15 @@ class VulnerabilityResult:
     method: str
     residual: float
 
+    def __post_init__(self):
+        # a NaN value raises, as a NaN grid score does
+        if math.isnan(self.value):
+            raise NumericalInconsistency(f"the {self.method} vulnerability is NaN")
 
-def _resolve(sense, g: GainFunction) -> str:
+
+def _resolve(sense, g: GainFunction, method: str = "auto") -> str:
+    if method not in ("auto", "closed_form", "optimize", "oracle"):
+        raise UnsupportedVariant(f"unknown method {method!r}")
     sense = sense or g.sense
     if sense not in ("gain", "loss"):
         raise UnsupportedVariant(f"sense must be 'gain' or 'loss', got {sense!r}")
@@ -258,25 +268,15 @@ def _closed_same(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         with np.errstate(divide="ignore"):
             terms = (1.0 - al) * np.log(mass) + _logsumexp(al * np.log(wt))
         return float(np.exp(_logsumexp(terms) / (1.0 - al))), posts
+    elif g.kind == "transformed" and phi.kind == "linear" and phi.increasing:
+        # sum w[x] q_log(r(x), q) at q = 1/alpha is q_log of the soft 0-1
+        # value under that generator; at q = 0 the gain is r(x) - 1, and the
+        # soft 0-1 value the one under phi itself
+        q = 0.0 if np.isinf(g.alpha) else 1.0 / g.alpha
+        value, R = _closed_same(wt, mass, posts, soft01_gain(),
+                                q_log_aggregator(q) if q > 0.0 else phi, sense)
+        return float(q_log(value, q)), R
     return None
-
-
-def _prior_closed(p: Pmf, g: GainFunction, phi: Aggregator, sense: str):
-    """(value, action) when a closed form applies, else None: the
-    one-observation case of ``_closed_same``, and the transformed gain."""
-    if g.kind == "transformed" and sense == g.sense and phi.kind == "linear" and phi.increasing:
-        if np.isinf(g.alpha):
-            return float(p.probs.max()) - 1.0, Pmf(p.labels, np.eye(p.n)[p.probs.argmax()])
-        from .qcalc import gibbs_optimum
-
-        opt = gibbs_optimum(p, 1.0 / g.alpha)
-        return opt.value, opt.argmax
-    row = p.probs[None, :]
-    closed = _closed_same(row, np.ones(1), row, g, phi, sense)
-    if closed is None:
-        return None
-    value, R = closed
-    return value, Pmf(p.labels, R[0])
 
 
 def _prior_objective(g: GainFunction, phi: Aggregator) -> _Stacked:
@@ -300,34 +300,14 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
                         cfg: OptimizerConfig = DEFAULT_CONFIG) -> VulnerabilityResult:
     """Optimal phi-aggregated gain of a single action against the prior.
 
-    The numeric routes (``optimize``, and ``auto`` without a closed
-    form, and ``oracle``) are the one-observation case of the
-    per-observation problem of ``cond_vulnerability``, with its start
-    rule: a power score under its own sense starts at the prior alone, its
-    optimum; every other kernel objective runs from the prior and, as the
-    prior's rescue, from uniform, as two rows of one stack.  Objectives
-    outside the kernel table use central differences, from the prior and
-    seeded draws; ``oracle`` scans a grid with the same objectives.  The
-    closed form is computed only for ``auto`` and ``closed_form``.
+    The decision problem of a channel that reveals nothing: the phi = psi
+    body of ``cond_vulnerability`` (``_same_generators``) on one
+    observation of mass 1, whose weights and posterior are the prior.
     """
-    sense = _resolve(sense, g)
+    sense = _resolve(sense, g, method)
     _check_bounded(g, sense, p.n, phi)
-    if method in ("auto", "closed_form"):
-        closed = _prior_closed(p, g, phi, sense)
-        if closed is not None:
-            value, action = closed
-            return VulnerabilityResult(value=value, rule=action, method="closed_form",
-                                       residual=0.0)
-        if method == "closed_form":
-            raise UnsupportedVariant(
-                f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
-            )
-    # a channel that reveals nothing: one observation, of mass 1, whose
-    # weights and posterior are the prior
-    run = "oracle" if method == "oracle" else "optimize"
     row = p.probs[None, :]
-    value, R, resid = _per_observation(row, np.ones(1), row, g, phi, sense, run, cfg,
-                                       rescue=True)
+    value, R, run, resid = _same_generators(row, np.ones(1), row, g, phi, sense, method, cfg)
     return VulnerabilityResult(value=value, rule=Pmf(p.labels, R[0]), method=run,
                                residual=resid)
 
@@ -347,9 +327,30 @@ def _eg_block(stacked: _Stacked):
     return solve
 
 
+def _same_generators(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
+                     g: GainFunction, phi: Aggregator, sense: str, method: str,
+                     cfg: OptimizerConfig):
+    """The phi = psi problem over observation rows of positive mass: the
+    closed form of ``_closed_same`` for ``auto`` and ``closed_form`` where
+    there is one, else the ``optimize`` (also ``auto``) or ``oracle`` run
+    of ``_per_observation``.  Returns (vulnerability, (m, n) optimal
+    actions, method, residual)."""
+    if method in ("auto", "closed_form"):
+        closed = _closed_same(wt, mass, posts, g, phi, sense)
+        if closed is not None:
+            return (*closed, "closed_form", 0.0)
+        if method == "closed_form":
+            raise UnsupportedVariant(
+                f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
+            )
+    run = "optimize" if method == "auto" else method
+    value, R, resid = _per_observation(wt, mass, posts, g, phi, sense, run, cfg)
+    return value, R, run, resid
+
+
 def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
                      g: GainFunction, phi: Aggregator, sense: str, method: str,
-                     cfg: OptimizerConfig, rescue: bool = False):
+                     cfg: OptimizerConfig):
     """One decision problem per weight row, for phi = psi.
 
     Row i of ``wt`` is the weight vector of one observation: a column of
@@ -359,23 +360,20 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
 
     Every objective is stacked: all its (start, observation) rows run as
     one ``_kernels.eg`` stack, and the oracle scores it on one grid shared
-    by all the rows.  The kernel rows start at their posterior; with
-    ``rescue`` (the prior) they also run from uniform, and per observation
-    the best run wins.  A power score is strictly proper (Gneiting &
-    Raftery 2007): under its own sense each observation's posterior is its
-    optimum, so those rows start there alone and stop within a few
-    iterations.  Against its own sense an interior posterior is the
-    score's optimum in the other direction, a stationary point that
-    exponentiated gradient does not leave, so without ``rescue`` those
-    rows start at uniform alone.  Every other objective runs on central
-    differences from the posterior and ``cfg.restarts - 1`` seeded draws,
-    and raises ``ConvergenceFailure`` for an observation none of whose
-    starts converges.  Returns (vulnerability, (m, n) optimal actions,
-    worst residual).
+    by all the rows.  The kernel rows of every observation, the prior's
+    too, start at their posterior.  A power score is strictly proper
+    (Gneiting & Raftery 2007): under its own sense each observation's
+    posterior is its optimum, so those rows stop within a few iterations.
+    Against its own sense an interior posterior is the score's optimum in
+    the other direction, a stationary point that exponentiated gradient
+    does not leave, so those rows start at uniform instead.  Every other
+    objective runs on central differences from the posterior and
+    ``cfg.restarts - 1`` seeded draws, and raises ``ConvergenceFailure``
+    for an observation none of whose starts converges.  Returns
+    (vulnerability, (m, n) optimal actions, worst residual).
     """
     n = wt.shape[1]
     maximize = _maximize_inner(sense, phi)
-    uniform = np.full(posts.shape, 1.0 / n)
     # per objective, chosen once: its per-row data and sense, the stacked
     # objective, the EG run of a stack of rows and its starts, whether a
     # run must converge, whether the oracle floors grid points under it
@@ -389,7 +387,7 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         beta = 0.0 if use_log else 1.0 - phi.q
         # phi(g) is affine in r**beta, so the direction flips with q > 1
         sense_max = maximize if (use_log or phi.q < 1.0) else not maximize
-        data, starts = wt, ([posts, uniform] if rescue else [posts])
+        data, starts = wt, [posts]
         stacked = _kernels.tsallis_objective(beta, use_log)
         solve = lambda w, r0, *run: _kernels.tsallis_eg(w, beta, use_log, r0, *run)
         floor, separable = beta < 0.0, True
@@ -398,11 +396,7 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         # phi(g) is affine in the power score: with the slope of a linear
         # generator, and with slope 1/(1-alpha) for the power loss
         sense_max = maximize == (phi.increasing if g.kind == "power" else g.alpha < 1.0)
-        data = posts
-        if sense == g.sense:
-            starts = [posts]
-        else:
-            starts = [posts, uniform] if rescue else [uniform]
+        data, starts = posts, [posts if sense == g.sense else np.full(posts.shape, 1.0 / n)]
         stacked = _kernels.power_objective(g.alpha)
         solve = lambda pi, r0, *run: _kernels.power_eg(pi, g.alpha, r0, *run)
         floor = g.alpha < 1.0
@@ -586,7 +580,7 @@ def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
     """
     if p.labels != W.x_labels:
         raise DimensionMismatch("prior labels do not match channel input labels")
-    sense = _resolve(sense, g)
+    sense = _resolve(sense, g, method)
     _check_bounded(g, sense, p.n, phi, psi)
     run = "optimize" if method == "auto" else method
     if phi.matches(psi):
@@ -596,17 +590,8 @@ def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
         wt, mass, posts = (np.ascontiguousarray(joint.matrix.T[ys]), joint.p_y[ys],
                            joint.posteriors[ys])
         rows = np.full((W.n_y, p.n), 1.0 / p.n)
-        closed = (_closed_same(wt, mass, posts, g, phi, sense)
-                  if method in ("auto", "closed_form") else None)
-        if closed is not None:
-            value, rows[ys] = closed
-            run, resid = "closed_form", 0.0
-        elif method == "closed_form":
-            raise UnsupportedVariant(
-                f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
-            )
-        else:
-            value, rows[ys], resid = _per_observation(wt, mass, posts, g, phi, sense, run, cfg)
+        value, rows[ys], run, resid = _same_generators(wt, mass, posts, g, phi, sense,
+                                                       method, cfg)
     elif (alpha := _detect_ac_tuple(g, phi, psi)) is not None and sense == "gain":
         value, rows, run, resid = _cond_ac(p, W, alpha, method, cfg)
     elif (alpha := _detect_lp_tuple(g, phi, psi)) is not None and sense == "gain":
@@ -664,9 +649,7 @@ def g_leakage(spec: LeakageSpec, W: Channel, method: str = "auto",
 def leakage_spec_for(variant, p: Pmf, alpha: float) -> LeakageSpec:
     """The (prior, phi, psi, gain) tuple whose leakage is the given
     order-alpha mutual information."""
-    from .qcalc import log_aggregator, q_log_aggregator
-
-    variant = MiVariant(variant)
+    variant = _variant(variant)
     if variant is not MiVariant.SHANNON and abs(alpha - 1.0) <= ALPHA_ONE_ATOL:
         variant = MiVariant.SHANNON  # every variant degenerates to the order-1 tuple
     if variant is MiVariant.SHANNON:

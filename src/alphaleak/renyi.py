@@ -71,11 +71,17 @@ class Method(str, Enum):
 
 
 def _variant(v) -> MiVariant:
-    return MiVariant(v)
+    try:
+        return MiVariant(v)
+    except ValueError:
+        raise UnsupportedVariant(f"unknown variant {v!r}") from None
 
 
 def _method(m) -> Method:
-    return Method(m)
+    try:
+        return Method(m)
+    except ValueError:
+        raise UnsupportedVariant(f"unknown method {m!r}") from None
 
 
 def lp_order_valid(alpha: float) -> bool:

@@ -57,7 +57,8 @@ DEFAULT_SIZES = (2, 3)
 GIBBS_ORDERS = (0.25, 0.5, 2.0, 4.0)
 HOLDER_ORDERS = (0.5, 2.0)
 
-# identity id -> (tolerance, kind); "rel" scales by max(1, |rhs|)
+# identity id -> tolerance, a bare float; each check uses it as is or scales it
+# (by max(1, |rhs|), or as noted)
 DEFAULT_TOLERANCES = {
     "gibbs-grid-dominates": 1e-9,
     "gibbs-argmax-near-tilt": 2e-2,
@@ -301,18 +302,16 @@ def _check_posterior_form(report: VerifyReport, p, W, alpha: float, tag: str,
     report.add("posterior-form-agreement", tag, lhs, rhs, tol["posterior-form-agreement"])
 
 
-def _check_power_score(report: VerifyReport, rng, trial: int, tol,
-                       grid_resolution: float):
+def _check_power_score(report: VerifyReport, rng, trial: int, tol, cfg: OptimizerConfig):
     p = make_pmf(0.9 * rng.dirichlet(np.ones(3)) + 0.1 / 3, renormalize=True)
     for alpha in (0.5, 2.0):
         tag = f"trial={trial} alpha={alpha}"
         # the grid scan of the objective that power_eg optimizes
         scores = _grid_values(power_objective(alpha).objective, p.probs, alpha < 1.0)
-        _, extremum = oracle_optimize_single(scores, 3, alpha > 1.0,
-                                             OptimizerConfig(grid_resolution=grid_resolution))
+        _, extremum = oracle_optimize_single(scores, 3, alpha > 1.0, cfg)
         target = float((p.probs ** alpha).sum())
         report.add("power-score-extremum", tag, extremum, target,
-                   tol["power-score-extremum"] * 3 * grid_resolution)
+                   tol["power-score-extremum"] * 3 * cfg.grid_resolution)
 
 
 def _check_structural(report: VerifyReport, p, W, alpha: float, tag: str, tol,
@@ -329,9 +328,9 @@ def _check_structural(report: VerifyReport, p, W, alpha: float, tag: str, tol,
 
 def run_verify(trials: int = 50, seed: int = 7, sizes=DEFAULT_SIZES,
                alphas=DEFAULT_ALPHAS, tolerances: dict | None = None,
-               cfg: OptimizerConfig | None = None,
-               grid_resolution: float = 5e-3) -> VerifyReport:
-    """Run the whole identity suite on seeded random instances."""
+               cfg: OptimizerConfig | None = None) -> VerifyReport:
+    """Run the whole identity suite on seeded random instances; the grid
+    checks scan at ``cfg.grid_resolution``."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -341,9 +340,9 @@ def run_verify(trials: int = 50, seed: int = 7, sizes=DEFAULT_SIZES,
     t0 = time.perf_counter()
     for trial in range(trials):
         p, W = random_instance(rng, sizes)
-        _check_gibbs(report, rng, trial, tol, grid_resolution)
+        _check_gibbs(report, rng, trial, tol, cfg.grid_resolution)
         _check_holder(report, rng, trial, tol)
-        _check_power_score(report, rng, trial, tol, grid_resolution)
+        _check_power_score(report, rng, trial, tol, cfg)
         _check_vuln_entropy_order1(report, p, W, f"trial={trial} nx={p.n} ny={W.n_y}", tol, cfg)
         for alpha in alphas:
             tag = f"trial={trial} nx={p.n} ny={W.n_y} alpha={alpha}"

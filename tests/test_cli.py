@@ -271,6 +271,16 @@ class TestPlotGain:
         assert len(lines) == 6  # comment + header + 4 rows
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("command", ["plot-gain", "risk-aversion"])
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--tol", "1e-8"],
+                                        ["--grid-res", "0.1"]])
+    def test_commands_that_do_not_solve_reject_them(self, command, option):
+        with pytest.raises(SystemExit) as info:
+            main([command, *option])
+        assert info.value.code == 2
+
+
 class TestOutputDirEnv:
     def test_relative_out_resolves_against_env(self, tmp_path, bsc_file, monkeypatch):
         monkeypatch.setenv("ALPHALEAK_OUTPUT_DIR", str(tmp_path))

@@ -35,7 +35,7 @@ from alphaleak import (
     soft01_gain,
 )
 from alphaleak import renyi
-from alphaleak.leakage import _prior_closed, cond_vulnerability
+from alphaleak.leakage import cond_vulnerability, prior_vulnerability
 from alphaleak.simplex import compose_joint
 
 ALPHAS = (0.3, 0.55, 2.0, 10.0, 50.0, 1000.0)
@@ -230,7 +230,8 @@ def test_prior_is_the_one_observation_case(case, kind):
     alpha = 2.0
     g, phi = _tuple(kind, alpha)
     p, _ = _instance(*case, 0)
-    value, action = _prior_closed(p, g, phi, g.sense)
+    res = prior_vulnerability(p, g, phi, g.sense, "closed_form")
+    value, action = res.value, res.rule
     one = make_channel(np.ones((p.n, 1)))
     want_value, want_rows = _ref_cond_closed(p, one, kind, alpha)
     np.testing.assert_allclose(value, want_value, rtol=1e-14, atol=0.0)

@@ -362,6 +362,20 @@ def test_tsallis_eg_descent_reaches_minimum_on_sparse_weights():
     assert abs(value - minimum) <= 1e-6 * minimum
 
 
+def test_tsallis_eg_restarts_its_step_after_a_fallback():
+    # the posterior of the prior of mass 2.1e-8 in the last symbol below
+    # (order 0.3): at the 2.7e-8 coordinate no step down to _MIN_STEP
+    # meets Armijo's bound, and doubling the fallback step of about 1e-17
+    # stopped the descent after 4 iterations at 6.711 against 4.919
+    w = np.array([0.6555747573, 2.72e-8, 0.3444252155])
+    w /= w.sum()
+    beta = 1.0 - 1.0 / 0.3
+    run = (False, 1e-10, 100_000)
+    _, value, _, _ = K.tsallis_eg(w, beta, False, w, *run)
+    _, from_uniform, _, _ = K.tsallis_eg(w, beta, False, np.full(3, 1.0 / 3.0), *run)
+    assert abs(value - from_uniform) <= 1e-12 * from_uniform
+
+
 def _hex_pair(p, W):
     return (make_pmf([float.fromhex(h) for h in p]),
             make_channel([[float.fromhex(h) for h in row] for row in W]))

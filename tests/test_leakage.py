@@ -7,6 +7,8 @@ from alphaleak import (
     DegenerateVulnerability,
     DomainError,
     InvalidOrder,
+    NumericalInconsistency,
+    UnsupportedVariant,
     alpha_mi,
     alpha_mi_via_leakage,
     arrow_pratt,
@@ -31,7 +33,7 @@ from alphaleak import (
     uniform_pmf,
 )
 from alphaleak import leakage
-from alphaleak.leakage import LeakageSpec, _prior_closed, _prior_objective
+from alphaleak.leakage import LeakageSpec, _prior_objective
 from alphaleak.optimize import OptimizerConfig, _fd_grad, _fd_grad_stack, simplex_grid
 from alphaleak.renyi import MiVariant
 from conftest import random_pair
@@ -251,7 +253,7 @@ class TestPriorKernelRoute:
     def test_optimize_matches_closed_form(self, family, kind, alpha, fd_calls):
         g, phi = _kernel_family(family, alpha)
         for p in _route_priors(kind):
-            closed, _ = _prior_closed(p, g, phi, g.sense)
+            closed = prior_vulnerability(p, g, phi, g.sense, "closed_form").value
             res = prior_vulnerability(p, g, phi, method="optimize")
             assert res.method == "optimize"
             # the kernels stop after three relative changes below 1e-10,
@@ -272,17 +274,17 @@ class TestPriorKernelRoute:
         assert fd_calls
         # an affine change of generator keeps the mean, so the closed value
         # of the plain generator is the reference
-        closed, _ = _prior_closed(p, g, closed_phi, g.sense)
+        closed = prior_vulnerability(p, g, closed_phi, g.sense, "closed_form").value
         assert abs(res.value - closed) <= 1e-6 * max(1.0, abs(closed))
 
     @pytest.mark.parametrize("probs", [[8.578e-08, 1.0 - 8.578e-08],
                                        [5.117e-08, 0.8984, 0.1016 - 5.117e-08]])
     def test_tiny_masses_below_order_one(self, probs):
-        # from the prior itself the deformed-log kernel stops after a few
-        # tiny steps, 0.4-0.55 off; the run from uniform reaches the optimum
+        # from the prior itself the deformed-log kernel once stopped after a
+        # few tiny steps, 0.4-0.55 off, doubling its fallback step each time
         p = make_pmf(probs, renormalize=True)
         g, phi = _kernel_family("soft01_qlog", 0.3)
-        closed, _ = _prior_closed(p, g, phi, g.sense)
+        closed = prior_vulnerability(p, g, phi, g.sense, "closed_form").value
         res = prior_vulnerability(p, g, phi, method="optimize")
         assert abs(res.value - closed) <= 1e-8 * abs(closed)
 
@@ -655,3 +657,87 @@ class TestUnboundedPowerProblems:
         res = prior_vulnerability(make_pmf([1.0]), power_score_gain(0.3), linear_aggregator(),
                                   sense="gain")
         assert res.value == pytest.approx(1.0)
+
+
+class TestPriorIsTheOneRowCase:
+    """The prior vulnerability runs the phi = psi body of the conditional
+    one on one row, so both share the closed forms and the start rule."""
+
+    # a prior of mass 2.1e-8 in its last symbol: its posteriors drove the
+    # deformed-log kernel into a fallback step, after which the parent
+    # loop doubled the step from about 1e-17 and stopped far off
+    P = make_pmf([0.29138926, 0.708610719, 2.1e-8], renormalize=True)
+    W = make_channel([[0.4233, 0.5767], [0.8436, 0.1564], [0.979, 0.021]])
+
+    def test_conditional_optimize_below_order_one_on_a_tiny_mass(self):
+        spec = leakage_spec_for("arimoto", self.P, 0.3)
+        closed = cond_vulnerability(self.P, self.W, spec.gain, spec.phi, spec.psi,
+                                    method="closed_form").value
+        assert closed == pytest.approx(0.5284559964, abs=1e-10)
+        res = cond_vulnerability(self.P, self.W, spec.gain, spec.phi, spec.psi,
+                                 method="optimize")
+        assert abs(res.value - closed) <= 1e-9 * closed
+
+    @pytest.mark.parametrize("variant", ["arimoto", "sibson"])
+    def test_mutual_information_routes_match_the_closed_form(self, variant):
+        closed = alpha_mi(variant, self.P, self.W, 0.3)
+        if variant == "arimoto":
+            assert closed == pytest.approx(0.0314777286, abs=1e-10)
+        for route in (alpha_mi, alpha_mi_via_leakage):
+            assert abs(route(variant, self.P, self.W, 0.3, method="optimize") - closed) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0, np.inf])
+    def test_conditional_transformed_gain_has_the_closed_form(self, alpha):
+        p = make_pmf([0.2, 0.3, 0.5])
+        W = make_channel([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+        g, lin = transformed_gain(alpha), linear_aggregator()
+        auto = cond_vulnerability(p, W, g, lin, lin)
+        assert auto.method == "closed_form"
+        optimized = cond_vulnerability(p, W, g, lin, lin, method="optimize")
+        assert abs(auto.value - optimized.value) <= 1e-6
+        # a channel that reveals nothing gives the prior's value
+        silent = cond_vulnerability(p, make_channel(np.ones((3, 1))), g, lin, lin)
+        prior = prior_vulnerability(p, g, lin)
+        assert prior.method == "closed_form"
+        assert silent.value == pytest.approx(prior.value, rel=1e-14, abs=1e-15)
+
+
+class TestTypedErrors:
+    P = make_pmf([0.2, 0.3, 0.5])
+    W = make_channel([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+
+    @pytest.mark.parametrize("entry", [
+        lambda p, W, m: prior_vulnerability(p, soft01_gain(), log_aggregator(), method=m),
+        lambda p, W, m: cond_vulnerability(p, W, soft01_gain(), log_aggregator(),
+                                           log_aggregator(), method=m),
+        lambda p, W, m: g_leakage(leakage_spec_for("arimoto", p, 2.0), W, method=m),
+        lambda p, W, m: alpha_mi_via_leakage("sibson", p, W, 2.0, method=m),
+        lambda p, W, m: alpha_mi("sibson", p, W, 2.0, method=m),
+        lambda p, W, m: cond_renyi_entropy("arimoto", p, W, 2.0, method=m),
+    ], ids=["prior_vulnerability", "cond_vulnerability", "g_leakage",
+            "alpha_mi_via_leakage", "alpha_mi", "cond_renyi_entropy"])
+    def test_unknown_method_raises(self, entry, monkeypatch):
+        solves = []
+        monkeypatch.setattr(leakage, "_per_observation",
+                            lambda *a, **k: solves.append(1) or (0.5, None, 0.0))
+        with pytest.raises(UnsupportedVariant):
+            entry(self.P, self.W, "fast")
+        assert not solves
+
+    @pytest.mark.parametrize("entry", [
+        lambda p, W: leakage_spec_for("renyi", p, 2.0),
+        lambda p, W: alpha_mi("renyi", p, W, 2.0),
+        lambda p, W: alpha_mi_via_leakage("renyi", p, W, 2.0),
+    ], ids=["leakage_spec_for", "alpha_mi", "alpha_mi_via_leakage"])
+    def test_unknown_variant_raises(self, entry):
+        with pytest.raises(UnsupportedVariant):
+            entry(self.P, self.W)
+
+    @pytest.mark.parametrize("phi", [log_aggregator(), linear_aggregator()],
+                             ids=["log", "linear"])
+    def test_nan_vulnerability_raises(self, phi):
+        # the power score 2 r(x) - sum r^2 is negative on part of the
+        # simplex, where its log is NaN
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalInconsistency):
+            cond_vulnerability(self.P, self.W, power_score_gain(2.0), phi, log_aggregator(),
+                               method="optimize")

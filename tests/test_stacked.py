@@ -772,11 +772,41 @@ def _pmf_channel(kind):
     return make_pmf(p), make_channel(W)
 
 
+# via_leakage values re-recorded when the prior vulnerability lost its
+# second start from uniform and an EG row restarted its step after a
+# fallback step; each must lie within 1e-7 of the value it replaced (of
+# SUFFICIENT_DECREASE, POSTERIOR_STARTS, RERECORDED or RECORDED, in that
+# order) or nearer the closed form
+ONE_START = {
+    ('via_leakage', 'sibson', 2.0, 'dense'): '0x1.4665429a65f92p-3',
+    ('via_leakage', 'arimoto', 2.0, 'dense'): '0x1.3c7941a9ac2bep-4',
+    ('via_leakage', 'arimoto', 10.0, 'dense'): '0x1.652c1d5b023e3p-8',
+    ('via_leakage', 'augustin_csiszar', 0.6, 'dense'): '0x1.1cf7f250166b8p-4',
+    ('via_leakage', 'augustin_csiszar', 0.6, 'sparse'): '0x1.d7001bbb84129p-5',
+    ('via_leakage', 'augustin_csiszar', 2.0, 'dense'): '0x1.201b269d14093p-3',
+    ('via_leakage', 'augustin_csiszar', 4.0, 'dense'): '0x1.6a8d1692b1d01p-3',
+    ('via_leakage', 'augustin_csiszar', 4.0, 'sparse'): '0x1.73114d1773e58p-4',
+    ('via_leakage', 'augustin_csiszar', 10.0, 'dense'): '0x1.ad31dc794b8b7p-3',
+    ('via_leakage', 'lapidoth_pfister', 2.0, 'dense'): '0x1.3332357bc5581p-3',
+    ('via_leakage', 'lapidoth_pfister', 4.0, 'dense'): '0x1.9403d16d4e801p-3',
+    ('via_leakage', 'lapidoth_pfister', 4.0, 'sparse'): '0x1.8adbf5358c1f4p-3',
+}
+
+
 @pytest.mark.parametrize("key", sorted(RECORDED), ids=lambda k: "-".join(map(str, k)))
 def test_optimize_routes_match_recorded(key):
     route, variant, alpha, kind = key
     fn = alpha_mi if route == "alpha_mi" else alpha_mi_via_leakage
     expected = RECORDED[key]
+    if key in ONE_START:
+        value = fn(variant, *_pmf_channel(kind), alpha, method="optimize")
+        assert value.hex() == ONE_START[key]
+        replaced = float.fromhex(SUFFICIENT_DECREASE.get(key) or POSTERIOR_STARTS.get(key)
+                                 or RERECORDED.get(key) or expected)
+        assert keeps_to_the_rule(value, replaced,
+                                 lambda: alpha_mi(variant, *_pmf_channel(kind), alpha))
+        assert value == pytest.approx(float.fromhex(expected), rel=1e-7, abs=0.0)
+        return
     if key in SUFFICIENT_DECREASE:
         value = fn(variant, *_pmf_channel(kind), alpha, method="optimize")
         assert value.hex() == SUFFICIENT_DECREASE[key]
