@@ -29,14 +29,15 @@ only EG loop in the library: the four decision-rule kernels (``tsallis_eg``,
 ``power_eg``, ``ac_eg``, ``lp_eg``) bind to it the objective and
 gradient of their ``*_objective`` factory, and ``optimize._eg_run``
 binds every other stacked objective.  The grid oracles score the same
-objectives.
+objectives, each finite on the closed simplex by itself: it floors the
+operand of a negative power (``_power``) and takes a zero-weight log at 1.
 
 ``augustin_solve`` is the fixed-point iteration for the minimizing output
 distribution and ``lp_alternating_solve`` the alternating minimization
 over product distributions.
 
 The kernels are plain numpy, deterministic, and floor simplex iterates at
-``EPS`` so that negative-power objectives stay finite at the boundary.
+``EPS``, so that negative-power gradients stay finite.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 EPS = 1e-12
+_EVAL_FLOOR = 1e-30  # operand floor of a negative power at a grid point
 
 _STEP_INIT = 0.5  # every row's first trial step
 _MAX_STEP = 1e3
@@ -65,6 +67,12 @@ class _Stacked(NamedTuple):
 
     objective: Callable
     grad: Callable
+
+
+def _power(e):
+    """x ** e, x floored at ``_EVAL_FLOOR`` under a negative power (the
+    identity on EG iterates, which stay above EPS / (1 + n EPS))."""
+    return (lambda x: np.maximum(x, _EVAL_FLOOR) ** e) if e < 0.0 else (lambda x: x ** e)
 
 
 def _floor_rows(R):
@@ -213,19 +221,17 @@ def _stack_run(objective, grad, X0, single_ndim, maximize, tol, max_iters, data=
 
 def tsallis_objective(beta, use_log):
     """f(r) = sum_x w[x] r[x]^beta (or sum w log r) per row of a stack of
-    points, the weights w the per-row data, and its gradient."""
-    if use_log:
-        def objective(b, w):
-            return (w * np.log(b[0])).sum(axis=-1), None
+    points, the weights w the per-row data, and its gradient.  A zero
+    weight takes a log or negative power at r[x] = 1, so its term is 0
+    (below beta = -10 the floored power overflows)."""
+    term, masked = (np.log, True) if use_log else (_power(beta), beta < 0.0)
 
-        def grad(b, cache, w):
-            return [w / b[0]]
-    else:
-        def objective(b, w):
-            return (w * b[0] ** beta).sum(axis=-1), None
+    def objective(b, w):
+        r = np.where(w > 0.0, b[0], 1.0) if masked else b[0]
+        return (w * term(r)).sum(axis=-1), None
 
-        def grad(b, cache, w):
-            return [beta * w * b[0] ** (beta - 1.0)]
+    def grad(b, cache, w):
+        return [w / b[0] if use_log else beta * w * b[0] ** (beta - 1.0)]
 
     return _Stacked(objective, grad)
 
@@ -243,9 +249,11 @@ def tsallis_eg(w, beta, use_log, r0, maximize, tol, max_iters):
 def power_objective(alpha):
     """The expected power score sum_x pi[x] f_pw(x, r) per row of a stack
     of points, the posterior pi the per-row data, and its gradient."""
+    power = _power(alpha - 1.0)
+
     def objective(b, pi):
         r = b[0]
-        ra = r ** (alpha - 1.0)
+        ra = power(r)
         return alpha * (pi * ra).sum(axis=-1) + (1.0 - alpha) * (r ** alpha).sum(axis=-1), ra
 
     def grad(b, ra, pi):
@@ -263,10 +271,15 @@ def power_eg(pi, alpha, r0, maximize, tol, max_iters):
 
 def ac_objective(p, W, beta):
     """Phi(R) = sum_x p[x] log(sum_y W[x,y] R[y,x]^beta) per rule of a
-    stack of rules (rows of R are simplices, one per y), and its gradient."""
+    stack of rules (rows of R are simplices, one per y), and its gradient;
+    a zero-mass x takes the log of 1."""
+    power = _power(beta)
+    live = p > 0.0
+    log_S = np.log if live.all() else (lambda S: np.log(np.where(live, S, 1.0)))
+
     def objective(b, data):
-        S = np.einsum("xy,byx->bx", W, b[0] ** beta)
-        return (p * np.log(S)).sum(axis=-1), S
+        S = np.einsum("xy,byx->bx", W, power(b[0]))
+        return (p * log_S(S)).sum(axis=-1), S
 
     def grad(b, S, data):
         return [beta * (p / S)[:, None, :] * W.T * b[0] ** (beta - 1.0)]
@@ -283,8 +296,10 @@ def ac_eg(p, W, beta, R0, maximize, tol, max_iters):
 def lp_objective(pt, W, beta, qt):
     """log G(R), G = sum_x pt[x] (sum_y W[x,y] R[y,x]^beta)^qt, per rule of
     a stack of rules, and its gradient."""
+    power = _power(beta)
+
     def objective(b, data):
-        S = np.einsum("xy,byx->bx", W, b[0] ** beta)
+        S = np.einsum("xy,byx->bx", W, power(b[0]))
         return np.log((pt * S ** qt).sum(axis=-1)), S
 
     def grad(b, S, data):

@@ -212,11 +212,19 @@ def _maximize_inner(sense: str, phi: Aggregator) -> bool:
 
 
 def _check_bounded(g: GainFunction, sense: str, n: int, *generators: Aggregator):
-    """Below order 1 a power score (and the power loss, its 1/(1-alpha)
-    power) grows without bound as a coordinate of the action goes to 0, so
-    on two or more secrets its gain-sense optimum is +inf wherever every
-    generator maps +inf to an infinite value: raise before any solve."""
-    if g.kind in ("power", "power_loss") and g.alpha < 1.0 and sense == "gain" and n > 1:
+    """Raise before any solve on two or more secrets.  The power score above
+    order 1 and the transformed gain take negative values, outside the
+    domain of a generator defined only on (0, inf): ``DomainError``.  Below
+    order 1 a power score (or the power loss, its 1/(1-alpha) power) grows
+    without bound as a coordinate of the action goes to 0, so its gain-sense
+    optimum is +inf under generators that keep +inf infinite."""
+    if n < 2:
+        return
+    if ((g.kind == "power" and g.alpha > 1.0) or g.kind == "transformed") and any(
+            a.domain[0] >= 0.0 for a in generators):
+        raise DomainError(f"the {g.kind} gain takes negative values, outside the "
+                          "domain (0, inf) of a generator")
+    if g.kind in ("power", "power_loss") and g.alpha < 1.0 and sense == "gain":
         with np.errstate(all="ignore"):
             if all(np.isinf(_apply(a.forward, np.array([np.inf]))[0]) for a in generators):
                 raise DegenerateVulnerability(
@@ -376,11 +384,9 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
     maximize = _maximize_inner(sense, phi)
     # per objective, chosen once: its per-row data and sense, the stacked
     # objective, the EG run of a stack of rows and its starts, whether a
-    # run must converge, whether the oracle floors grid points under it
-    # and whether each coordinate enters only its own term; its aggregate
-    # term from (observation mass, optimal value), and the map from the
-    # sum of the terms to the vulnerability
-    converge, floor, separable = False, False, False
+    # run must converge; its aggregate term from (observation mass, optimal
+    # value), and the map from the sum of the terms to the vulnerability
+    converge = False
     term, finish = (lambda m, val: m * val), phi.inverse
     if g.kind == "soft01" and phi.kind in ("log", "q_log"):
         use_log = phi.kind == "log"
@@ -390,7 +396,6 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         data, starts = wt, [posts]
         stacked = _kernels.tsallis_objective(beta, use_log)
         solve = lambda w, r0, *run: _kernels.tsallis_eg(w, beta, use_log, r0, *run)
-        floor, separable = beta < 0.0, True
         term = (lambda m, val: val) if use_log else (lambda m, val: (val - m) / (1.0 - phi.q))
     elif (g.kind == "power" and phi.kind == "linear") or _matching_power_loss(g, phi):
         # phi(g) is affine in the power score: with the slope of a linear
@@ -399,7 +404,6 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         data, starts = posts, [posts if sense == g.sense else np.full(posts.shape, 1.0 / n)]
         stacked = _kernels.power_objective(g.alpha)
         solve = lambda pi, r0, *run: _kernels.power_eg(pi, g.alpha, r0, *run)
-        floor = g.alpha < 1.0
         # an affine generator's mean is the arithmetic mean; the power loss's
         # deformed-log mean is the 1/(1-alpha) power of the mean score, taken
         # directly since phi.inverse's base 1 + (1-alpha) * (mean of phi)
@@ -425,13 +429,10 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
             _require_convergence(resids[i::n_obs], resids[b], cfg)
         R, vals, resids = R[best], vals[best], resids[best]
     else:
-        # one scan of one grid: each observation's data is broadcast along
-        # the grid axis, so the objective gives one row of values per
-        # observation
-        rows = data[:, None, :]
-        R, vals = oracle_optimize_single(
-            _grid_values(stacked.objective, rows, floor, rows > 0.0 if separable else None),
-            n, sense_max, cfg)
+        # one scan of one grid, each observation's data broadcast along the
+        # grid axis: one row of values per observation
+        R, vals = oracle_optimize_single(_grid_values(stacked.objective, data[:, None, :]),
+                                         n, sense_max, cfg)
         resids = np.full(len(data), cfg.grid_resolution)
     aggregate = 0.0
     worst_resid = 0.0
@@ -478,24 +479,22 @@ def _joint_eg_inits(p: Pmf, W: Channel, prior_action: np.ndarray,
 
 
 def _coupled_rule(p: Pmf, W: Channel, stacked: _Stacked, solve, prior_action,
-                  maximize: bool, floor: bool, live, finish, method: str,
-                  cfg: OptimizerConfig):
+                  maximize: bool, finish, method: str, cfg: OptimizerConfig):
     """The optimize and oracle routes of a coupled decision-rule objective.
 
     ``solve`` runs EG on an (m, n_y, n_x) stack of rule starts, as a
     kernel entry point does: the posterior family, the constant rule of
     ``prior_action()`` and seeded draws; the best row wins.  The oracle
-    scans the rule grid with ``stacked``'s objective under the boundary
-    rule of ``_grid_values``.  ``finish`` maps the objective's optimum to
-    the vulnerability.  Returns (value, rule rows, method, residual).
+    scans the rule grid with ``stacked``'s objective as it is.  ``finish``
+    maps the objective's optimum to the vulnerability.  Returns (value,
+    rule rows, method, residual).
     """
     if method == "optimize":
         R, vals, resids, _, _ = solve(_joint_eg_inits(p, W, prior_action(), cfg), maximize,
                                       cfg.tolerance, cfg.max_iters)
         i = _best_row(vals, maximize)
         return finish(float(vals[i])), R[i], "optimize", float(resids[i])
-    R, val = oracle_optimize_rule(_grid_values(stacked.objective, floor=floor, live=live),
-                                  p.n, W.n_y, maximize, cfg)
+    R, val = oracle_optimize_rule(_grid_values(stacked.objective), p.n, W.n_y, maximize, cfg)
     return finish(val), R, "oracle", cfg.grid_resolution
 
 
@@ -510,8 +509,7 @@ def _cond_ac(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig
     return _coupled_rule(
         p, W, _kernels.ac_objective(p.probs, W.matrix, beta),
         lambda R0, *run: _kernels.ac_eg(p.probs, W.matrix, beta, R0, *run),
-        lambda: p.probs, alpha > 1.0, beta < 0.0, p.probs > 0.0,
-        lambda v: math.exp(coeff * v), method, cfg)
+        lambda: p.probs, alpha > 1.0, lambda v: math.exp(coeff * v), method, cfg)
 
 
 def _cond_lp(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig):
@@ -527,8 +525,8 @@ def _cond_lp(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig
     return _coupled_rule(
         p, W, _kernels.lp_objective(p.probs, W.matrix, beta, qt),
         lambda R0, *run: _kernels.lp_eg(p.probs, W.matrix, beta, qt, R0, *run),
-        lambda: tilt(p, 1.0 / qt).probs, alpha > 1.0, beta < 0.0, None,
-        lambda v: math.exp(v / (1.0 - qt)), method, cfg)
+        lambda: tilt(p, 1.0 / qt).probs, alpha > 1.0, lambda v: math.exp(v / (1.0 - qt)),
+        method, cfg)
 
 
 def _kn_conditional_value(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
@@ -547,13 +545,12 @@ def _cond_generic_mixed(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
                         cfg: OptimizerConfig):
     """phi != psi without a recognized tuple: optimize the value directly,
     its gradient by central differences on the flattened rule.  The
-    oracle floors grid rules, as every rule oracle floors them: a zero
-    entry can make a gain infinite and its generator image a saturation
-    value."""
+    objective floors its rule at ``_kernels._EVAL_FLOOR`` on both paths,
+    since the gains may take any power of a zero entry."""
     value = partial(_kn_conditional_value, p, W, g, phi, psi)
 
     def objective(b, data):
-        return value(b[0]), None
+        return value(np.maximum(b[0], _kernels._EVAL_FLOOR)), None
 
     def grad(b, cache, data):
         n_y, n_x = b[0].shape[1:]
@@ -565,7 +562,7 @@ def _cond_generic_mixed(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
     return _coupled_rule(
         p, W, stacked, _eg_block(stacked),
         lambda: prior_vulnerability(p, g, phi, sense, "auto", cfg).rule.probs,
-        sense == "gain", True, None, float, method, cfg)
+        sense == "gain", float, method, cfg)
 
 
 def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,

@@ -5,8 +5,8 @@ Four engines, in increasing order of specialization:
 * ``simplex_grid`` + the ``oracle_*`` scanners: exhaustive, used as
   brute-force oracles for everything else; a grid is built in numpy,
   one leading part at a time, on every call and is not cached; the
-  scanners score the same stacked objectives that EG optimizes, one
-  bounded chunk of points or rules at a time (``_scan_chunks``);
+  scanners score the stacked objectives that EG optimizes as they are,
+  one bounded chunk of points or rules at a time (``_scan_chunks``);
 * ``eg_optimize``: generic exponentiated-gradient (multiplicative
   weights with a backtracking line search that accepts a step only on
   Armijo's sufficient decrease, Armijo 1966) over a product of simplices,
@@ -49,7 +49,6 @@ from .simplex import Channel, JointDist, Pmf, make_pmf
 
 GRID_POINT_BUDGET = 10_000_000
 ORACLE_MAX_ALPHABET = 4
-_EVAL_FLOOR = 1e-30  # boundary grid points under negative powers stay finite
 _RULE_CHUNK = 4096  # rule combinations scored per objective call
 _GRID_CHUNK = 1 << 17  # (problem, grid point) pairs scored per objective call
 
@@ -142,26 +141,13 @@ def oracle_scan(values: np.ndarray, maximize: bool):
     return (int(idx), float(val)) if values.ndim == 1 else (idx, val)
 
 
-def _grid_values(objective, data=None, floor: bool = False, live=None):
-    """Values of a stacked ``_kernels.eg`` objective for a stack of grid
-    points, under the oracles' boundary rule: points are floored at
-    ``_EVAL_FLOOR`` only when the objective takes a negative power of them
-    (``floor``; under a small positive power a floor is wrong near order
-    one, 1e-30**0.01 = 0.5, and a log keeps its exact -inf at 0), and a
-    last-axis coordinate outside ``live``, which enters only its own
-    zero-weight term, is set to 1 by ``np.where``, so that term is exactly
-    0 rather than 0 * log 0.  EG iterates never reach the boundary, so the
-    EG path does none of this.  Axes of ``data`` before its last two index
-    problems that share each point; ``problems`` counts them for the scan.
+def _grid_values(objective, data=None):
+    """Values of a stacked ``_kernels.eg`` objective, with its per-row
+    ``data``, for a stack of grid points, scored as they are.  Axes of
+    ``data`` before its last two index problems that share each point;
+    ``problems`` counts them for the scan.
     """
-    if live is not None and live.all():
-        live = None
-
     def values(points):
-        if floor:
-            points = np.maximum(points, _EVAL_FLOOR)
-        if live is not None:
-            points = np.where(live, points, 1.0)
         with np.errstate(divide="ignore"):
             return objective([points], data)[0]
 

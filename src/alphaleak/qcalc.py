@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidOrder, ValidationError
+from .errors import AlphaleakError, DomainError, InvalidOrder, ValidationError
 from .simplex import Pmf, p_norm, tilt
 
 Q_ONE_ATOL = 1e-8
@@ -76,12 +76,16 @@ def q_exp(x, q: float):
 
 
 def _apply(fn: Callable, arr: np.ndarray) -> np.ndarray:
-    """Apply a scalar-or-vectorized map elementwise (boundary -inf allowed)."""
+    """Apply a scalar-or-vectorized map elementwise (boundary -inf allowed);
+    a library error (``q_log`` outside its domain) propagates, as it would
+    element by element."""
     with np.errstate(divide="ignore"):
         try:
             out = np.asarray(fn(arr), dtype=np.float64)
             if out.shape == arr.shape:
                 return out
+        except AlphaleakError:
+            raise
         except (TypeError, ValueError):
             pass
         return np.array(

@@ -40,7 +40,6 @@ from .errors import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
-    _EVAL_FLOOR,
     _expected_divergence_eg,
     _grid_values,
     _Stacked,
@@ -326,8 +325,7 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
     elif variant is MiVariant.AUGUSTIN_CSISZAR and method is Method.CLOSED_FORM:
         value = augustin_fixed_point(p, W, alpha, cfg).value
     elif variant in (MiVariant.SIBSON, MiVariant.AUGUSTIN_CSISZAR):
-        # both minimize over the output distribution q; their objectives
-        # floor q at the kernels' EPS, so the grid needs no floor of its own
+        # both minimize over the output distribution q, floored at EPS
         stacked = (_sibson_objective(p, W, alpha) if variant is MiVariant.SIBSON
                    else _expected_divergence_eg(p.probs, W.matrix ** alpha, alpha))
         if method is Method.OPTIMIZE:
@@ -353,13 +351,12 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
             gy = simplex_grid(W.n_y, cfg.grid_resolution)
             if gx.shape[0] * gy.shape[0] > GRID_POINT_BUDGET:
                 raise OracleTooLarge("double grid too large; coarsen the resolution")
-            bx = np.maximum(gx, _EVAL_FLOOR) if alpha > 1.0 else gx
-            by = np.maximum(gy, _EVAL_FLOOR) if alpha > 1.0 else gy
-            # above order 1 a floored boundary point's power can overflow to
-            # inf; its inf never wins the minimum taken there, so the
+            power = _kernels._power(1.0 - alpha)
+            # above order 1 the power of a floored boundary point can overflow
+            # to inf; its inf never wins the minimum taken there, so the
             # overflow is harmless and stays silent
             with np.errstate(over="ignore"):
-                M = bx ** (1.0 - alpha) @ Pa @ (by ** (1.0 - alpha)).T
+                M = power(gx) @ Pa @ power(gy).T
             # minimizing the signed value flips to maximizing T below order 1
             T_opt = M.min() if alpha > 1.0 else M.max()
             value = float(np.log(T_opt) / (alpha - 1.0))

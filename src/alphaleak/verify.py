@@ -307,7 +307,7 @@ def _check_power_score(report: VerifyReport, rng, trial: int, tol, cfg: Optimize
     for alpha in (0.5, 2.0):
         tag = f"trial={trial} alpha={alpha}"
         # the grid scan of the objective that power_eg optimizes
-        scores = _grid_values(power_objective(alpha).objective, p.probs, alpha < 1.0)
+        scores = _grid_values(power_objective(alpha).objective, p.probs)
         _, extremum = oracle_optimize_single(scores, 3, alpha > 1.0, cfg)
         target = float((p.probs ** alpha).sum())
         report.add("power-score-extremum", tag, extremum, target,

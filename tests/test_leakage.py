@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from alphaleak import (
     uniform_pmf,
 )
 from alphaleak import leakage
-from alphaleak.leakage import LeakageSpec, _prior_objective
+from alphaleak.leakage import LeakageSpec, VulnerabilityResult, _prior_objective
 from alphaleak.optimize import OptimizerConfig, _fd_grad, _fd_grad_stack, simplex_grid
 from alphaleak.renyi import MiVariant
 from conftest import random_pair
@@ -614,6 +615,19 @@ class TestOraclesOnAZeroMassInput:
         assert math.isfinite(oracle.value)
         assert abs(oracle.value - closed.value) <= p.n * cfg.grid_resolution
 
+    def test_power_loss_oracle_floors_only_its_negative_power(self):
+        # the zero coordinate of the best grid point is floored under the
+        # negative power r**(alpha-1), where its zero posterior mass makes
+        # the term 0, and not under the positive power r**alpha, where a
+        # floor of 1e-30 added (1 - alpha) * 1e-30**alpha, 7e-10 relative
+        # here; the value is a 60-digit mpmath evaluation at [0, .8, .2]
+        p = make_pmf([0.0, 0.99341018, 0.00658982])
+        res = prior_vulnerability(p, power_loss(0.3), q_log_aggregator(0.3), method="oracle",
+                                  cfg=OptimizerConfig(grid_resolution=0.2))
+        np.testing.assert_array_equal(res.rule.probs, [0.0, 0.8, 0.2])
+        exact = float.fromhex("0x1.af778790dcd4cp+0")
+        assert abs(res.value - exact) <= 2.0 * math.ulp(exact)
+
 
 class TestUnboundedPowerProblems:
     """Below order 1 the power score grows without bound as a coordinate
@@ -737,7 +751,14 @@ class TestTypedErrors:
                              ids=["log", "linear"])
     def test_nan_vulnerability_raises(self, phi):
         # the power score 2 r(x) - sum r^2 is negative on part of the
-        # simplex, where its log is NaN
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalInconsistency):
-            cond_vulnerability(self.P, self.W, power_score_gain(2.0), phi, log_aggregator(),
-                               method="optimize")
+        # simplex, outside the domain of the log: the check comes before
+        # any solve, so no NaN is computed and no warning is emitted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="negative values"):
+                cond_vulnerability(self.P, self.W, power_score_gain(2.0), phi,
+                                   log_aggregator(), method="optimize")
+
+    def test_nan_result_raises(self):
+        with pytest.raises(NumericalInconsistency, match="optimize vulnerability is NaN"):
+            VulnerabilityResult(value=math.nan, rule=None, method="optimize", residual=0.0)

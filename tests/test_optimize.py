@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -367,3 +368,58 @@ class TestOracleSandwich:
                                              - grid ** (alpha - 1.0))
             L = float(np.abs(grads).max())
             assert closed - val <= L * cfg.grid_resolution * 3
+
+
+class TestObjectiveBoundary:
+    """Every objective is finite on the closed simplex by itself: the grid
+    scan adds no boundary rule, so each factory's objective must give no
+    NaN at grid points with zero coordinates, against weights with zeros."""
+
+    GRID = simplex_grid(3, 0.1)
+    # every pair of grid points, as the rows of a rule on two observations
+    RULES = np.stack(np.broadcast_arrays(GRID[:, None, :], GRID[None, :, :]),
+                     axis=-2).reshape(-1, 2, 3)
+    WEIGHTS = np.array([0.0, 0.3, 0.7])
+    # a zero-mass input, and a channel with a zero in every row
+    P = np.array([0.0, 0.4, 0.6])
+    W = np.array([[0.6, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+    @staticmethod
+    def _values(stacked, points, data=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="ignore"):
+                return stacked.objective([points], data)[0]
+
+    @pytest.mark.parametrize("beta, use_log", [(0.0, True), (-0.5, False), (0.5, False)],
+                             ids=["log", "beta<0", "beta>0"])
+    def test_tsallis(self, beta, use_log):
+        values = self._values(_kernels.tsallis_objective(beta, use_log), self.GRID,
+                              self.WEIGHTS)
+        assert values.shape == (len(self.GRID),)
+        assert not np.isnan(values).any()
+
+    def test_tsallis_overflowing_power(self):
+        # below beta = -10 the floored power 1e-30**beta overflows to inf; a
+        # zero weight must still count 0, not 0 * inf (an Arimoto oracle on a
+        # zero-mass prior at order 0.05 runs this form)
+        with np.errstate(over="ignore"):
+            values = self._values(_kernels.tsallis_objective(-19.0, False), self.GRID,
+                                  self.WEIGHTS)
+        assert not np.isnan(values).any()
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0])
+    def test_power(self, alpha):
+        values = self._values(power_objective(alpha), self.GRID, self.WEIGHTS)
+        assert not np.isnan(values).any()
+        assert np.isfinite(values).all()
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.5])
+    @pytest.mark.parametrize("factory", [
+        lambda p, W, beta: _kernels.ac_objective(p, W, beta),
+        lambda p, W, beta: _kernels.lp_objective(p, W, beta, 0.75),
+    ], ids=["ac", "lp"])
+    def test_rule_objectives(self, factory, beta):
+        values = self._values(factory(self.P, self.W, beta), self.RULES)
+        assert values.shape == (len(self.RULES),)
+        assert not np.isnan(values).any()

@@ -23,6 +23,7 @@ from alphaleak import (
     uniform_pmf,
 )
 from alphaleak.optimize import simplex_grid
+from alphaleak.qcalc import _apply
 
 
 class TestQLogExp:
@@ -122,6 +123,14 @@ class TestAggregators:
     def test_one_validated_instance_per_order(self):
         assert q_log_aggregator(0.25) is q_log_aggregator(0.25)
         assert q_log_aggregator(1.0) is log_aggregator() is log_aggregator()
+
+    def test_out_of_domain_map_raises_without_an_elementwise_retry(self):
+        # a deformed log rejects a negative argument in the array and alone
+        calls = []
+        forward = q_log_aggregator(0.5).forward
+        with pytest.raises(DomainError):
+            _apply(lambda t: calls.append(t) or forward(t), np.array([0.5, -0.5, 1.0]))
+        assert len(calls) == 1
 
 
 class TestKnMean:

@@ -8,7 +8,9 @@ for the Hayashi optimize values, re-recorded when its power-score
 problems started at their posteriors, which must come no farther from
 the closed form, and the optimize values re-recorded when the line search
 took Armijo's sufficient-decrease test, each within 1e-7 of the value it
-replaced or nearer the closed form.
+replaced or nearer the closed form, and the oracle values re-recorded when
+each objective took its own boundary rule, each at the grid rule of the
+value it replaced and within 1e-14 of an mpmath evaluation there.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from alphaleak import (
     alpha_mi,
     cond_renyi_entropy,
     cond_vulnerability,
+    leakage_spec_for,
     log_aggregator,
     make_channel,
     make_pmf,
@@ -233,6 +236,19 @@ SUFFICIENT_DECREASE = {
 }
 
 
+# float.hex of the oracle values re-recorded when each objective took its
+# own boundary rule, so that the floor of a zero coordinate under the
+# negative power r**(alpha-1) no longer enters the positive power r**alpha;
+# beside each, a 60-digit mpmath evaluation of the objective at the grid
+# rule of the RECORDED value, which the oracle keeps (the RECORDED value
+# was 6.4e-9 relative off that evaluation)
+OWN_BOUNDARY = {
+    ('oracle', 'hayashi', 0.3, 'sparse'): (
+        '0x1.c01a7e5150511p-3', '0x1.c01a7e5150515p-3',
+        [[0.0, 0.8, 0.2], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.4, 0.6]]),
+}
+
+
 def _pmf_channel(kind):
     p, W, _ = _seeded(kind)
     return make_pmf(p), make_channel(W)
@@ -244,7 +260,18 @@ def test_rule_routes_match_recorded(key):
     cfg = ORACLE_CFG[kind] if method == "oracle" else OptimizerConfig()
     value = cond_renyi_entropy(variant, *_pmf_channel(kind), alpha, method, cfg)
     expected = float.fromhex(RECORDED[key])
-    if key in SUFFICIENT_DECREASE:
+    if key in OWN_BOUNDARY:
+        new, exact, rule = OWN_BOUNDARY[key]
+        assert value.hex() == new
+        exact = float.fromhex(exact)
+        assert abs(value - exact) <= 1e-14 * abs(exact)
+        assert keeps_to_the_rule(value, expected, lambda: exact)
+        p, W = _pmf_channel(kind)
+        spec = leakage_spec_for(variant, p, alpha)
+        res = cond_vulnerability(spec.prior, W, spec.gain, spec.phi, spec.psi, spec.sense,
+                                 method, cfg)
+        np.testing.assert_array_equal(res.rule.matrix, rule)
+    elif key in SUFFICIENT_DECREASE:
         assert value.hex() == SUFFICIENT_DECREASE[key]
         replaced = float.fromhex(POSTERIOR_STARTS.get(key, RECORDED[key]))
         assert keeps_to_the_rule(value, replaced,
