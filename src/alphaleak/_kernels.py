@@ -272,17 +272,21 @@ def power_eg(pi, alpha, r0, maximize, tol, max_iters):
 def ac_objective(p, W, beta):
     """Phi(R) = sum_x p[x] log(sum_y W[x,y] R[y,x]^beta) per rule of a
     stack of rules (rows of R are simplices, one per y), and its gradient;
-    a zero-mass x takes the log of 1."""
+    a zero-mass x takes the log of 1, and a zero channel entry its powers
+    at R = 1, so each such term is exactly 0 (below order about 0.09 the
+    floored power overflows, and 0 * inf is NaN)."""
     power = _power(beta)
     live = p > 0.0
     log_S = np.log if live.all() else (lambda S: np.log(np.where(live, S, 1.0)))
+    zero = W.T == 0.0
+    at_one = (lambda R: R) if not zero.any() else (lambda R: np.where(zero, 1.0, R))
 
     def objective(b, data):
-        S = np.einsum("xy,byx->bx", W, power(b[0]))
+        S = np.einsum("xy,byx->bx", W, power(at_one(b[0])))
         return (p * log_S(S)).sum(axis=-1), S
 
     def grad(b, S, data):
-        return [beta * (p / S)[:, None, :] * W.T * b[0] ** (beta - 1.0)]
+        return [beta * (p / S)[:, None, :] * W.T * at_one(b[0]) ** (beta - 1.0)]
 
     return _Stacked(objective, grad)
 

@@ -43,7 +43,12 @@ analytic-gradient kernels, every other objective on central differences
 from the posterior and seeded restarts.  The kernels start each
 observation, the prior's too, at its posterior, which for a power score
 under its own sense is the optimum (the score is strictly proper), and a
-power score against its own sense at uniform.  When the two generators
+power score against its own sense at uniform.  The body takes rows in
+groups and aggregates each group on its own, so the multiplicative
+leakage of a phi = psi tuple solves the prior row and the observation
+rows as one stack of two groups, and ``posterior_vulnerability_hat`` its
+renormalized posteriors as one stack of one-row groups; each group keeps
+the value it has when solved alone.  When the two generators
 differ the objective couples observations and the optimization runs
 jointly over all per-observation simplices, initialized at the
 posterior family plus the constant prior-optimal rule (which pins
@@ -96,7 +101,7 @@ from .renyi import (
     renyi_entropy,
     shannon_entropy,
 )
-from .simplex import Channel, DecisionRule, Pmf, _logsumexp, compose_joint, make_pmf, tilt
+from .simplex import Channel, DecisionRule, Pmf, _logsumexp, compose_joint, tilt
 
 
 # ----------------------------------------------------------------------
@@ -193,9 +198,14 @@ class VulnerabilityResult:
     residual: float
 
     def __post_init__(self):
-        # a NaN value raises, as a NaN grid score does
-        if math.isnan(self.value):
-            raise NumericalInconsistency(f"the {self.method} vulnerability is NaN")
+        _checked(self.value, self.method)
+
+
+def _checked(value: float, method: str) -> float:
+    """``value``; a NaN vulnerability raises, as a NaN grid score does."""
+    if math.isnan(value):
+        raise NumericalInconsistency(f"the {method} vulnerability is NaN")
+    return value
 
 
 def _resolve(sense, g: GainFunction, method: str = "auto") -> str:
@@ -242,12 +252,12 @@ def _matching_power_loss(g: GainFunction, phi: Aggregator) -> bool:
 
 
 def _closed_same(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
-                 g: GainFunction, phi: Aggregator, sense: str):
-    """(vulnerability, (m, n) optimal actions) of the phi = psi closed
-    forms, else None, over the observation rows of ``_per_observation``
-    (each of positive mass; the prior is one row of mass 1).  Each row is
-    reduced along its C-contiguous last axis, so it keeps the sums it has
-    alone."""
+                 g: GainFunction, phi: Aggregator, sense: str, groups):
+    """(vulnerability of each group of rows, (m, n) optimal actions) of the
+    phi = psi closed forms, else None, over the observation rows of
+    ``_per_observation``.  Each row is reduced along its C-contiguous last
+    axis, and each group (a slice of rows) across its own rows, so a row
+    and a group keep the sums they have alone."""
     if sense != g.sense:
         return None
     if g.kind == "soft01":
@@ -255,36 +265,40 @@ def _closed_same(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
             # the posterior itself: exp of the mean negative entropy
             with np.errstate(divide="ignore", invalid="ignore"):
                 ent = np.where(posts > 0.0, posts * np.log(posts), 0.0).sum(axis=-1)
-            return float(np.exp((mass * ent).sum())), posts
-        if phi.kind == "q_log" and phi.q is not None and phi.q > 0.0:
+            terms, reduce, R = mass * ent, (lambda t: np.exp(t.sum())), posts
+        elif phi.kind == "q_log" and phi.q is not None and phi.q > 0.0:
             # the posterior tilted to order 1/q (generalized Gibbs optimum)
             q = phi.q
             with np.errstate(divide="ignore"):
                 lw = np.log(wt) / q  # -inf on zeros
-            ln_t = _logsumexp(q * _logsumexp(lw))
             w = np.exp(lw - lw.max(axis=-1, keepdims=True))
-            return float(np.exp(ln_t / (1.0 - q))), w / w.sum(axis=-1, keepdims=True)
-        if phi.kind == "linear" and phi.increasing:
+            terms, R = q * _logsumexp(lw), w / w.sum(axis=-1, keepdims=True)
+            reduce = lambda t: np.exp(_logsumexp(t) / (1.0 - q))
+        elif phi.kind == "linear" and phi.increasing:
             # the most likely secret
-            best = wt.argmax(axis=-1)
-            return float(wt.max(axis=-1).sum()), np.eye(wt.shape[1])[best]
+            terms, reduce = wt.max(axis=-1), np.sum
+            R = np.eye(wt.shape[1])[wt.argmax(axis=-1)]
+        else:
+            return None
     elif g.kind == "power" and phi.kind == "linear" and phi.increasing:
         # a proper score: the posterior itself
-        return float((mass * (posts ** g.alpha).sum(axis=-1)).sum()), posts
+        terms, reduce, R = mass * (posts ** g.alpha).sum(axis=-1), np.sum, posts
     elif _matching_power_loss(g, phi):
         al = g.alpha
         with np.errstate(divide="ignore"):
             terms = (1.0 - al) * np.log(mass) + _logsumexp(al * np.log(wt))
-        return float(np.exp(_logsumexp(terms) / (1.0 - al))), posts
+        reduce, R = (lambda t: np.exp(_logsumexp(t) / (1.0 - al))), posts
     elif g.kind == "transformed" and phi.kind == "linear" and phi.increasing:
         # sum w[x] q_log(r(x), q) at q = 1/alpha is q_log of the soft 0-1
         # value under that generator; at q = 0 the gain is r(x) - 1, and the
         # soft 0-1 value the one under phi itself
         q = 0.0 if np.isinf(g.alpha) else 1.0 / g.alpha
-        value, R = _closed_same(wt, mass, posts, soft01_gain(),
-                                q_log_aggregator(q) if q > 0.0 else phi, sense)
-        return float(q_log(value, q)), R
-    return None
+        values, R = _closed_same(wt, mass, posts, soft01_gain(),
+                                 q_log_aggregator(q) if q > 0.0 else phi, sense, groups)
+        return [float(q_log(v, q)) for v in values], R
+    else:
+        return None
+    return [float(reduce(terms[s])) for s in groups], R
 
 
 def _prior_objective(g: GainFunction, phi: Aggregator) -> _Stacked:
@@ -315,7 +329,8 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
     sense = _resolve(sense, g, method)
     _check_bounded(g, sense, p.n, phi)
     row = p.probs[None, :]
-    value, R, run, resid = _same_generators(row, np.ones(1), row, g, phi, sense, method, cfg)
+    (value,), R, run, (resid,) = _same_generators(row, np.ones(1), row, g, phi, sense, method,
+                                                  cfg, (slice(None),))
     return VulnerabilityResult(value=value, rule=Pmf(p.labels, R[0]), method=run,
                                residual=resid)
 
@@ -337,34 +352,39 @@ def _eg_block(stacked: _Stacked):
 
 def _same_generators(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
                      g: GainFunction, phi: Aggregator, sense: str, method: str,
-                     cfg: OptimizerConfig):
-    """The phi = psi problem over observation rows of positive mass: the
-    closed form of ``_closed_same`` for ``auto`` and ``closed_form`` where
-    there is one, else the ``optimize`` (also ``auto``) or ``oracle`` run
-    of ``_per_observation``.  Returns (vulnerability, (m, n) optimal
-    actions, method, residual)."""
+                     cfg: OptimizerConfig, groups):
+    """The phi = psi problem over observation rows of positive mass, one
+    vulnerability per group of rows (a slice: the prior's one row, a
+    channel's observations): the closed form of ``_closed_same`` for
+    ``auto`` and ``closed_form`` where there is one, else the ``optimize``
+    (also ``auto``) or ``oracle`` run of ``_per_observation``, all groups in
+    one call.  A NaN vulnerability raises.  Returns (vulnerabilities, (m, n)
+    optimal actions, method, residuals)."""
     if method in ("auto", "closed_form"):
-        closed = _closed_same(wt, mass, posts, g, phi, sense)
+        closed = _closed_same(wt, mass, posts, g, phi, sense, groups)
         if closed is not None:
-            return (*closed, "closed_form", 0.0)
+            values, R = closed
+            return ([_checked(v, "closed_form") for v in values], R, "closed_form",
+                    [0.0] * len(groups))
         if method == "closed_form":
             raise UnsupportedVariant(
                 f"no closed form for gain {g.kind!r} with generator {phi.kind!r}"
             )
     run = "optimize" if method == "auto" else method
-    value, R, resid = _per_observation(wt, mass, posts, g, phi, sense, run, cfg)
-    return value, R, run, resid
+    values, R, resids = _per_observation(wt, mass, posts, g, phi, sense, run, cfg, groups)
+    return [_checked(v, run) for v in values], R, run, resids
 
 
 def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
                      g: GainFunction, phi: Aggregator, sense: str, method: str,
-                     cfg: OptimizerConfig):
+                     cfg: OptimizerConfig, groups):
     """One decision problem per weight row, for phi = psi.
 
     Row i of ``wt`` is the weight vector of one observation: a column of
     the joint for a conditional vulnerability, the prior itself (mass 1)
     for a prior vulnerability.  ``mass[i]`` is its total and ``posts[i]``
-    its normalization.
+    its normalization.  Each of ``groups``, a slice of rows, aggregates
+    its own rows into one vulnerability.
 
     Every objective is stacked: all its (start, observation) rows run as
     one ``_kernels.eg`` stack, and the oracle scores it on one grid shared
@@ -378,7 +398,8 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
     objective runs on central differences from the posterior and
     ``cfg.restarts - 1`` seeded draws, and raises ``ConvergenceFailure``
     for an observation none of whose starts converges.  Returns
-    (vulnerability, (m, n) optimal actions, worst residual).
+    (vulnerability per group, (m, n) optimal actions, worst residual per
+    group).
     """
     n = wt.shape[1]
     maximize = _maximize_inner(sense, phi)
@@ -434,12 +455,16 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         R, vals = oracle_optimize_single(_grid_values(stacked.objective, data[:, None, :]),
                                          n, sense_max, cfg)
         resids = np.full(len(data), cfg.grid_resolution)
-    aggregate = 0.0
-    worst_resid = 0.0
-    for m, val, resid in zip(mass, vals, resids):
-        aggregate += term(float(m), float(val))
-        worst_resid = max(worst_resid, float(resid))
-    return float(finish(aggregate)), R, worst_resid
+    values, worst_resids = [], []
+    for s in groups:
+        aggregate = 0.0
+        worst_resid = 0.0
+        for m, val, resid in zip(mass[s], vals[s], resids[s]):
+            aggregate += term(float(m), float(val))
+            worst_resid = max(worst_resid, float(resid))
+        values.append(float(finish(aggregate)))
+        worst_resids.append(worst_resid)
+    return values, R, worst_resids
 
 
 # ----------------------------------------------------------------------
@@ -581,14 +606,10 @@ def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
     _check_bounded(g, sense, p.n, phi, psi)
     run = "optimize" if method == "auto" else method
     if phi.matches(psi):
-        # the observations of positive mass, one C-contiguous weight row each
-        joint = compose_joint(p, W)
-        ys = joint.y_support
-        wt, mass, posts = (np.ascontiguousarray(joint.matrix.T[ys]), joint.p_y[ys],
-                           joint.posteriors[ys])
+        ys, wt, mass, posts = _observation_rows(p, W)
         rows = np.full((W.n_y, p.n), 1.0 / p.n)
-        value, rows[ys], run, resid = _same_generators(wt, mass, posts, g, phi, sense,
-                                                       method, cfg)
+        (value,), rows[ys], run, (resid,) = _same_generators(wt, mass, posts, g, phi, sense,
+                                                             method, cfg, (slice(None),))
     elif (alpha := _detect_ac_tuple(g, phi, psi)) is not None and sense == "gain":
         value, rows, run, resid = _cond_ac(p, W, alpha, method, cfg)
     elif (alpha := _detect_lp_tuple(g, phi, psi)) is not None and sense == "gain":
@@ -603,23 +624,33 @@ def cond_vulnerability(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
     return VulnerabilityResult(value=value, rule=rule, method=run, residual=resid)
 
 
+def _observation_rows(p: Pmf, W: Channel):
+    """The observations of positive mass of p through W: their mask, and
+    their weight rows (C-contiguous columns of the joint), masses and
+    posteriors."""
+    joint = compose_joint(p, W)
+    ys = joint.y_support
+    return ys, np.ascontiguousarray(joint.matrix.T[ys]), joint.p_y[ys], joint.posteriors[ys]
+
+
 def posterior_vulnerability_hat(p: Pmf, W: Channel, g: GainFunction,
                                 phi: Aggregator, psi: Aggregator, sense=None,
                                 cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
     """psi-mean over observations of the per-posterior optimal phi-mean.
 
     Agrees with ``cond_vulnerability`` when phi = psi; in general the
-    two aggregate in different orders and need not coincide.
+    two aggregate in different orders and need not coincide.  Each
+    renormalized posterior is the prior of its own one-row problem, and
+    all of them run as one stack of the phi = psi body, a group per row.
     """
     sense = _resolve(sense, g)
-    joint = compose_joint(p, W)
-    ys = np.flatnonzero(joint.y_support)
-    vals = np.empty(ys.size)
-    for i, y in enumerate(ys):
-        pi = make_pmf(joint.posteriors[y], renormalize=True, labels=p.labels)
-        vals[i] = prior_vulnerability(pi, g, phi, sense, "auto", cfg).value
-    fv = _apply(psi.forward, vals)
-    return float(psi.inverse(float((joint.p_y[ys] * fv).sum())))
+    _, _, mass, posts = _observation_rows(p, W)
+    _check_bounded(g, sense, p.n, phi)
+    posts = posts / posts.sum(axis=1, keepdims=True)
+    vals, *_ = _same_generators(posts, np.ones(len(posts)), posts, g, phi, sense, "auto", cfg,
+                                [slice(i, i + 1) for i in range(len(posts))])
+    fv = _apply(psi.forward, np.array(vals))
+    return float(psi.inverse(float((mass * fv).sum())))
 
 
 # ----------------------------------------------------------------------
@@ -629,11 +660,26 @@ def posterior_vulnerability_hat(p: Pmf, W: Channel, g: GainFunction,
 def g_leakage(spec: LeakageSpec, W: Channel, method: str = "auto",
               cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
     """Multiplicative leakage in nats: log of conditional over prior for
-    gains, log of prior over conditional for losses."""
-    prior = prior_vulnerability(spec.prior, spec.gain, spec.phi, spec.sense, method, cfg)
-    cond = cond_vulnerability(spec.prior, W, spec.gain, spec.phi, spec.psi,
-                              spec.sense, method, cfg)
-    vp, vc = prior.value, cond.value
+    gains, log of prior over conditional for losses.
+
+    With matching generators the prior's row (mass 1) and the channel's
+    observation rows of positive mass form one stack of the phi = psi body,
+    a group each, and only the two values are kept; otherwise the prior
+    and the conditional vulnerability are solved apart.
+    """
+    p, g, phi, psi = spec.prior, spec.gain, spec.phi, spec.psi
+    if phi.matches(psi):
+        sense = _resolve(spec.sense, g, method)
+        _check_bounded(g, sense, p.n, phi, psi)
+        _, wt, mass, posts = _observation_rows(p, W)
+        row = p.probs[None, :]
+        (vp, vc), *_ = _same_generators(
+            np.concatenate([row, wt]), np.concatenate([[1.0], mass]),
+            np.concatenate([row, posts]), g, phi, sense, method, cfg,
+            (slice(0, 1), slice(1, None)))
+    else:
+        vp = prior_vulnerability(p, g, phi, spec.sense, method, cfg).value
+        vc = cond_vulnerability(p, W, g, phi, psi, spec.sense, method, cfg).value
     if not np.isfinite(vp) or vp <= 0.0:
         raise DegenerateVulnerability(f"prior vulnerability {vp!r} cannot anchor a ratio")
     if not np.isfinite(vc) or vc <= 0.0:

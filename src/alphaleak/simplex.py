@@ -230,30 +230,32 @@ class JointDist:
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2:
             raise ValidationError("joint matrix must be two-dimensional")
-        if np.any(m < 0.0):
+        if (m < 0.0).any():
             raise NegativeWeight("negative entry in joint matrix")
         total = float(m.sum())
         if abs(total - 1.0) > SUM_ATOL:
             raise NotNormalized(f"joint mass sums to {total!r}")
-        self.x_labels = tuple(x_labels) if x_labels is not None else _default_labels("x", m.shape[0])
-        self.y_labels = tuple(y_labels) if y_labels is not None else _default_labels("y", m.shape[1])
-        if len(self.x_labels) != m.shape[0] or len(self.y_labels) != m.shape[1]:
+        n_x, n_y = m.shape
+        self.x_labels = tuple(x_labels) if x_labels is not None else _default_labels("x", n_x)
+        self.y_labels = tuple(y_labels) if y_labels is not None else _default_labels("y", n_y)
+        if len(self.x_labels) != n_x or len(self.y_labels) != n_y:
             raise DimensionMismatch("labels do not match joint matrix shape")
         self.matrix = _readonly(m)
         self.p_x = _readonly(m.sum(axis=1))
-        self.p_y = _readonly(m.sum(axis=0))
-        y_support = self.p_y > 0.0
+        self.p_y = p_y = _readonly(m.sum(axis=0))
+        self.y_support = y_support = p_y > 0.0
         y_support.setflags(write=False)
-        self.y_support = y_support
-        post = np.zeros((m.shape[1], m.shape[0]))
-        rows = np.ascontiguousarray(m.T[y_support]) / self.p_y[y_support, None]
-        s = rows.sum(axis=1)  # each row summed as it is alone
-        bad = np.flatnonzero(np.abs(s - 1.0) > SUM_ATOL)
-        if bad.size:
-            raise ValidationError(f"posterior for observation {np.flatnonzero(y_support)[bad[0]]} "
-                                  f"sums to {float(s[bad[0]])!r}")
-        post[y_support] = rows / s[:, None]
-        self.posteriors = _readonly(post)
+        # a zero-mass observation's row stays 0, and its sum plus 1 passes the
+        # check and divides it by 1; every other row is summed as it is alone
+        post = np.divide(m.T, p_y[:, None], out=np.zeros((n_y, n_x)), where=y_support[:, None])
+        s = post.sum(axis=1) + ~y_support
+        bad = np.abs(s - 1.0) > SUM_ATOL
+        if bad.any():
+            y = int(bad.argmax())
+            raise ValidationError(f"posterior for observation {y} sums to {float(s[y])!r}")
+        post /= s[:, None]
+        post.setflags(write=False)
+        self.posteriors = post
 
     @property
     def n_x(self) -> int:

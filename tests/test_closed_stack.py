@@ -25,6 +25,7 @@ from alphaleak import (
     JointDist,
     NegativeWeight,
     NotNormalized,
+    ValidationError,
     linear_aggregator,
     log_aggregator,
     make_channel,
@@ -34,7 +35,7 @@ from alphaleak import (
     q_log_aggregator,
     soft01_gain,
 )
-from alphaleak import renyi
+from alphaleak import renyi, simplex
 from alphaleak.leakage import cond_vulnerability, prior_vulnerability
 from alphaleak.simplex import compose_joint
 
@@ -284,6 +285,19 @@ class TestRowErrors:
             JointDist([[0.5, 0.0], [0.4, 0.0]])
         with pytest.raises(DimensionMismatch):
             JointDist([[0.5, 0.5]], x_labels=("a", "b"))
+
+    def test_joint_error_messages(self, monkeypatch):
+        with pytest.raises(NegativeWeight, match="^negative entry in joint matrix$"):
+            JointDist([[0.5, 0.0], [0.6, -0.1]])
+        with pytest.raises(NotNormalized, match="^joint mass sums to 0.9$"):
+            JointDist([[0.5, 0.0], [0.4, 0.0]])
+        # the total is exactly 1, but the posterior of y2 sums to 1 - 2**-53;
+        # the message names the observation, past the zero-mass y0
+        m = [[0.0, 0.11, 0.17], [0.0, 0.33, 0.3899999999999999]]
+        monkeypatch.setattr(simplex, "SUM_ATOL", 0.0)
+        with pytest.raises(ValidationError,
+                           match=r"^posterior for observation 2 sums to 0\.9999999999999999$"):
+            JointDist(m)
 
     def test_joint_zero_mass_observations_are_absent(self):
         joint = JointDist([[0.2, 0.0, 0.1, 0.0], [0.3, 0.0, 0.4, 0.0]])

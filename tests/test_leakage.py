@@ -594,6 +594,19 @@ class TestOraclesOnAZeroMassInput:
         assert math.isfinite(oracle)
         assert abs(oracle - closed) <= self.P.n * cfg.grid_resolution
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.08])
+    def test_augustin_csiszar_via_leakage_at_tiny_orders(self, alpha):
+        # below order about 0.09 the floored power 1e-30**beta overflows; a
+        # zero channel entry takes its power at R = 1, so its term is 0
+        # and not 0 * inf (the overflow warnings of the floor remain)
+        cfg = OptimizerConfig(grid_resolution=0.1)
+        with np.errstate(over="ignore"):
+            oracle = alpha_mi_via_leakage("augustin_csiszar", self.P, self.W, alpha, "oracle",
+                                          cfg)
+        closed = alpha_mi("augustin_csiszar", self.P, self.W, alpha)
+        assert math.isfinite(oracle)
+        assert abs(oracle - closed) <= self.P.n * cfg.grid_resolution
+
     def test_soft01_log_cond_vulnerability(self):
         cfg = OptimizerConfig()
         args = (self.P, self.W, soft01_gain(), log_aggregator(), log_aggregator())

@@ -423,3 +423,19 @@ class TestObjectiveBoundary:
         values = self._values(factory(self.P, self.W, beta), self.RULES)
         assert values.shape == (len(self.RULES),)
         assert not np.isnan(values).any()
+
+    def test_ac_overflowing_power(self):
+        # at beta = -19 (order 0.05) the floored power of a zero grid
+        # coordinate overflows to inf; a zero channel entry must still count
+        # 0, not 0 * inf, in the value and in the gradient, here at a rule
+        # whose EPS entries sit where the channel is zero (beta - 1 = -31
+        # overflows their power in the gradient)
+        stacked = _kernels.ac_objective(self.P, self.W, -19.0)
+        with np.errstate(over="ignore"):
+            values = self._values(stacked, self.RULES)
+        assert not np.isnan(values).any()
+        R = np.array([[[0.5, _kernels.EPS, 0.5], [0.5, 0.5, _kernels.EPS]]])
+        stacked = _kernels.ac_objective(self.P, self.W, -30.0)
+        value, S = stacked.objective([R], None)
+        assert np.isfinite(value).all()
+        assert np.isfinite(stacked.grad([R], S, None)[0]).all()
