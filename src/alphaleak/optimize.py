@@ -15,7 +15,13 @@ Four engines, in increasing order of specialization:
   loop, ``_kernels.eg``.  Every objective of the library is stacked
   (``_Stacked``): it evaluates the whole stack at once, with
   ``_fd_grad_stack`` where it has no analytic gradient; only a user
-  objective is evaluated row by row (``_rowwise``, ``_fd_grad``);
+  objective is evaluated row by row (``_rowwise``, ``_fd_grad``).
+  The convex programs of ``renyi.alpha_mi`` (Sibson, Augustin-Csiszar,
+  Lapidoth-Pfister) have no spurious local optimum and call it with one
+  restart, from their marginal start, whatever ``cfg.restarts`` says
+  (van Erven & Harremoes, IEEE Trans. IT 60(7), 2014, Thm. 12; for
+  Lapidoth-Pfister, joint convexity of each term above order 1 and
+  joint concavity on (1/2, 1));
 * ``augustin_fixed_point``: the fixed-point iteration for the
   minimizing output distribution of the expected-divergence objective,
   damped for orders above one, with an EG fallback when it plateaus
@@ -50,7 +56,7 @@ from .simplex import Channel, JointDist, Pmf, make_pmf
 GRID_POINT_BUDGET = 10_000_000
 ORACLE_MAX_ALPHABET = 4
 _RULE_CHUNK = 4096  # rule combinations scored per objective call
-_GRID_CHUNK = 1 << 17  # (problem, grid point) pairs scored per objective call
+_GRID_CHUNK = 1 << 14  # (problem, grid point) pairs scored per objective call
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ def simplex_grid(n: int, resolution: float) -> np.ndarray:
     count = math.comb(k + n - 1, n - 1)
     if count > GRID_POINT_BUDGET:
         raise OracleTooLarge(f"{count} grid points exceed budget {GRID_POINT_BUDGET}")
-    return _compositions(n, k).astype(np.float64) / k
+    return _compositions(n, k) / k
 
 
 def _check_oracle_alphabet(*sizes: int):

@@ -309,6 +309,15 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
     through a generic numerical route; ``oracle`` brute-forces a grid
     (small alphabets only).  Results are clamped to [0, inf); negative
     values beyond the method's noise floor raise, as do NaN and inf.
+
+    The ``optimize`` programs of Sibson and Augustin-Csiszar (over q) and
+    of Lapidoth-Pfister (over (q_x, q_y)) have no spurious local optimum,
+    so each runs one EG start from the marginals and ``cfg.restarts``
+    does not apply to them: D_alpha(P || Q) is convex in Q at every order
+    (van Erven & Harremoes, IEEE Trans. IT 60(7), 2014, Thm. 12), and
+    each Lapidoth-Pfister term P^alpha q_x^(1-alpha) q_y^(1-alpha) is
+    jointly convex above order 1 and jointly concave on (1/2, 1)
+    (Cobb-Douglas, exponents summing to less than 1).
     """
     variant = _variant(variant)
     method = _method(method)
@@ -325,11 +334,13 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
     elif variant is MiVariant.AUGUSTIN_CSISZAR and method is Method.CLOSED_FORM:
         value = augustin_fixed_point(p, W, alpha, cfg).value
     elif variant in (MiVariant.SIBSON, MiVariant.AUGUSTIN_CSISZAR):
-        # both minimize over the output distribution q, floored at EPS
+        # both minimize a convex objective over the output distribution q,
+        # floored at EPS; one start suffices
         stacked = (_sibson_objective(p, W, alpha) if variant is MiVariant.SIBSON
                    else _expected_divergence_eg(p.probs, W.matrix ** alpha, alpha))
         if method is Method.OPTIMIZE:
-            value = eg_optimize(stacked, [W.n_y], "min", cfg, inits=[p.probs @ W.matrix]).value
+            value = eg_optimize(stacked, [W.n_y], "min", cfg.with_(restarts=1),
+                                inits=[p.probs @ W.matrix]).value
         else:
             _, value = oracle_optimize_single(_grid_values(stacked.objective), W.n_y, False, cfg)
     elif variant in (MiVariant.ARIMOTO, MiVariant.HAYASHI):
@@ -339,9 +350,8 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
         if method is Method.CLOSED_FORM:
             value = lp_alternating(joint, alpha, cfg).value
         elif method is Method.OPTIMIZE:
-            res = eg_optimize(_lp_objective(joint.matrix ** alpha, alpha), [p.n, W.n_y], "min",
-                              cfg, inits=[joint.p_x, joint.p_y])
-            value = res.value
+            value = eg_optimize(_lp_objective(joint.matrix ** alpha, alpha), [p.n, W.n_y], "min",
+                                cfg.with_(restarts=1), inits=[joint.p_x, joint.p_y]).value
         else:
             from .optimize import GRID_POINT_BUDGET, _check_oracle_alphabet
 

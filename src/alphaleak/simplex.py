@@ -50,14 +50,16 @@ def _check_finite(a: np.ndarray, what: str):
 
 def _check_rows(m: np.ndarray, what: str):
     """Raise for the first row of the C-contiguous ``m`` with a negative
-    entry or a sum off one (each row summed as it is alone)."""
+    entry or a sum off one (each row summed as it is alone); a row with a
+    NaN or infinite entry raises ``ValidationError``."""
     negative = (m < 0.0).any(axis=1)
     sums = m.sum(axis=1)
-    bad = negative | (np.abs(sums - 1.0) > SUM_ATOL)
+    bad = negative | ~(np.abs(sums - 1.0) <= SUM_ATOL)
     if bad.any():
         i = int(bad.argmax())
         if negative[i]:
             raise NegativeWeight(f"negative entry in {what} row {i}")
+        _check_finite(m[i], f"{what} row {i}")
         raise NotNormalized(f"{what} row {i} sums to {float(sums[i])!r}")
 
 
@@ -81,7 +83,8 @@ class Pmf:
         if np.any(probs < 0.0):
             raise NegativeWeight(f"negative entry in {probs!r}")
         total = float(probs.sum())
-        if abs(total - 1.0) > SUM_ATOL:
+        if not abs(total - 1.0) <= SUM_ATOL:  # a NaN total fails too
+            _check_finite(probs, "probs")
             raise NotNormalized(f"probabilities sum to {total!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "probs", _readonly(probs))
@@ -233,7 +236,8 @@ class JointDist:
         if (m < 0.0).any():
             raise NegativeWeight("negative entry in joint matrix")
         total = float(m.sum())
-        if abs(total - 1.0) > SUM_ATOL:
+        if not abs(total - 1.0) <= SUM_ATOL:  # a NaN total fails too
+            _check_finite(m, "joint matrix")
             raise NotNormalized(f"joint mass sums to {total!r}")
         n_x, n_y = m.shape
         self.x_labels = tuple(x_labels) if x_labels is not None else _default_labels("x", n_x)

@@ -17,6 +17,7 @@ import pytest
 
 from alphaleak import _kernels as K
 from alphaleak import alpha_mi, alpha_mi_via_leakage, make_channel, make_pmf, optimize
+from alphaleak.renyi import _sibson_objective
 
 ALPHAS = (0.3, 0.6, 2.0, 4.0, 10.0)
 TOL = 1e-10
@@ -394,14 +395,22 @@ def test_sibson_restarts_stop_without_zigzag(monkeypatch):
 
     def counted(*args, **kwargs):
         out = eg(*args, **kwargs)
-        iters.extend(out[4].tolist())
+        iters.append(out[4].tolist())
         return out
 
     monkeypatch.setattr(K, "eg", counted)
-    value = alpha_mi("sibson", P, C, 4.0, method="optimize")
     closed = alpha_mi("sibson", P, C, 4.0)
-    assert len(iters) == optimize.OptimizerConfig().restarts
-    assert max(iters) <= 100
+    # all ten restarts, as the route ran them before it took one start
+    res = optimize.eg_optimize(_sibson_objective(P, C, 4.0), [C.n_y], "min",
+                               inits=[P.probs @ C.matrix])
+    assert len(iters) == 1 and len(iters[0]) == optimize.OptimizerConfig().restarts
+    assert max(iters[0]) <= 100
+    assert abs(res.value - closed) <= 1e-12 * closed
+    # the route itself runs its one row from the output marginal
+    iters.clear()
+    value = alpha_mi("sibson", P, C, 4.0, method="optimize")
+    assert len(iters) == 1 and len(iters[0]) == 1
+    assert iters[0][0] <= 100
     assert abs(value - closed) <= 1e-12 * closed
 
 

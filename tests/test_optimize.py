@@ -82,6 +82,18 @@ class TestSimplexGrid:
         grid = simplex_grid(3, 0.125)
         np.testing.assert_array_equal(grid, _compositions(3, 8) / 8.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("resolution", [0.5, 0.1, 0.02, 5e-3])
+    def test_grid_keeps_the_bits_and_order_of_a_float_copy(self, n, resolution):
+        # the grid was built as a float64 copy of the compositions divided by
+        # k; dividing the integers directly gives the same bits, column-major
+        k = round(1.0 / resolution)
+        grid = simplex_grid(n, resolution)
+        built = _compositions(n, k).astype(np.float64) / k
+        assert grid.dtype == built.dtype and grid.shape == built.shape
+        assert grid.flags.f_contiguous and built.flags.f_contiguous
+        assert grid.tobytes(order="A") == built.tobytes(order="A")
+
 
 class TestEgOptimize:
     def test_linear_objective_hits_vertex(self, cfg):
@@ -340,6 +352,25 @@ class TestOracleScanners:
             tracemalloc.stop()
         assert value.hex() == "0x1.398ab91a8dde0p-2"
         assert peak < 16e6
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0])
+    def test_small_output_oracle_peak_and_value(self, monkeypatch, alpha):
+        # a 4x2 oracle at grid 0.02 scores 2 x 23 426 (observation, point)
+        # pairs; in chunks of 1 << 17 pairs it peaked at 5.3 MB, in chunks of
+        # 1 << 14 at 2.3 MB, with the same value
+        rng = np.random.default_rng(4)
+        p = make_pmf(rng.dirichlet(np.ones(4)))
+        W = make_channel(rng.dirichlet(np.ones(2), size=4))
+        cfg = OptimizerConfig(grid_resolution=0.02)
+        tracemalloc.start()
+        try:
+            value = alpha_mi("arimoto", p, W, alpha, method="oracle", cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+        monkeypatch.setattr(optimize, "_GRID_CHUNK", 1 << 17)
+        assert repr(alpha_mi("arimoto", p, W, alpha, method="oracle", cfg=cfg)) == repr(value)
 
     def test_rule_scan_takes_a_stacked_objective(self):
         # one stacked objective per call; the best rule of the lexicographic

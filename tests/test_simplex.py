@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaleak import (
+    Channel,
     DecisionRule,
     DimensionMismatch,
     InvalidOrder,
+    JointDist,
     NegativeWeight,
     NotNormalized,
+    Pmf,
     ValidationError,
     ZeroTotal,
     compose_joint,
@@ -193,3 +196,25 @@ class TestDecisionRule:
         rule = DecisionRule(("x0", "x1"), ("y0", "y1"),
                             np.array([[0.2, 0.8], [1.0, 0.0]]))
         np.testing.assert_allclose(rule.action(1).probs, [1.0, 0.0])
+
+
+class TestDirectConstructionRejectsNaN:
+    # a NaN entry passed both checks of the constructors, `x < 0` and a
+    # sum off one, since each comparison with NaN is false
+    def test_pmf(self):
+        with pytest.raises(ValidationError):
+            Pmf(("a", "b"), np.array([np.nan, 0.5]))
+
+    def test_channel(self):
+        # with this channel alpha_mi("arimoto", ..., 2.0) raised
+        # NumericalInconsistency, a mutual information of -1.386
+        with pytest.raises(ValidationError):
+            Channel(("a", "b"), ("y0", "y1"), [[np.nan, 0.5], [0.5, 0.5]])
+
+    def test_decision_rule(self):
+        with pytest.raises(ValidationError):
+            DecisionRule(("x0", "x1"), ("y0",), np.array([[np.nan, 1.0]]))
+
+    def test_joint(self):
+        with pytest.raises(ValidationError):
+            JointDist(np.array([[np.nan, 0.5], [0.25, 0.25]]))
