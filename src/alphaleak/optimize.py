@@ -24,9 +24,11 @@ Four engines, in increasing order of specialization:
   joint concavity on (1/2, 1));
 * ``augustin_fixed_point``: the fixed-point iteration for the
   minimizing output distribution of the expected-divergence objective,
-  damped for orders above one, with an EG fallback when it plateaus
-  (convergence of the undamped iteration is not guaranteed there, the
-  fallback is the guarantee);
+  damped for orders above one, with a one-start EG fallback when it
+  plateaus (convergence of the undamped iteration is not guaranteed
+  there, the fallback is the guarantee).  That objective, summed row by
+  row, is also Sibson's program, as its one-input case, the row
+  p W^alpha (Csiszar, IEEE Trans. IT 41(1), 1995);
 * ``lp_alternating``: exact alternating coordinate minimization over
   product distributions, output side first, value nonincreasing.
 
@@ -352,24 +354,38 @@ class AugustinResult:
     iterations: int
 
 
-def _expected_divergence(p: np.ndarray, Wa: np.ndarray, alpha: float, q: np.ndarray):
-    """sum_x p(x) log S(x) / (alpha - 1), S = Wa q^(1-alpha), at a point
-    q or per row of an (m, n_y) stack; returns the value(s) and S."""
-    S = (Wa @ np.maximum(q, _kernels.EPS)[..., None] ** (1.0 - alpha))[..., 0]
-    live = p > 0.0
-    logS = np.log(S if live.all() else S.compress(live, axis=-1))
-    return (p[live] * logS).sum(axis=-1) / (alpha - 1.0), S
-
-
 def _expected_divergence_eg(p: np.ndarray, Wa: np.ndarray, alpha: float) -> _Stacked:
-    """The expected divergence over q and its gradient, stacked for
-    ``eg_optimize``."""
+    """sum_x p(x) log S_x(q) / (alpha - 1), S_x(q) = sum_y Wa[x, y] q(y)^(1-alpha),
+    per row of a stack of points q floored at EPS, and its gradient; Sibson's
+    program is its one-input case, (1, p Wa).  Only the inputs of positive mass
+    and the outputs they reach enter (the gradient is 0 elsewhere), and each row
+    is summed on its own, so it has the bits it has alone.  Where the floored
+    power overflows (above order about 26.7), a zero channel entry takes its
+    power at 1, as in ``_kernels.ac_objective``, so its term is exactly 0."""
+    live = p > 0.0
+    pl, reached = p[live], Wa[live].any(axis=0)
+    every = reached.all()
+    Wl = Wa[live] if every else Wa[np.ix_(live, reached)]
+    zero = Wl == 0.0
+    with np.errstate(over="ignore"):
+        at_one = zero.any() and np.isinf(np.float64(_kernels.EPS) ** (1.0 - alpha))
+    sums = ((lambda qa: np.einsum("xy,mxy->mx", Wl, np.where(zero, 1.0, qa[:, None, :])))
+            if at_one else (lambda qa: np.einsum("xy,my->mx", Wl, qa)))
+
+    def points(blocks):
+        return np.maximum(blocks[0] if every else blocks[0][:, reached], _kernels.EPS)
+
     def objective(blocks, data):
-        return _expected_divergence(p, Wa, alpha, blocks[0])
+        S = sums(points(blocks) ** (1.0 - alpha))
+        return (pl * np.log(S)).sum(axis=-1) / (alpha - 1.0), S
 
     def grad(blocks, S, data):
-        q = np.maximum(blocks[0], _kernels.EPS)
-        return [-((p / S)[:, None, :] @ (Wa * q[:, None, :] ** (-alpha)))[:, 0]]
+        g = -np.einsum("mx,xy->my", pl / S, Wl) * points(blocks) ** (-alpha)
+        if every:
+            return [g]
+        full = np.zeros_like(blocks[0])
+        full[:, reached] = g
+        return [full]
 
     return _Stacked(objective, grad)
 
@@ -410,14 +426,14 @@ def augustin_fixed_point(p: Pmf, W: Channel, alpha: float,
         p.probs, Wa, alpha, p_y, cfg.tolerance, cfg.max_iters, damp
     )
     engine = "fixed_point"
+    stacked = _expected_divergence_eg(p.probs, Wa, alpha)
     if status != 0:
-        # plateau or exhausted budget: polish with EG on the convex objective
-        eg = eg_optimize(_expected_divergence_eg(p.probs, Wa, alpha), [W.n_y], "min",
-                         cfg.with_(restarts=max(cfg.restarts, 3)), inits=[q])
+        # plateau or exhausted budget: polish with one EG start, as the optimize route
+        eg = eg_optimize(stacked, [W.n_y], "min", cfg.with_(restarts=1), inits=[q])
         q, resid = eg.point[0], eg.residual
         engine = "fixed_point+eg"
     _check_finite_output(q, "output distribution of the Augustin solve", alpha)
-    value = float(_expected_divergence(p.probs, Wa, alpha, q)[0])
+    value = float(stacked.objective([q[None]], None)[0][0])
     return AugustinResult(
         q_y=make_pmf(q, renormalize=True, labels=W.y_labels),
         value=value, engine=engine, residual=float(resid), iterations=int(iters),

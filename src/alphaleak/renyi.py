@@ -256,28 +256,6 @@ def _sibson_closed(p: Pmf, W: Channel, alpha: float) -> float:
     return alpha / (alpha - 1.0) * _log_sum_col_norms(L, alpha)
 
 
-def _sibson_objective(p: Pmf, W: Channel, alpha: float) -> _Stacked:
-    """Stacked objective and gradient over q, for ``eg_optimize`` and the
-    grid oracle."""
-    A = p.probs @ W.matrix ** alpha
-    live = A > 0.0
-
-    def objective(blocks, data):
-        q = np.maximum(blocks[0], _kernels.EPS)
-        if not live.all():
-            q = q.compress(live, axis=-1)
-        S = (A[live] * q ** (1.0 - alpha)).sum(axis=-1)
-        return np.log(S) / (alpha - 1.0), S
-
-    def grad(blocks, S, data):
-        q = np.maximum(blocks[0], _kernels.EPS)
-        g = np.zeros_like(q)
-        g[:, live] = -A[live] * q.compress(live, axis=-1) ** (-alpha) / S[:, None]
-        return [g]
-
-    return _Stacked(objective, grad)
-
-
 def _lp_objective(Pa: np.ndarray, alpha: float) -> _Stacked:
     """log(qx^(1-alpha) Pa qy^(1-alpha)) / (alpha - 1) over pairs (qx, qy),
     stacked for ``eg_optimize``, with matrix-vector products per row."""
@@ -310,8 +288,10 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
     (small alphabets only).  Results are clamped to [0, inf); negative
     values beyond the method's noise floor raise, as do NaN and inf.
 
-    The ``optimize`` programs of Sibson and Augustin-Csiszar (over q) and
-    of Lapidoth-Pfister (over (q_x, q_y)) have no spurious local optimum,
+    Sibson and Augustin-Csiszar minimize one objective over q, the expected
+    divergence summed row by row over the support, Sibson's program being
+    its one-input case p W^alpha.  Their ``optimize`` programs (over q) and
+    Lapidoth-Pfister's (over (q_x, q_y)) have no spurious local optimum,
     so each runs one EG start from the marginals and ``cfg.restarts``
     does not apply to them: D_alpha(P || Q) is convex in Q at every order
     (van Erven & Harremoes, IEEE Trans. IT 60(7), 2014, Thm. 12), and
@@ -334,10 +314,11 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
     elif variant is MiVariant.AUGUSTIN_CSISZAR and method is Method.CLOSED_FORM:
         value = augustin_fixed_point(p, W, alpha, cfg).value
     elif variant in (MiVariant.SIBSON, MiVariant.AUGUSTIN_CSISZAR):
-        # both minimize a convex objective over the output distribution q,
-        # floored at EPS; one start suffices
-        stacked = (_sibson_objective(p, W, alpha) if variant is MiVariant.SIBSON
-                   else _expected_divergence_eg(p.probs, W.matrix ** alpha, alpha))
+        # one convex objective over q; Sibson's is its one-input case
+        p_in, Wa = p.probs, W.matrix ** alpha
+        if variant is MiVariant.SIBSON:
+            p_in, Wa = np.ones(1), (p.probs @ Wa)[None, :]
+        stacked = _expected_divergence_eg(p_in, Wa, alpha)
         if method is Method.OPTIMIZE:
             value = eg_optimize(stacked, [W.n_y], "min", cfg.with_(restarts=1),
                                 inits=[p.probs @ W.matrix]).value

@@ -8,7 +8,8 @@ P^alpha q_x^(1-alpha) q_y^(1-alpha) is jointly convex above order 1 and
 jointly concave on (1/2, 1).  None of the three programs has a spurious
 local optimum, so each route runs one row of ``_kernels.eg`` from its
 marginal start, whatever ``cfg.restarts`` says, and lands on the closed
-form.
+form.  The EG polish of the Augustin fixed point runs one start on the
+same objective.
 """
 
 import numpy as np
@@ -66,5 +67,33 @@ def test_optimize_runs_one_row(monkeypatch, variant, alpha):
     p, W = _instance(3, 4, "dense")
     for restarts in (1, 10, 25):
         rows.clear()
-        alpha_mi(variant, p, W, alpha, method="optimize", cfg=OptimizerConfig(restarts=restarts))
+        value = alpha_mi(variant, p, W, alpha, method="optimize",
+                         cfg=OptimizerConfig(restarts=restarts))
         assert rows == [1]
+    if variant != "augustin_csiszar":
+        return
+    # the EG polish of the Augustin fixed point minimizes the same convex
+    # objective: forced by a plateau at the marginal, it runs one row from
+    # there too, and lands on the optimize route's value
+    monkeypatch.setattr(K, "augustin_solve",
+                        lambda p_x, Wa, alpha, q0, *args: (q0, 1.0, 500, 1))
+    for restarts in (1, 10, 25):
+        rows.clear()
+        polished = alpha_mi(variant, p, W, alpha, cfg=OptimizerConfig(restarts=restarts))
+        assert rows == [1]
+        assert abs(polished - value) <= 1e-10 * value
+
+
+@pytest.mark.parametrize("variant", ("sibson", "augustin_csiszar"))
+@pytest.mark.parametrize("alpha", (30.0, 50.0, 200.0))
+def test_oracle_above_the_overflow_order(variant, alpha):
+    # above order about 26.7 the floored power EPS**(1 - alpha) overflows to
+    # inf, and a zero channel entry times inf made the Augustin-Csiszar
+    # oracle NaN at 21 grid points; such an entry now takes its power at 1
+    p = make_pmf([0.0, 0.4, 0.6])
+    W = make_channel([[0.6, 0.4, 0.0], [0.2, 0.5, 0.3], [0.0, 0.3, 0.7]])
+    cfg = OptimizerConfig(grid_resolution=0.05)
+    with np.errstate(over="ignore"):
+        value = alpha_mi(variant, p, W, alpha, method="oracle", cfg=cfg)
+    closed = alpha_mi(variant, p, W, alpha)
+    assert closed <= value <= closed + p.n * cfg.grid_resolution

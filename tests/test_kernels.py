@@ -17,7 +17,7 @@ import pytest
 
 from alphaleak import _kernels as K
 from alphaleak import alpha_mi, alpha_mi_via_leakage, make_channel, make_pmf, optimize
-from alphaleak.renyi import _sibson_objective
+from alphaleak.optimize import _expected_divergence_eg
 
 ALPHAS = (0.3, 0.6, 2.0, 4.0, 10.0)
 TOL = 1e-10
@@ -401,8 +401,8 @@ def test_sibson_restarts_stop_without_zigzag(monkeypatch):
     monkeypatch.setattr(K, "eg", counted)
     closed = alpha_mi("sibson", P, C, 4.0)
     # all ten restarts, as the route ran them before it took one start
-    res = optimize.eg_optimize(_sibson_objective(P, C, 4.0), [C.n_y], "min",
-                               inits=[P.probs @ C.matrix])
+    sibson = _expected_divergence_eg(np.ones(1), (P.probs @ C.matrix ** 4.0)[None, :], 4.0)
+    res = optimize.eg_optimize(sibson, [C.n_y], "min", inits=[P.probs @ C.matrix])
     assert len(iters) == 1 and len(iters[0]) == optimize.OptimizerConfig().restarts
     assert max(iters[0]) <= 100
     assert abs(res.value - closed) <= 1e-12 * closed

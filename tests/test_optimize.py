@@ -372,6 +372,30 @@ class TestOracleScanners:
         monkeypatch.setattr(optimize, "_GRID_CHUNK", 1 << 17)
         assert repr(alpha_mi("arimoto", p, W, alpha, method="oracle", cfg=cfg)) == repr(value)
 
+    @pytest.mark.parametrize("variant", ["augustin_csiszar", "sibson"])
+    def test_expected_divergence_oracle_peak_and_value(self, monkeypatch, variant):
+        # the one expected-divergence objective sums each grid point's rows on
+        # their own, in chunks of 1 << 14 points: a 4x4 sparse oracle at grid
+        # 0.02 (23 426 points) peaked at 1.9 MB (Augustin-Csiszar) and 1.8 MB
+        # (Sibson), with the same value in chunks of 1 << 17
+        rng = np.random.default_rng(4)
+        p = rng.dirichlet(np.ones(4))
+        p[0] = 0.0
+        W = rng.dirichlet(np.ones(4), size=4)
+        W[rng.random((4, 4)) < 0.3] = 0.0
+        W[np.arange(4), np.arange(4)] += 0.05
+        p, W = make_pmf(p, renormalize=True), make_channel(W / W.sum(axis=1, keepdims=True))
+        cfg = OptimizerConfig(grid_resolution=0.02)
+        tracemalloc.start()
+        try:
+            value = alpha_mi(variant, p, W, 2.0, method="oracle", cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+        monkeypatch.setattr(optimize, "_GRID_CHUNK", 1 << 17)
+        assert repr(alpha_mi(variant, p, W, 2.0, method="oracle", cfg=cfg)) == repr(value)
+
     def test_rule_scan_takes_a_stacked_objective(self):
         # one stacked objective per call; the best rule of the lexicographic
         # scan wins, ties to the first
@@ -470,3 +494,20 @@ class TestObjectiveBoundary:
         value, S = stacked.objective([R], None)
         assert np.isfinite(value).all()
         assert np.isfinite(stacked.grad([R], S, None)[0]).all()
+
+    @pytest.mark.parametrize("alpha", [30.0, 50.0, 200.0])
+    def test_expected_divergence_overflowing_power(self, alpha):
+        # above order about 26.7 the floored power EPS**(1 - alpha) of a zero
+        # grid coordinate overflows to inf; a zero channel entry of an input
+        # of positive mass must count 0, not 0 * inf, and an output that only
+        # the zero-mass input reaches gets a zero gradient
+        W = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.7, 0.3, 0.0]])
+        stacked = optimize._expected_divergence_eg(self.P, W ** alpha, alpha)
+        with np.errstate(over="ignore"):
+            values = self._values(stacked, self.GRID)
+        assert not np.isnan(values).any()
+        q = np.array([[0.3, 0.3, 0.4]])
+        value, S = stacked.objective([q], None)
+        (g,) = stacked.grad([q], S, None)
+        assert np.isfinite(value).all() and np.isfinite(g).all()
+        assert g[0, 2] == 0.0 and (g[0, :2] < 0.0).all()
