@@ -27,10 +27,12 @@ row keeps its own step, line search and stop, so it follows the path it
 would follow alone, and a single problem is a stack of one.  It is the
 only EG loop in the library: the four decision-rule kernels (``tsallis_eg``,
 ``power_eg``, ``ac_eg``, ``lp_eg``) bind to it the objective and
-gradient of their ``*_objective`` factory, and ``optimize._eg_run``
+gradient of their ``*_objective`` factory, take a stack of starts (and
+of per-row data) and return what ``eg`` returns; ``optimize._eg_run``
 binds every other stacked objective.  The grid oracles score the same
-objectives, each finite on the closed simplex by itself: it floors the
-operand of a negative power (``_power``) and takes a zero-weight log at 1.
+objectives, with the same data, each finite on the closed simplex by
+itself: it floors the operand of a negative power (``_power``) and takes
+a zero-weight log at 1.
 
 ``augustin_solve`` is the fixed-point iteration for the minimizing output
 distribution and ``lp_alternating_solve`` the alternating minimization
@@ -207,18 +209,6 @@ def eg(objective, grad, blocks, maximize, tol, max_iters, data=None):
     return out_blocks, np.array(out_f), np.array(out_resid), sum(out_it), np.array(out_it)
 
 
-def _stack_run(objective, grad, X0, single_ndim, maximize, tol, max_iters, data=None):
-    """``eg`` over one block; a single problem (``X0.ndim == single_ndim``)
-    runs as a stack of one and gets (point, value, residual, iterations)."""
-    X0 = np.asarray(X0, dtype=np.float64)
-    single = X0.ndim == single_ndim
-    (X,), f, resid, total, iters = eg(objective, grad, [X0[None] if single else X0],
-                                      maximize, tol, max_iters, data)
-    if single:
-        return X[0], float(f[0]), float(resid[0]), int(iters[0])
-    return X, f, resid, total, iters
-
-
 def tsallis_objective(beta, use_log):
     """f(r) = sum_x w[x] r[x]^beta (or sum w log r) per row of a stack of
     points, the weights w the per-row data, and its gradient.  A zero
@@ -237,13 +227,9 @@ def tsallis_objective(beta, use_log):
 
 
 def tsallis_eg(w, beta, use_log, r0, maximize, tol, max_iters):
-    """Optimize ``tsallis_objective`` over one simplex.
-
-    Returns (r, f, residual, iterations); (m, n) stacks of weights and
-    starts solve m problems and return what ``eg`` returns.
-    """
-    return _stack_run(*tsallis_objective(beta, use_log), r0, 1, maximize, tol, max_iters,
-                      np.atleast_2d(w))
+    """``eg`` of ``tsallis_objective`` on an (m, n) stack of starts, row i
+    weighted by row i of the (m, n) weights; returns what ``eg`` returns."""
+    return eg(*tsallis_objective(beta, use_log), [r0], maximize, tol, max_iters, w)
 
 
 def power_objective(alpha):
@@ -263,10 +249,10 @@ def power_objective(alpha):
 
 
 def power_eg(pi, alpha, r0, maximize, tol, max_iters):
-    """Optimize ``power_objective`` over one simplex; (m, n) stacks of
-    posteriors and starts solve m problems."""
-    return _stack_run(*power_objective(alpha), r0, 1, maximize, tol, max_iters,
-                      np.atleast_2d(pi))
+    """``eg`` of ``power_objective`` on an (m, n) stack of starts, row i
+    scored against row i of the (m, n) posteriors; returns what ``eg``
+    returns."""
+    return eg(*power_objective(alpha), [r0], maximize, tol, max_iters, pi)
 
 
 def ac_objective(p, W, beta):
@@ -292,9 +278,9 @@ def ac_objective(p, W, beta):
 
 
 def ac_eg(p, W, beta, R0, maximize, tol, max_iters):
-    """Optimize ``ac_objective`` over a family of simplices; an
-    (m, n_y, n_x) stack of starts runs m restarts."""
-    return _stack_run(*ac_objective(p, W, beta), R0, 2, maximize, tol, max_iters)
+    """``eg`` of ``ac_objective`` on an (m, n_y, n_x) stack of rule starts,
+    m restarts of one problem; returns what ``eg`` returns."""
+    return eg(*ac_objective(p, W, beta), [R0], maximize, tol, max_iters)
 
 
 def lp_objective(pt, W, beta, qt):
@@ -315,9 +301,9 @@ def lp_objective(pt, W, beta, qt):
 
 
 def lp_eg(pt, W, beta, qt, R0, maximize, tol, max_iters):
-    """Optimize ``lp_objective`` over the family of per-observation
-    simplices; an (m, n_y, n_x) stack of starts runs m restarts."""
-    return _stack_run(*lp_objective(pt, W, beta, qt), R0, 2, maximize, tol, max_iters)
+    """``eg`` of ``lp_objective`` on an (m, n_y, n_x) stack of rule starts,
+    m restarts of one problem; returns what ``eg`` returns."""
+    return eg(*lp_objective(pt, W, beta, qt), [R0], maximize, tol, max_iters)
 
 
 def augustin_solve(p, Wa, alpha, q0, tol, max_iters, damp):

@@ -246,6 +246,9 @@ def emit_plot_gain(alphas, grid: int, include_risk: bool = False) -> list[dict]:
 
 
 def emit_risk_aversion(alphas, grid: int, mode: str = "both") -> list[dict]:
+    """Arrow-Pratt risk aversion of the transformed gain on r = k/grid."""
+    if grid < 2:
+        raise ValidationError("grid must be at least 2")
     rows = []
     for k in range(1, grid + 1):
         r = k / grid

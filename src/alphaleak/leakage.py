@@ -81,11 +81,9 @@ from .errors import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
-    _best_row,
+    _best_rows,
     _eg_run,
     _fd_grad_stack,
-    _grid_values,
-    _require_convergence,
     _Stacked,
     augustin_fixed_point,
     lp_alternating,
@@ -339,17 +337,6 @@ def prior_vulnerability(p: Pmf, g: GainFunction, phi: Aggregator, sense=None,
 # conditional vulnerability, phi = psi (per-observation decomposition)
 # ----------------------------------------------------------------------
 
-def _eg_block(stacked: _Stacked):
-    """``_eg_run`` of ``stacked`` over one block, called as a kernel entry
-    point is: (starts, maximize, tol, max_iters, data) -> (points, values,
-    residuals, total iterations, iterations per row)."""
-    def solve(X0, maximize, tol, max_iters, data=None):
-        (X,), *out = _eg_run(stacked, [[x] for x in X0], maximize, tol, max_iters, data)
-        return (X, *out)
-
-    return solve
-
-
 def _same_generators(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
                      g: GainFunction, phi: Aggregator, sense: str, method: str,
                      cfg: OptimizerConfig, groups):
@@ -396,18 +383,18 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
     the other direction, a stationary point that exponentiated gradient
     does not leave, so those rows start at uniform instead.  Every other
     objective runs on central differences from the posterior and
-    ``cfg.restarts - 1`` seeded draws, and raises ``ConvergenceFailure``
-    for an observation none of whose starts converges.  Returns
+    ``cfg.restarts - 1`` seeded draws.  Each observation keeps its best
+    row, and one none of whose starts converges raises
+    ``ConvergenceFailure`` (``_best_rows``).  Returns
     (vulnerability per group, (m, n) optimal actions, worst residual per
     group).
     """
     n = wt.shape[1]
     maximize = _maximize_inner(sense, phi)
     # per objective, chosen once: its per-row data and sense, the stacked
-    # objective, the EG run of a stack of rows and its starts, whether a
-    # run must converge; its aggregate term from (observation mass, optimal
-    # value), and the map from the sum of the terms to the vulnerability
-    converge = False
+    # objective, the EG run of a stack of rows and its starts; its aggregate
+    # term from (observation mass, optimal value), and the map from the sum
+    # of the terms to the vulnerability
     term, finish = (lambda m, val: m * val), phi.inverse
     if g.kind == "soft01" and phi.kind in ("log", "q_log"):
         use_log = phi.kind == "log"
@@ -432,28 +419,24 @@ def _per_observation(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         finish = ((lambda s: s) if g.kind == "power"
                   else (lambda s: np.power(s, 1.0 / (1.0 - g.alpha))))
     else:
-        sense_max, data, converge = maximize, posts, True
+        sense_max, data = maximize, posts
         rng = np.random.default_rng(cfg.seed)
         starts = [posts] + [np.broadcast_to(rng.dirichlet(np.ones(n)), posts.shape)
                             for _ in range(cfg.restarts - 1)]
         stacked = _prior_objective(g, phi)
-        solve = lambda d, r0, *run: _eg_block(stacked)(r0, *run, d)
+        solve = lambda d, r0, *run: _eg_run(stacked, [r0], *run, d)
     if method == "optimize":
         # every (start, observation) pair is one row of a single stack; row
         # j * n_obs + i runs start j of observation i
-        n_obs = len(data)
-        R, vals, resids, _, _ = solve(np.concatenate([data] * len(starts)),
-                                      np.concatenate(starts), sense_max, cfg.tolerance,
-                                      cfg.max_iters)
-        best = [i + n_obs * _best_row(vals[i::n_obs], sense_max) for i in range(n_obs)]
-        for i, b in enumerate(best if converge else ()):
-            _require_convergence(resids[i::n_obs], resids[b], cfg)
+        (R,), vals, resids, _, _ = solve(np.concatenate([data] * len(starts)),
+                                         np.concatenate(starts), sense_max, cfg.tolerance,
+                                         cfg.max_iters)
+        best = _best_rows(vals, resids, len(data), sense_max, cfg)
         R, vals, resids = R[best], vals[best], resids[best]
     else:
-        # one scan of one grid, each observation's data broadcast along the
-        # grid axis: one row of values per observation
-        R, vals = oracle_optimize_single(_grid_values(stacked.objective, data[:, None, :]),
-                                         n, sense_max, cfg)
+        # one scan of one grid shared by every observation: one row of
+        # values per observation
+        R, vals = oracle_optimize_single(stacked.objective, n, sense_max, cfg, data)
         resids = np.full(len(data), cfg.grid_resolution)
     values, worst_resids = [], []
     for s in groups:
@@ -509,17 +492,18 @@ def _coupled_rule(p: Pmf, W: Channel, stacked: _Stacked, solve, prior_action,
 
     ``solve`` runs EG on an (m, n_y, n_x) stack of rule starts, as a
     kernel entry point does: the posterior family, the constant rule of
-    ``prior_action()`` and seeded draws; the best row wins.  The oracle
+    ``prior_action()`` and seeded draws; the best row wins, and
+    ``ConvergenceFailure`` is raised when no row converged.  The oracle
     scans the rule grid with ``stacked``'s objective as it is.  ``finish``
     maps the objective's optimum to the vulnerability.  Returns (value,
     rule rows, method, residual).
     """
     if method == "optimize":
-        R, vals, resids, _, _ = solve(_joint_eg_inits(p, W, prior_action(), cfg), maximize,
-                                      cfg.tolerance, cfg.max_iters)
-        i = _best_row(vals, maximize)
+        (R,), vals, resids, _, _ = solve(_joint_eg_inits(p, W, prior_action(), cfg), maximize,
+                                         cfg.tolerance, cfg.max_iters)
+        (i,) = _best_rows(vals, resids, 1, maximize, cfg)
         return finish(float(vals[i])), R[i], "optimize", float(resids[i])
-    R, val = oracle_optimize_rule(_grid_values(stacked.objective), p.n, W.n_y, maximize, cfg)
+    R, val = oracle_optimize_rule(stacked.objective, p.n, W.n_y, maximize, cfg)
     return finish(val), R, "oracle", cfg.grid_resolution
 
 
@@ -585,7 +569,7 @@ def _cond_generic_mixed(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,
 
     stacked = _Stacked(objective, grad)
     return _coupled_rule(
-        p, W, stacked, _eg_block(stacked),
+        p, W, stacked, lambda R0, *run: _eg_run(stacked, [R0], *run),
         lambda: prior_vulnerability(p, g, phi, sense, "auto", cfg).rule.probs,
         sense == "gain", float, method, cfg)
 
@@ -668,8 +652,8 @@ def g_leakage(spec: LeakageSpec, W: Channel, method: str = "auto",
     and the conditional vulnerability are solved apart.
     """
     p, g, phi, psi = spec.prior, spec.gain, spec.phi, spec.psi
+    sense = _resolve(spec.sense, g, method)
     if phi.matches(psi):
-        sense = _resolve(spec.sense, g, method)
         _check_bounded(g, sense, p.n, phi, psi)
         _, wt, mass, posts = _observation_rows(p, W)
         row = p.probs[None, :]
@@ -678,13 +662,13 @@ def g_leakage(spec: LeakageSpec, W: Channel, method: str = "auto",
             np.concatenate([row, posts]), g, phi, sense, method, cfg,
             (slice(0, 1), slice(1, None)))
     else:
-        vp = prior_vulnerability(p, g, phi, spec.sense, method, cfg).value
-        vc = cond_vulnerability(p, W, g, phi, psi, spec.sense, method, cfg).value
+        vp = prior_vulnerability(p, g, phi, sense, method, cfg).value
+        vc = cond_vulnerability(p, W, g, phi, psi, sense, method, cfg).value
     if not np.isfinite(vp) or vp <= 0.0:
         raise DegenerateVulnerability(f"prior vulnerability {vp!r} cannot anchor a ratio")
     if not np.isfinite(vc) or vc <= 0.0:
         raise DegenerateVulnerability(f"conditional vulnerability {vc!r} is degenerate")
-    if spec.sense == "gain":
+    if sense == "gain":
         return math.log(vc / vp)
     return math.log(vp / vc)
 

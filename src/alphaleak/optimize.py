@@ -5,8 +5,9 @@ Four engines, in increasing order of specialization:
 * ``simplex_grid`` + the ``oracle_*`` scanners: exhaustive, used as
   brute-force oracles for everything else; a grid is built in numpy,
   one leading part at a time, on every call and is not cached; the
-  scanners score the stacked objectives that EG optimizes as they are,
-  one bounded chunk of points or rules at a time (``_scan_chunks``);
+  scanners take a stacked objective and its per-problem data as
+  ``_kernels.eg`` takes them and score it as it is, one bounded chunk of
+  points or rules at a time (``_scan_chunks``);
 * ``eg_optimize``: generic exponentiated-gradient (multiplicative
   weights with a backtracking line search that accepts a step only on
   Armijo's sufficient decrease, Armijo 1966) over a product of simplices,
@@ -16,6 +17,9 @@ Four engines, in increasing order of specialization:
   (``_Stacked``): it evaluates the whole stack at once, with
   ``_fd_grad_stack`` where it has no analytic gradient; only a user
   objective is evaluated row by row (``_rowwise``, ``_fd_grad``).
+  Every EG route of the library reads its stack through one rule,
+  ``_best_rows``: per problem the best row wins, and a problem none of
+  whose rows reached the tolerance raises ``ConvergenceFailure``.
   The convex programs of ``renyi.alpha_mi`` (Sibson, Augustin-Csiszar,
   Lapidoth-Pfister) have no spurious local optimum and call it with one
   restart, from their marginal start, whatever ``cfg.restarts`` says
@@ -149,52 +153,49 @@ def oracle_scan(values: np.ndarray, maximize: bool):
     return (int(idx), float(val)) if values.ndim == 1 else (idx, val)
 
 
-def _grid_values(objective, data=None):
-    """Values of a stacked ``_kernels.eg`` objective, with its per-row
-    ``data``, for a stack of grid points, scored as they are.  Axes of
-    ``data`` before its last two index problems that share each point;
-    ``problems`` counts them for the scan.
-    """
-    def values(points):
-        with np.errstate(divide="ignore"):
-            return objective([points], data)[0]
-
-    values.problems = math.prod(np.shape(data)[:-2])
-    return values
-
-
 def _scan_chunks(score, total: int, chunk: int, maximize: bool):
     """``oracle_scan`` of indices 0..total-1, scored ``chunk`` at a time:
     ``score(start, stop)`` gives the values of indices start..stop-1, a
     vector or a (k, stop - start) stack of k problems.  Per problem, ties
-    break to the lowest index."""
-    idx, val = oracle_scan(score(0, min(chunk, total)), maximize)
-    for start in range(chunk, total, chunk):
-        i, v = oracle_scan(score(start, min(start + chunk, total)), maximize)
-        better = (v > val) if maximize else (v < val)
-        idx, val = np.where(better, i + start, idx), np.where(better, v, val)
+    break to the lowest index.  A score is taken as it is: a division by
+    zero (the -inf log of a boundary point) is silent."""
+    with np.errstate(divide="ignore"):
+        idx, val = oracle_scan(score(0, min(chunk, total)), maximize)
+        for start in range(chunk, total, chunk):
+            i, v = oracle_scan(score(start, min(start + chunk, total)), maximize)
+            better = (v > val) if maximize else (v < val)
+            idx, val = np.where(better, i + start, idx), np.where(better, v, val)
     return (int(idx), float(val)) if np.ndim(val) == 0 else (idx, val)
 
 
 def oracle_optimize_single(objective, n: int, maximize: bool,
-                           cfg: OptimizerConfig = DEFAULT_CONFIG) -> tuple:
-    """Exhaustive scan of one simplex; ``objective`` maps an (m, n) stack
-    of grid points to m values, or to (k, m) values of k problems that
-    share the grid, each with its own best point and value.  Each call
-    scores at most ``_GRID_CHUNK`` (problem, point) pairs, k being the
-    ``problems`` of an objective from ``_grid_values``, else 1."""
+                           cfg: OptimizerConfig = DEFAULT_CONFIG, data=None) -> tuple:
+    """Exhaustive scan of one simplex with a stacked objective as
+    ``_kernels.eg`` takes it, ``objective([points], data)`` giving (values,
+    cache).  ``data`` is None, the data row of one problem, or a (k, ...)
+    stack of the rows of k problems that share the grid, each with its own
+    best point and value; every row is scored against every point.  Each
+    call scores at most ``_GRID_CHUNK`` (problem, point) pairs."""
     _check_oracle_alphabet(n)
     grid = simplex_grid(n, cfg.grid_resolution)
-    chunk = max(1, _GRID_CHUNK // getattr(objective, "problems", 1))
-    idx, val = _scan_chunks(lambda start, stop: objective(grid[start:stop]), grid.shape[0],
-                            chunk, maximize)
+    per_problem = np.ndim(data) >= 2
+    problems = len(data) if per_problem else 1
+    if per_problem:
+        data = np.asarray(data)[:, None]  # the grid axis, after the problem axis
+
+    def score(start, stop):
+        return objective([grid[start:stop]], data)[0]
+
+    idx, val = _scan_chunks(score, grid.shape[0], max(1, _GRID_CHUNK // problems), maximize)
     return grid[idx].copy(), val
 
 
 def oracle_optimize_rule(objective, n_x: int, n_y: int, maximize: bool,
                          cfg: OptimizerConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, float]:
-    """Exhaustive scan over the product of n_y simplices of size n_x;
-    ``objective`` maps a (b <= ``_RULE_CHUNK``, n_y, n_x) stack to b values."""
+    """Exhaustive scan over the product of n_y simplices of size n_x with a
+    stacked objective as ``_kernels.eg`` takes it, without data:
+    ``objective([rules], None)`` scores a (b <= ``_RULE_CHUNK``, n_y, n_x)
+    stack of rules."""
     _check_oracle_alphabet(n_x, n_y)
     grid = simplex_grid(n_x, cfg.grid_resolution)
     m = grid.shape[0]
@@ -208,7 +209,8 @@ def oracle_optimize_rule(objective, n_x: int, n_y: int, maximize: bool,
 
     def score(start, stop):
         flat = np.arange(start, stop, dtype=np.int64)
-        return objective(grid[(flat[:, None] // powers[None, :]) % m])  # lex order over tuples
+        # lex order over tuples
+        return objective([grid[(flat[:, None] // powers[None, :]) % m]], None)[0]
 
     best, val = _scan_chunks(score, total, _RULE_CHUNK, maximize)
     return grid[(best // powers) % m].copy(), val
@@ -282,28 +284,29 @@ def _rowwise(objective, grad) -> _Stacked:
     return _Stacked(stacked_objective, stacked_grad)
 
 
-def _eg_run(stacked: _Stacked, starts, maximize, tol, max_iters, data=None):
-    """Every start (a list of blocks) as one row of a single ``_kernels.eg``
-    stack, with per-row ``data``; returns what ``_kernels.eg`` returns."""
-    blocks = [np.stack(col) for col in zip(*starts)]
+def _eg_run(stacked: _Stacked, blocks, maximize, tol, max_iters, data=None):
+    """``_kernels.eg`` of a stacked objective on a list of blocks whose
+    leading axis is the stack (row i of every block is one start), with
+    per-row ``data``; returns what ``_kernels.eg`` returns."""
     return _kernels.eg(stacked.objective, stacked.grad, blocks, maximize, tol, max_iters, data)
 
 
-def _require_convergence(resids, best_resid: float, cfg: OptimizerConfig):
-    """Raise ``ConvergenceFailure`` unless some run of one problem reached
-    the tolerance."""
-    if not np.any(resids <= cfg.tolerance):
-        raise ConvergenceFailure(
-            f"no EG restart reached residual {cfg.tolerance:g} "
-            f"within {cfg.max_iters} iterations (best residual {best_resid:g})")
-
-
-def _best_row(values, maximize: bool) -> int:
-    """Index of the best value; a later row must be strictly better."""
-    best = 0
-    for i in range(1, len(values)):
-        if (values[i] > values[best]) if maximize else (values[i] < values[best]):
-            best = i
+def _best_rows(values, resids, problems: int, maximize: bool, cfg: OptimizerConfig):
+    """Index of the best row of each of ``problems`` problems in an EG stack
+    whose row j * problems + i runs start j of problem i; a later row must
+    be strictly better.  Raises ``ConvergenceFailure`` for a problem none of
+    whose rows reached the tolerance."""
+    best = []
+    for i in range(problems):
+        b = i
+        for j in range(i + problems, len(values), problems):
+            if (values[j] > values[b]) if maximize else (values[j] < values[b]):
+                b = j
+        if not np.any(resids[i::problems] <= cfg.tolerance):
+            raise ConvergenceFailure(
+                f"no EG restart reached residual {cfg.tolerance:g} "
+                f"within {cfg.max_iters} iterations (best residual {resids[b]:g})")
+        best.append(b)
     return best
 
 
@@ -316,8 +319,9 @@ def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CON
     array per block.  The first restart starts from ``inits`` (or
     uniform), the rest from seeded Dirichlet draws; all restarts run as
     one stack of ``_kernels.eg``, the objective evaluated row by row
-    (the library's own objectives come stacked, as ``_Stacked``), and
-    the best converged run wins.  The objective sequence is monotone in
+    (the library's own objectives come stacked, as ``_Stacked``); the
+    best run wins, and ``ConvergenceFailure`` is raised when no run
+    reached the tolerance.  The objective sequence is monotone in
     the optimization sense within every run.
     """
     if sense not in ("max", "min"):
@@ -325,17 +329,12 @@ def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CON
     maximize = sense == "max"
     stacked = objective if isinstance(objective, _Stacked) else _rowwise(objective, grad)
     rng = np.random.default_rng(cfg.seed)
-    starts = []
-    if inits is not None:
-        starts.append([np.asarray(b, dtype=np.float64).copy() for b in inits])
-    else:
-        starts.append([np.full(n, 1.0 / n) for n in shape])
-    for _ in range(cfg.restarts - 1):
-        starts.append([rng.dirichlet(np.ones(n)) for n in shape])
-    blocks, values, resids, _, iters = _eg_run(stacked, starts, maximize, cfg.tolerance,
-                                               cfg.max_iters)
-    i = _best_row(values, maximize)
-    _require_convergence(resids, resids[i], cfg)
+    first = inits if inits is not None else [np.full(n, 1.0 / n) for n in shape]
+    draws = [[rng.dirichlet(np.ones(n)) for n in shape] for _ in range(cfg.restarts - 1)]
+    blocks, values, resids, _, iters = _eg_run(
+        stacked, [np.stack(col) for col in zip(first, *draws)], maximize, cfg.tolerance,
+        cfg.max_iters)
+    (i,) = _best_rows(values, resids, 1, maximize, cfg)
     return EgResult(point=[b[i] for b in blocks], value=float(values[i]),
                     residual=float(resids[i]), iterations=int(iters[i]),
                     converged=bool(resids[i] <= cfg.tolerance))

@@ -41,7 +41,6 @@ from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
     _expected_divergence_eg,
-    _grid_values,
     _Stacked,
     augustin_fixed_point,
     eg_optimize,
@@ -323,7 +322,7 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
             value = eg_optimize(stacked, [W.n_y], "min", cfg.with_(restarts=1),
                                 inits=[p.probs @ W.matrix]).value
         else:
-            _, value = oracle_optimize_single(_grid_values(stacked.objective), W.n_y, False, cfg)
+            _, value = oracle_optimize_single(stacked.objective, W.n_y, False, cfg)
     elif variant in (MiVariant.ARIMOTO, MiVariant.HAYASHI):
         value = renyi_entropy(p, alpha) - cond_renyi_entropy(variant, p, W, alpha, method, cfg)
     elif variant is MiVariant.LAPIDOTH_PFISTER:

@@ -37,7 +37,6 @@ from .leakage import (
 from .optimize import (
     DEFAULT_CONFIG,
     OptimizerConfig,
-    _grid_values,
     oracle_optimize_single,
     simplex_grid,
 )
@@ -307,8 +306,8 @@ def _check_power_score(report: VerifyReport, rng, trial: int, tol, cfg: Optimize
     for alpha in (0.5, 2.0):
         tag = f"trial={trial} alpha={alpha}"
         # the grid scan of the objective that power_eg optimizes
-        scores = _grid_values(power_objective(alpha).objective, p.probs)
-        _, extremum = oracle_optimize_single(scores, 3, alpha > 1.0, cfg)
+        _, extremum = oracle_optimize_single(power_objective(alpha).objective, 3, alpha > 1.0,
+                                             cfg, p.probs)
         target = float((p.probs ** alpha).sum())
         report.add("power-score-extremum", tag, extremum, target,
                    tol["power-score-extremum"] * 3 * cfg.grid_resolution)

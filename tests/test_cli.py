@@ -291,6 +291,15 @@ class TestOutputDirEnv:
 
 
 class TestRiskAversionCommand:
+    @pytest.mark.parametrize("command", ["plot-gain", "risk-aversion"])
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_a_grid_below_two_is_rejected(self, command, grid, capsys):
+        # risk-aversion printed an empty table for --grid 0 and exited 0
+        assert main([command, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid must be at least 2" in captured.err
+
     def test_table(self, capsys):
         assert main(["risk-aversion", "--alpha", "0.5,2", "--grid", "5",
                      "--mode", "both"]) == 0

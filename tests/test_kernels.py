@@ -59,18 +59,20 @@ def _kernel_case(name, alpha, kind):
     joint = p[:, None] * W
     if name == "tsallis":
         w = np.ascontiguousarray(joint[:, -1])
-        out = K.tsallis_eg(w, beta, False, w / w.sum(), maximize, TOL, ITERS)
+        out = K.tsallis_eg(w[None], beta, False, (w / w.sum())[None], maximize, TOL, ITERS)
     elif name == "power":
         pi = joint[:, -1] / joint[:, -1].sum()
-        out = K.power_eg(pi, alpha, np.full(p.size, 1.0 / p.size), maximize, TOL, ITERS)
+        out = K.power_eg(pi[None], alpha, np.full((1, p.size), 1.0 / p.size), maximize, TOL,
+                         ITERS)
     elif name == "ac":
-        out = K.ac_eg(p, W, beta, R0, maximize, TOL, ITERS)
+        out = K.ac_eg(p, W, beta, R0[None], maximize, TOL, ITERS)
     else:
         qt = alpha / (2.0 * alpha - 1.0)
         pt = p ** qt / (p ** qt).sum()
-        out = K.lp_eg(pt, W, beta, qt, R0, maximize, TOL, ITERS)
-    _, value, resid, iters = out
-    return value.hex(), float(resid).hex(), iters
+        out = K.lp_eg(pt, W, beta, qt, R0[None], maximize, TOL, ITERS)
+    # every entry point runs a stack: this one is a stack of one
+    _, (value,), (resid,), _, (iters,) = out
+    return float(value).hex(), float(resid).hex(), int(iters)
 
 
 def _eg_optimize_case(name, alpha, kind):
@@ -358,7 +360,8 @@ def test_tsallis_eg_descent_reaches_minimum_on_sparse_weights():
     # reached at r proportional to w^(1/(1-beta))
     w = np.array([4.55e-9, 0.0, 0.2284])
     beta = 1.0 - 1.0 / 0.3
-    _, value, _, _ = K.tsallis_eg(w, beta, False, w / w.sum(), False, 1e-10, 100_000)
+    _, (value,), *_ = K.tsallis_eg(w[None], beta, False, (w / w.sum())[None], False, 1e-10,
+                                   100_000)
     minimum = (w[w > 0.0] ** (1.0 / (1.0 - beta))).sum() ** (1.0 - beta)
     assert abs(value - minimum) <= 1e-6 * minimum
 
@@ -372,8 +375,8 @@ def test_tsallis_eg_restarts_its_step_after_a_fallback():
     w /= w.sum()
     beta = 1.0 - 1.0 / 0.3
     run = (False, 1e-10, 100_000)
-    _, value, _, _ = K.tsallis_eg(w, beta, False, w, *run)
-    _, from_uniform, _, _ = K.tsallis_eg(w, beta, False, np.full(3, 1.0 / 3.0), *run)
+    _, (value,), *_ = K.tsallis_eg(w[None], beta, False, w[None], *run)
+    _, (from_uniform,), *_ = K.tsallis_eg(w[None], beta, False, np.full((1, 3), 1.0 / 3.0), *run)
     assert abs(value - from_uniform) <= 1e-12 * from_uniform
 
 
@@ -461,10 +464,10 @@ def test_sibson_leakage_route_below_order_one(cell):
 
 def test_kernel_determinism():
     p, W, R0 = next(_instances(n=1))
-    a = K.ac_eg(p, W, 0.5, R0, True, TOL, ITERS)
-    b = K.ac_eg(p, W, 0.5, R0, True, TOL, ITERS)
-    np.testing.assert_array_equal(a[0], b[0])
-    assert a[1] == b[1]
+    a = K.ac_eg(p, W, 0.5, R0[None], True, TOL, ITERS)
+    b = K.ac_eg(p, W, 0.5, R0[None], True, TOL, ITERS)
+    np.testing.assert_array_equal(a[0][0], b[0][0])
+    assert a[1].tobytes() == b[1].tobytes()
 
 
 def test_backend_is_numpy():

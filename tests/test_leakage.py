@@ -489,6 +489,21 @@ class TestGLeakage:
         with pytest.raises(DegenerateVulnerability):
             g_leakage(spec, W)
 
+    @pytest.mark.parametrize("method", ["auto", "optimize"])
+    @pytest.mark.parametrize("variant", ["arimoto", "sibson", "augustin_csiszar", "hayashi",
+                                         "lapidoth_pfister"])
+    def test_sense_none_takes_the_sense_of_the_gain(self, variant, method):
+        # the vulnerabilities read sense=None as the gain's own sense, and so
+        # must the ratio: on both generator branches it was log(vp / vc) for
+        # the gain-sense tuples, e.g. -0.24023506483676726 for Arimoto at
+        # order 2 on this input instead of 0.24023506483676735
+        p = make_pmf([0.2, 0.3, 0.5])
+        W = make_channel([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+        s = leakage_spec_for(variant, p, 2.0)
+        unset = LeakageSpec(s.prior, s.phi, s.psi, s.gain, None)
+        assert g_leakage(unset, W, method).hex() == g_leakage(s, W, method).hex()
+        assert g_leakage(unset, W, method) > 0.2
+
     def test_point_mass_prior_leaks_nothing(self, bsc):
         _, W = bsc
         p = make_pmf([1.0, 0.0])

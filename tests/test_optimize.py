@@ -28,7 +28,6 @@ from alphaleak._kernels import power_objective
 from alphaleak.optimize import (
     OptimizerConfig,
     _compositions,
-    _grid_values,
     oracle_optimize_rule,
     oracle_optimize_single,
 )
@@ -303,15 +302,15 @@ class TestOracleScanners:
         # chunk of rules whose best score is NaN would be skipped
         cfg = OptimizerConfig(grid_resolution=0.1)
 
-        def single(grid):
-            vals = grid[:, 0].copy()
+        def single(b, data):
+            vals = b[0][:, 0].copy()
             vals[7] = np.nan
-            return vals
+            return vals, None
 
-        def rule(stack):
-            vals = stack[:, 0, 0].copy()
+        def rule(b, data):
+            vals = b[0][:, 0, 0].copy()
             vals[vals.size // 2] = np.nan
-            return vals
+            return vals, None
 
         for maximize in (True, False):
             with pytest.raises(NumericalInconsistency, match="NaN"):
@@ -323,17 +322,23 @@ class TestOracleScanners:
         # two problems share a grid of 66 points; their rounded scores tie
         # across chunk boundaries, and every tie breaks to the lowest index
         cfg = OptimizerConfig(grid_resolution=0.1)
-        rows = np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]])[:, None, :]
-        values = _grid_values(lambda b, w: ((np.round(4.0 * b[0]) * w).sum(axis=-1), None),
-                              rows)
-        assert values.problems == 2
+        rows = np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]])
+        pairs = []
+
+        def objective(b, w):
+            pairs.append(b[0].shape[0] * len(w))
+            return (np.round(4.0 * b[0]) * w).sum(axis=-1), None
+
         grid = simplex_grid(3, cfg.grid_resolution)
-        scores = values(grid)
+        scores, _ = objective([grid], rows[:, None])
         for maximize in (True, False):
             best = scores.argmax(axis=-1) if maximize else scores.argmin(axis=-1)
             for chunk in (1 << 17, 14, 2):
                 monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
-                points, vals = oracle_optimize_single(values, 3, maximize, cfg)
+                pairs.clear()
+                points, vals = oracle_optimize_single(objective, 3, maximize, cfg, rows)
+                # each call scores at most chunk (problem, point) pairs
+                assert max(pairs) <= chunk
                 np.testing.assert_array_equal(points, grid[best])
                 np.testing.assert_array_equal(vals, scores[[0, 1], best])
 
@@ -400,7 +405,7 @@ class TestOracleScanners:
         # one stacked objective per call; the best rule of the lexicographic
         # scan wins, ties to the first
         cfg = OptimizerConfig(grid_resolution=0.25)
-        R, val = oracle_optimize_rule(lambda stack: stack[:, 1, 0] - stack[:, 0, 0],
+        R, val = oracle_optimize_rule(lambda b, data: (b[0][:, 1, 0] - b[0][:, 0, 0], None),
                                       2, 2, True, cfg)
         np.testing.assert_array_equal(R, [[0.0, 1.0], [1.0, 0.0]])
         assert val == 1.0
@@ -414,9 +419,8 @@ class TestOracleSandwich:
             p = make_pmf(0.9 * rng.dirichlet(np.ones(3)) + 0.1 / 3, renormalize=True)
             alpha = 2.0
             closed = float((p.probs ** alpha).sum())
-            point, val = oracle_optimize_single(
-                _grid_values(power_objective(alpha).objective, p.probs), 3, True, cfg
-            )
+            point, val = oracle_optimize_single(power_objective(alpha).objective, 3, True, cfg,
+                                                p.probs)
             assert val <= closed + 1e-9
             grid = simplex_grid(3, cfg.grid_resolution)
             grads = alpha * (alpha - 1.0) * (p.probs[None, :] * grid ** (alpha - 2.0)

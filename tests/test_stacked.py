@@ -44,10 +44,16 @@ def _hexes(value, resid, iters):
     return float(value).hex(), float(resid).hex(), int(iters)
 
 
+def _alone(out):
+    """(point, value, residual, iterations) of a kernel run on a stack of one."""
+    (X,), (value,), (resid,), _, (iters,) = out
+    return X[0], value, resid, int(iters)
+
+
 def _assert_rows_alone(stacked, solo):
     """Each row of a stacked result against the same problem run alone,
     and the total iteration count against the sum of the rows."""
-    X, values, resids, total, iters = stacked
+    (X,), values, resids, total, iters = stacked
     assert isinstance(total, int)
     assert total == sum(s[3] for s in solo)
     for i, (x, value, resid, it) in enumerate(solo):
@@ -65,10 +71,16 @@ def _vector_case(name, alpha, kind):
 
 
 def _vector_kernel(name, alpha, data, start):
+    """The kernel on (m, n) stacks of data and starts."""
     beta = 1.0 - 1.0 / alpha
     if name == "tsallis":
         return K.tsallis_eg(data, beta, False, start, alpha > 1.0, TOL, ITERS)
     return K.power_eg(data, alpha, start, alpha > 1.0, TOL, ITERS)
+
+
+def _solo_vector(name, alpha, data, start):
+    """One problem of the kernel, run as a stack of one."""
+    return _alone(_vector_kernel(name, alpha, data[None], start[None]))
 
 
 @pytest.mark.parametrize("name", ["tsallis", "power"])
@@ -78,7 +90,7 @@ def test_vector_kernel_rows_match_their_recorded_solo_runs(name, alpha):
     cases = [_vector_case(name, alpha, kind) for kind in ("dense", "sparse")]
     stacked = _vector_kernel(name, alpha, np.stack([c[0] for c in cases]),
                              np.stack([c[1] for c in cases]))
-    solo = [_vector_kernel(name, alpha, *c) for c in cases]
+    solo = [_solo_vector(name, alpha, *c) for c in cases]
     _assert_rows_alone(stacked, solo)
     for i, kind in enumerate(("dense", "sparse")):
         assert _hexes(stacked[1][i], stacked[2][i], stacked[4][i]) == \
@@ -107,7 +119,7 @@ def test_a_row_whose_line_search_fails_stops_alone():
     assert resids[0] == 0.0 and resids[1] > 0.0
     assert list(iters) == [15, 18] and total == 33
     assert _hexes(values[0], resids[0], iters[0]) == recorded_kernel(("tsallis", 4.0, "sparse"))
-    _assert_rows_alone(stacked, [_vector_kernel("tsallis", 4.0, *c) for c in cases])
+    _assert_rows_alone(stacked, [_solo_vector("tsallis", 4.0, *c) for c in cases])
 
 
 def _rule_kernel(name, alpha, p, W, R0):
@@ -124,14 +136,14 @@ def _rule_kernel(name, alpha, p, W, R0):
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_rule_kernel_restarts_match_solo_runs(name, alpha, kind):
     p, W, R0 = _seeded(kind)
-    optimum = _rule_kernel(name, alpha, p, W, R0)[0]
+    optimum = _alone(_rule_kernel(name, alpha, p, W, R0[None]))[0]
     rng = np.random.default_rng(3)
     # the pinned start, its own optimum (which stops within a few
     # iterations), uniform rules and seeded draws
     starts = np.stack([R0, optimum, np.full_like(R0, 1.0 / p.size)]
                       + [rng.dirichlet(np.ones(p.size), size=W.shape[1]) for _ in range(3)])
     stacked = _rule_kernel(name, alpha, p, W, starts)
-    solo = [_rule_kernel(name, alpha, p, W, S) for S in starts]
+    solo = [_alone(_rule_kernel(name, alpha, p, W, S[None])) for S in starts]
     _assert_rows_alone(stacked, solo)
     assert _hexes(*solo[0][1:]) == recorded_kernel((name, alpha, kind))
     if (name, alpha, kind) == ("ac", 0.6, "sparse"):
@@ -157,9 +169,9 @@ def _plain_sibson(kind, alpha):
 
 
 def _starts(first, n, count=5, seed=0):
+    """A (count, n) stack of starts: ``first``, then seeded draws."""
     rng = np.random.default_rng(seed)
-    return [[np.asarray(first, dtype=np.float64)]] + [[rng.dirichlet(np.ones(n))]
-                                                     for _ in range(count - 1)]
+    return np.stack([first] + [rng.dirichlet(np.ones(n)) for _ in range(count - 1)])
 
 
 @pytest.mark.parametrize("form", ["stacked", "rowwise_fd", "rowwise_grad"])
@@ -180,8 +192,8 @@ def test_eg_run_rows_match_solo_runs(form, alpha, kind):
                 return [g[0] for g in stacked_form.grad(one, S, None)]
         stacked = _rowwise(objective, grad)
     starts = _starts(first, first.size)
-    blocks, values, resids, total, iters = _eg_run(stacked, starts, False, TOL, ITERS)
-    solo = [_eg_run(stacked, [s], False, TOL, ITERS) for s in starts]
+    blocks, values, resids, total, iters = _eg_run(stacked, [starts], False, TOL, ITERS)
+    solo = [_eg_run(stacked, [s[None]], False, TOL, ITERS) for s in starts]
     assert isinstance(total, int) and total == sum(s[3] for s in solo)
     for i, (b1, v1, r1, _, it1) in enumerate(solo):
         assert _hexes(values[i], resids[i], iters[i]) == _hexes(v1[0], r1[0], it1[0])
@@ -203,10 +215,10 @@ def test_rowwise_objective_runs_as_often_as_solo_rows(supplied_grad, alpha, kind
 
     grad = (lambda blocks: optimize._fd_grad(objective, blocks)) if supplied_grad else None
     starts = _starts(first, first.size)
-    _eg_run(_rowwise(counted, grad), starts, False, TOL, ITERS)
+    _eg_run(_rowwise(counted, grad), [starts], False, TOL, ITERS)
     stacked_calls, calls[0] = calls[0], 0
     for s in starts:
-        _eg_run(_rowwise(counted, grad), [s], False, TOL, ITERS)
+        _eg_run(_rowwise(counted, grad), [s[None]], False, TOL, ITERS)
     assert stacked_calls == calls[0]
 
 
@@ -557,6 +569,42 @@ def test_generic_route_raises_when_no_start_converges(kind):
             prior_vulnerability(p, g, phi, None, "optimize", cfg)
         else:
             cond_vulnerability(p, W, g, phi, phi, None, "optimize", cfg)
+
+
+# every EG route: under a budget of two iterations no row of the dense3
+# problems below can stop on three hits or reach the tolerance, and each
+# route raises (the tsallis, coupled and mixed-generator routes returned
+# the best row's value, e.g. 0x1.cbf7362f0c313p-4 for Arimoto at 0.6)
+EG_ROUTES = {
+    "tsallis_arimoto": lambda p, W, a, cfg: alpha_mi_via_leakage("arimoto", p, W, a,
+                                                                 "optimize", cfg),
+    "tsallis_sibson": lambda p, W, a, cfg: alpha_mi_via_leakage("sibson", p, W, a,
+                                                                "optimize", cfg),
+    "coupled_ac": lambda p, W, a, cfg: cond_vulnerability(
+        p, W, soft01_gain(), log_aggregator(), q_log_aggregator(1.0 / a), "gain", "optimize",
+        cfg),
+    "coupled_lp": lambda p, W, a, cfg: cond_vulnerability(
+        p, W, soft01_gain(), q_log_aggregator(a / (2.0 * a - 1.0)), q_log_aggregator(1.0 / a),
+        "gain", "optimize", cfg),
+    "mixed": lambda p, W, a, cfg: cond_vulnerability(
+        p, W, *MIXED["soft01_q05_log"](), None, "optimize", cfg),
+    "generic": lambda p, W, a, cfg: prior_vulnerability(p, *GENERIC["custom"](), None,
+                                                        "optimize", cfg),
+    "eg_optimize": lambda p, W, a, cfg: optimize.eg_optimize(
+        _expected_divergence_eg(np.ones(1), (p.probs @ W.matrix ** a)[None, :], a),
+        [W.n_y], "min", cfg),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.6, 2.0])
+@pytest.mark.parametrize("route", sorted(EG_ROUTES))
+def test_every_eg_route_raises_when_no_row_converges(route, alpha):
+    p = make_pmf([0.2, 0.3, 0.5])
+    W = make_channel([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    cfg = optimize.OptimizerConfig(max_iters=2)
+    with pytest.raises(ConvergenceFailure, match="no EG restart reached residual 1e-10 "
+                                                 "within 2 iterations"):
+        EG_ROUTES[route](p, W, alpha, cfg)
 
 
 # ----------------------------------------------------------------------
