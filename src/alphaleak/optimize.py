@@ -316,8 +316,9 @@ def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CON
 
     ``objective(list_of_blocks) -> float`` maps one point per simplex in
     ``shape`` to a value; ``grad``, when given, returns one gradient
-    array per block.  The first restart starts from ``inits`` (or
-    uniform), the rest from seeded Dirichlet draws; all restarts run as
+    array per block.  The first restart starts from ``inits`` (one vector
+    per block, of the block's size; ``ValidationError`` otherwise) or
+    uniform, the rest from seeded Dirichlet draws; all restarts run as
     one stack of ``_kernels.eg``, the objective evaluated row by row
     (the library's own objectives come stacked, as ``_Stacked``); the
     best run wins, and ``ConvergenceFailure`` is raised when no run
@@ -329,6 +330,9 @@ def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CON
     maximize = sense == "max"
     stacked = objective if isinstance(objective, _Stacked) else _rowwise(objective, grad)
     rng = np.random.default_rng(cfg.seed)
+    if inits is not None and [np.shape(b) for b in inits] != [(n,) for n in shape]:
+        raise ValidationError(f"inits must hold one vector per block of shape {list(shape)}, "
+                              f"got shapes {[np.shape(b) for b in inits]}")
     first = inits if inits is not None else [np.full(n, 1.0 / n) for n in shape]
     draws = [[rng.dirichlet(np.ones(n)) for n in shape] for _ in range(cfg.restarts - 1)]
     blocks, values, resids, _, iters = _eg_run(

@@ -239,6 +239,19 @@ class JointDist:
         if not abs(total - 1.0) <= SUM_ATOL:  # a NaN total fails too
             _check_finite(m, "joint matrix")
             raise NotNormalized(f"joint mass sums to {total!r}")
+        self._build(m, x_labels, y_labels)
+
+    @classmethod
+    def _of_checked(cls, m, x_labels, y_labels):
+        """The joint of a checked pmf and channel, whose total is not checked
+        again: each factor sums to one within SUM_ATOL, so their product may
+        be off by about twice that (the prior [0.5000000007, 0.5] and the
+        rows [0.3000000007, 0.7], [0.6000000007, 0.4] give 1.0000000014)."""
+        joint = cls.__new__(cls)
+        joint._build(m, x_labels, y_labels)
+        return joint
+
+    def _build(self, m, x_labels, y_labels):
         n_x, n_y = m.shape
         self.x_labels = tuple(x_labels) if x_labels is not None else _default_labels("x", n_x)
         self.y_labels = tuple(y_labels) if y_labels is not None else _default_labels("y", n_y)
@@ -299,7 +312,7 @@ def compose_joint(p: Pmf, W: Channel) -> JointDist:
         raise DimensionMismatch(
             f"prior labels {p.labels} do not match channel input labels {W.x_labels}"
         )
-    return JointDist(p.probs[:, None] * W.matrix, p.labels, W.y_labels)
+    return JointDist._of_checked(p.probs[:, None] * W.matrix, p.labels, W.y_labels)
 
 
 def joint_from_matrix(matrix, x_labels=None, y_labels=None) -> JointDist:

@@ -150,6 +150,19 @@ class TestEgOptimize:
         res = eg_optimize(lambda b: float(c @ b[0]), [3], "min", cfg)
         assert abs(res.value - 0.1) < 1e-6
 
+    @pytest.mark.parametrize("inits", [
+        [np.full(3, 1 / 3)],  # a block short: one block was optimized and returned, value 3
+        [np.full(3, 1 / 3), np.full(3, 1 / 3)],
+        [np.full(3, 1 / 3), np.full(2, 0.5), np.full(2, 0.5)],
+        [np.full((1, 3), 1 / 3), np.full(2, 0.5)],
+    ])
+    def test_inits_must_match_the_shape(self, inits):
+        # a linear objective whose maximum over the two blocks is 3 + 5 = 8
+        c = [np.array([1.0, 3.0, 2.0]), np.array([5.0, 4.0])]
+        with pytest.raises(ValidationError, match=r"^inits must hold one vector per block"):
+            eg_optimize(lambda b: float(sum(ci @ bi for ci, bi in zip(c, b))), [3, 2], "max",
+                        inits=inits)
+
 
 class TestAugustinFixedPoint:
     def test_order_one_returns_marginal(self, bsc):

@@ -10,6 +10,7 @@ from alphaleak import (
     NumericalInconsistency,
     UnsupportedVariant,
     alpha_mi,
+    alpha_mi_via_leakage,
     cond_renyi_entropy,
     make_channel,
     make_pmf,
@@ -21,6 +22,7 @@ from alphaleak import (
 from alphaleak.optimize import OptimizerConfig
 from alphaleak.renyi import MiVariant
 from conftest import random_pair
+from test_simplex import COMPOSED_CHANNEL, COMPOSED_PRIOR
 
 ALPHAS = (0.3, 0.6, 2.0, 4.0)
 
@@ -306,3 +308,13 @@ def test_lp_oracle_overflow_is_silent(alpha):
         value = alpha_mi("lapidoth_pfister", p, W, alpha, method="oracle",
                          cfg=OptimizerConfig(grid_resolution=0.05))
     assert value.hex() == LP_ORACLE_RECORDED[alpha]
+
+
+@pytest.mark.parametrize("route", [alpha_mi, alpha_mi_via_leakage])
+@pytest.mark.parametrize("variant", [v.value for v in MiVariant])
+def test_every_route_measures_a_composed_joint_just_off_one(variant, route):
+    # the joint sums to 1.0000000014; Hayashi and Shannon through both
+    # routes, Lapidoth-Pfister's alpha_mi and Arimoto's leakage route raised
+    # NotNormalized on it
+    value = route(variant, make_pmf(COMPOSED_PRIOR), make_channel(COMPOSED_CHANNEL), 2.0)
+    assert math.isfinite(value) and value > 0.0

@@ -25,6 +25,11 @@ from alphaleak import (
 )
 from conftest import random_pair
 
+# a prior and a channel that pass their 1e-9 sum checks, whose product sums
+# to 1.0000000014
+COMPOSED_PRIOR = [0.5000000007, 0.5]
+COMPOSED_CHANNEL = [[0.3000000007, 0.7], [0.6000000007, 0.4]]
+
 
 class TestMakePmf:
     def test_renormalize_symmetric(self):
@@ -180,6 +185,16 @@ class TestChannelAndJoint:
             p2, W2 = compose_joint(p, W).decompose()
             np.testing.assert_allclose(p2.probs, p.probs, atol=1e-12)
             np.testing.assert_allclose(W2.matrix, W.matrix, atol=1e-12)
+
+    def test_compose_accepts_the_product_of_checked_inputs(self):
+        # each factor passes its 1e-9 sum check, and their joint sums to
+        # 1.0000000014: composing keeps the product as it is, and the same
+        # matrix given as a joint is still checked
+        p, W = make_pmf(COMPOSED_PRIOR), make_channel(COMPOSED_CHANNEL)
+        j = compose_joint(p, W)
+        assert j.matrix.tobytes() == (p.probs[:, None] * W.matrix).tobytes()
+        with pytest.raises(NotNormalized, match=r"^joint mass sums to 1\.0000000014$"):
+            joint_from_matrix(j.matrix)
 
     def test_zero_mass_posterior_absent(self):
         j = compose_joint(make_pmf([1.0, 0.0]), make_channel([[1.0, 0.0], [0.0, 1.0]]))
