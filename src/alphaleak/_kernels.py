@@ -31,15 +31,18 @@ gradient of their ``*_objective`` factory, take a stack of starts (and
 of per-row data) and return what ``eg`` returns; ``optimize._eg_run``
 binds every other stacked objective.  The grid oracles score the same
 objectives, with the same data, each finite on the closed simplex by
-itself: it floors the operand of a negative power (``_power``) and takes
-a zero-weight log at 1.
+itself.  A log of a sum of powers (``ac_objective``, ``lp_objective``,
+the expected divergence, the Lapidoth-Pfister pair) is a logsumexp of
+logs, -inf at a zero channel entry, a point's log taken at its floor
+``_EVAL_FLOOR`` (``_log_floored``); the others floor the operand of a
+negative power (``_power``) and take a zero-weight log at 1.
 
 ``augustin_solve`` is the fixed-point iteration for the minimizing output
 distribution and ``lp_alternating_solve`` the alternating minimization
 over product distributions.
 
 The kernels are plain numpy, deterministic, and floor simplex iterates at
-``EPS``, so that negative-power gradients stay finite.
+``EPS``, so that gradients over the iterate stay finite.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .simplex import _log0, _logsumexp
+
 EPS = 1e-12
-_EVAL_FLOOR = 1e-30  # operand floor of a negative power at a grid point
+_EVAL_FLOOR = 1e-30  # floor of a grid point under a negative power or a log
 
 _STEP_INIT = 0.5  # every row's first trial step
 _MAX_STEP = 1e3
@@ -75,6 +80,11 @@ def _power(e):
     """x ** e, x floored at ``_EVAL_FLOOR`` under a negative power (the
     identity on EG iterates, which stay above EPS / (1 + n EPS))."""
     return (lambda x: np.maximum(x, _EVAL_FLOOR) ** e) if e < 0.0 else (lambda x: x ** e)
+
+
+def _log_floored(x):
+    """log x, x floored at ``_EVAL_FLOOR`` (the identity on EG iterates)."""
+    return np.log(np.maximum(x, _EVAL_FLOOR))
 
 
 def _floor_rows(R):
@@ -256,23 +266,20 @@ def power_eg(pi, alpha, r0, maximize, tol, max_iters):
 
 
 def ac_objective(p, W, beta):
-    """Phi(R) = sum_x p[x] log(sum_y W[x,y] R[y,x]^beta) per rule of a
-    stack of rules (rows of R are simplices, one per y), and its gradient;
-    a zero-mass x takes the log of 1, and a zero channel entry its powers
-    at R = 1, so each such term is exactly 0 (below order about 0.09 the
-    floored power overflows, and 0 * inf is NaN)."""
-    power = _power(beta)
-    live = p > 0.0
-    log_S = np.log if live.all() else (lambda S: np.log(np.where(live, S, 1.0)))
-    zero = W.T == 0.0
-    at_one = (lambda R: R) if not zero.any() else (lambda R: np.where(zero, 1.0, R))
+    """Phi(R) = sum_x p[x] log S_x, log S_x = LSE_y(log W[x,y] + beta log R[y,x]),
+    per rule of a stack of rules (rows of R are simplices, one per y), and
+    its gradient, beta p[x] times the softmax weight of (y, x) over R[y, x];
+    a zero channel entry drops out, and a zero-mass x adds exactly 0."""
+    log_WT = np.ascontiguousarray(_log0(W.T))
 
     def objective(b, data):
-        S = np.einsum("xy,byx->bx", W, power(at_one(b[0])))
-        return (p * log_S(S)).sum(axis=-1), S
+        A = log_WT + beta * _log_floored(b[0])
+        log_S = _logsumexp(A, axis=-2, finite=True)
+        A -= log_S[:, None, :]  # the log softmax weights, for the gradient
+        return (p * log_S).sum(axis=-1), A
 
-    def grad(b, S, data):
-        return [beta * (p / S)[:, None, :] * W.T * at_one(b[0]) ** (beta - 1.0)]
+    def grad(b, log_w, data):
+        return [beta * p * np.exp(log_w) / b[0]]
 
     return _Stacked(objective, grad)
 
@@ -284,18 +291,22 @@ def ac_eg(p, W, beta, R0, maximize, tol, max_iters):
 
 
 def lp_objective(pt, W, beta, qt):
-    """log G(R), G = sum_x pt[x] (sum_y W[x,y] R[y,x]^beta)^qt, per rule of
-    a stack of rules, and its gradient."""
-    power = _power(beta)
+    """log G(R) = LSE_x(log pt[x] + qt log S_x) per rule of a stack of rules,
+    S_x as in ``ac_objective``, and its gradient, qt beta times the softmax
+    weights of x in G and of (y, x) in S_x, over R[y, x]."""
+    log_WT = np.ascontiguousarray(_log0(W.T))
+    log_pt = _log0(pt)
 
     def objective(b, data):
-        S = np.einsum("xy,byx->bx", W, power(b[0]))
-        return np.log((pt * S ** qt).sum(axis=-1)), S
+        A = log_WT + beta * _log_floored(b[0])
+        log_S = _logsumexp(A, axis=-2, finite=True)
+        T = log_pt + qt * log_S
+        log_G = _logsumexp(T, finite=True)
+        A += (T - log_G[:, None] - log_S)[:, None, :]  # the log weights, for the gradient
+        return log_G, A
 
-    def grad(b, S, data):
-        G_tot = (pt * S ** qt).sum(axis=-1)
-        coeff = pt * qt * S ** (qt - 1.0) / G_tot[:, None]
-        return [beta * coeff[:, None, :] * W.T * b[0] ** (beta - 1.0)]
+    def grad(b, log_w, data):
+        return [qt * beta * np.exp(log_w) / b[0]]
 
     return _Stacked(objective, grad)
 

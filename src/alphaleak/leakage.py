@@ -50,12 +50,11 @@ rows as one stack of two groups, and ``posterior_vulnerability_hat`` its
 renormalized posteriors as one stack of one-row groups; each group keeps
 the value it has when solved alone.  When the two generators
 differ the objective couples observations and the optimization runs
-jointly over all per-observation simplices, initialized at the
-posterior family plus the constant prior-optimal rule (which pins
-conditional >= prior for gains) plus seeded random restarts; the
-Augustin-Csiszar and Lapidoth-Pfister kernels and the generic mixed
-objective (central differences on the flattened rule) share that one
-optimize/oracle body.
+jointly over all per-observation simplices, from the posterior family
+alone for the Augustin-Csiszar and Lapidoth-Pfister kernels, and plus
+the constant prior-optimal rule (which pins conditional >= prior for
+gains) and seeded restarts for the generic mixed objective (central
+differences on the flattened rule); they share one optimize/oracle body.
 
 A point-mass prior makes every soft 0-1 vulnerability equal one and
 every leakage zero; this falls out of the formulas, no special case.
@@ -99,7 +98,7 @@ from .renyi import (
     renyi_entropy,
     shannon_entropy,
 )
-from .simplex import Channel, DecisionRule, Pmf, _logsumexp, compose_joint, tilt
+from .simplex import Channel, DecisionRule, Pmf, _log0, _logsumexp, compose_joint, tilt
 
 
 # ----------------------------------------------------------------------
@@ -267,8 +266,7 @@ def _closed_same(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         elif phi.kind == "q_log" and phi.q is not None and phi.q > 0.0:
             # the posterior tilted to order 1/q (generalized Gibbs optimum)
             q = phi.q
-            with np.errstate(divide="ignore"):
-                lw = np.log(wt) / q  # -inf on zeros
+            lw = _log0(wt) / q  # -inf on zeros
             w = np.exp(lw - lw.max(axis=-1, keepdims=True))
             terms, R = q * _logsumexp(lw), w / w.sum(axis=-1, keepdims=True)
             reduce = lambda t: np.exp(_logsumexp(t) / (1.0 - q))
@@ -283,8 +281,7 @@ def _closed_same(wt: np.ndarray, mass: np.ndarray, posts: np.ndarray,
         terms, reduce, R = mass * (posts ** g.alpha).sum(axis=-1), np.sum, posts
     elif _matching_power_loss(g, phi):
         al = g.alpha
-        with np.errstate(divide="ignore"):
-            terms = (1.0 - al) * np.log(mass) + _logsumexp(al * np.log(wt))
+        terms = (1.0 - al) * _log0(mass) + _logsumexp(al * _log0(wt))
         reduce, R = (lambda t: np.exp(_logsumexp(t) / (1.0 - al))), posts
     elif g.kind == "transformed" and phi.kind == "linear" and phi.increasing:
         # sum w[x] q_log(r(x), q) at q = 1/alpha is q_log of the soft 0-1
@@ -477,8 +474,8 @@ def _detect_lp_tuple(g: GainFunction, phi: Aggregator, psi: Aggregator):
 
 def _joint_eg_inits(p: Pmf, W: Channel, prior_action: np.ndarray,
                     cfg: OptimizerConfig) -> np.ndarray:
-    """(restarts + 1, n_y, n_x) starts: the posterior family, the constant
-    prior-optimal rule, then seeded draws."""
+    """(restarts + 1, n_y, n_x) starts of the mixed-generator route: the
+    posterior family, the constant prior-optimal rule, then seeded draws."""
     rng = np.random.default_rng(cfg.seed)
     posteriors = compose_joint(p, W).posteriors
     n_y, n_x = posteriors.shape
@@ -491,16 +488,19 @@ def _coupled_rule(p: Pmf, W: Channel, stacked: _Stacked, solve, prior_action,
     """The optimize and oracle routes of a coupled decision-rule objective.
 
     ``solve`` runs EG on an (m, n_y, n_x) stack of rule starts, as a
-    kernel entry point does: the posterior family, the constant rule of
-    ``prior_action()`` and seeded draws; the best row wins, and
-    ``ConvergenceFailure`` is raised when no row converged.  The oracle
-    scans the rule grid with ``stacked``'s objective as it is.  ``finish``
-    maps the objective's optimum to the vulnerability.  Returns (value,
-    rule rows, method, residual).
+    kernel entry point does: ``_joint_eg_inits`` with the constant rule of
+    ``prior_action()``, or the posterior family alone where it is None
+    (the Augustin-Csiszar and Lapidoth-Pfister objectives, concave above
+    order 1 and convex below it, have no optimum but the global one); the
+    best row wins, and ``ConvergenceFailure`` is raised when no row
+    converged.  The oracle scans the rule grid with ``stacked``'s
+    objective as it is.  ``finish`` maps the objective's optimum to the
+    vulnerability.  Returns (value, rule rows, method, residual).
     """
     if method == "optimize":
-        (R,), vals, resids, _, _ = solve(_joint_eg_inits(p, W, prior_action(), cfg), maximize,
-                                         cfg.tolerance, cfg.max_iters)
+        starts = (compose_joint(p, W).posteriors[None] if prior_action is None
+                  else _joint_eg_inits(p, W, prior_action(), cfg))
+        (R,), vals, resids, _, _ = solve(starts, maximize, cfg.tolerance, cfg.max_iters)
         (i,) = _best_rows(vals, resids, 1, maximize, cfg)
         return finish(float(vals[i])), R[i], "optimize", float(resids[i])
     R, val = oracle_optimize_rule(stacked.objective, p.n, W.n_y, maximize, cfg)
@@ -518,7 +518,7 @@ def _cond_ac(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig
     return _coupled_rule(
         p, W, _kernels.ac_objective(p.probs, W.matrix, beta),
         lambda R0, *run: _kernels.ac_eg(p.probs, W.matrix, beta, R0, *run),
-        lambda: p.probs, alpha > 1.0, lambda v: math.exp(coeff * v), method, cfg)
+        None, alpha > 1.0, lambda v: math.exp(coeff * v), method, cfg)
 
 
 def _cond_lp(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig):
@@ -534,8 +534,7 @@ def _cond_lp(p: Pmf, W: Channel, alpha: float, method: str, cfg: OptimizerConfig
     return _coupled_rule(
         p, W, _kernels.lp_objective(p.probs, W.matrix, beta, qt),
         lambda R0, *run: _kernels.lp_eg(p.probs, W.matrix, beta, qt, R0, *run),
-        lambda: tilt(p, 1.0 / qt).probs, alpha > 1.0, lambda v: math.exp(v / (1.0 - qt)),
-        method, cfg)
+        None, alpha > 1.0, lambda v: math.exp(v / (1.0 - qt)), method, cfg)
 
 
 def _kn_conditional_value(p: Pmf, W: Channel, g: GainFunction, phi: Aggregator,

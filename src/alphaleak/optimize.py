@@ -57,12 +57,12 @@ from .errors import (
     OracleTooLarge,
     ValidationError,
 )
-from .simplex import Channel, JointDist, Pmf, make_pmf
+from .simplex import Channel, JointDist, Pmf, _log0, _logsumexp, make_pmf
 
 GRID_POINT_BUDGET = 10_000_000
 ORACLE_MAX_ALPHABET = 4
 _RULE_CHUNK = 4096  # rule combinations scored per objective call
-_GRID_CHUNK = 1 << 14  # (problem, grid point) pairs scored per objective call
+_GRID_CHUNK = 1 << 14  # rows of (problem, grid point) pairs scored per objective call
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,14 @@ def _scan_chunks(score, total: int, chunk: int, maximize: bool):
 
 
 def oracle_optimize_single(objective, n: int, maximize: bool,
-                           cfg: OptimizerConfig = DEFAULT_CONFIG, data=None) -> tuple:
+                           cfg: OptimizerConfig = DEFAULT_CONFIG, data=None, rows=1) -> tuple:
     """Exhaustive scan of one simplex with a stacked objective as
     ``_kernels.eg`` takes it, ``objective([points], data)`` giving (values,
     cache).  ``data`` is None, the data row of one problem, or a (k, ...)
     stack of the rows of k problems that share the grid, each with its own
     best point and value; every row is scored against every point.  Each
-    call scores at most ``_GRID_CHUNK`` (problem, point) pairs."""
+    call holds at most ``_GRID_CHUNK`` (problem, point) pairs, times
+    ``rows`` where the objective holds that many per pair (its inputs)."""
     _check_oracle_alphabet(n)
     grid = simplex_grid(n, cfg.grid_resolution)
     per_problem = np.ndim(data) >= 2
@@ -186,7 +187,8 @@ def oracle_optimize_single(objective, n: int, maximize: bool,
     def score(start, stop):
         return objective([grid[start:stop]], data)[0]
 
-    idx, val = _scan_chunks(score, grid.shape[0], max(1, _GRID_CHUNK // problems), maximize)
+    idx, val = _scan_chunks(score, grid.shape[0], max(1, _GRID_CHUNK // (problems * rows)),
+                            maximize)
     return grid[idx].copy(), val
 
 
@@ -357,38 +359,20 @@ class AugustinResult:
     iterations: int
 
 
-def _expected_divergence_eg(p: np.ndarray, Wa: np.ndarray, alpha: float) -> _Stacked:
-    """sum_x p(x) log S_x(q) / (alpha - 1), S_x(q) = sum_y Wa[x, y] q(y)^(1-alpha),
-    per row of a stack of points q floored at EPS, and its gradient; Sibson's
-    program is its one-input case, (1, p Wa).  Only the inputs of positive mass
-    and the outputs they reach enter (the gradient is 0 elsewhere), and each row
-    is summed on its own, so it has the bits it has alone.  Where the floored
-    power overflows (above order about 26.7), a zero channel entry takes its
-    power at 1, as in ``_kernels.ac_objective``, so its term is exactly 0."""
-    live = p > 0.0
-    pl, reached = p[live], Wa[live].any(axis=0)
-    every = reached.all()
-    Wl = Wa[live] if every else Wa[np.ix_(live, reached)]
-    zero = Wl == 0.0
-    with np.errstate(over="ignore"):
-        at_one = zero.any() and np.isinf(np.float64(_kernels.EPS) ** (1.0 - alpha))
-    sums = ((lambda qa: np.einsum("xy,mxy->mx", Wl, np.where(zero, 1.0, qa[:, None, :])))
-            if at_one else (lambda qa: np.einsum("xy,my->mx", Wl, qa)))
-
-    def points(blocks):
-        return np.maximum(blocks[0] if every else blocks[0][:, reached], _kernels.EPS)
-
+def _expected_divergence_eg(p: np.ndarray, La: np.ndarray, alpha: float) -> _Stacked:
+    """sum_x p(x) LSE_y(La[x, y] + (1 - alpha) log q(y)) / (alpha - 1) per row
+    of a stack of points q, La = alpha log W (-inf on a zero), and its gradient
+    -sum_x p(x) w_x(y) / q(y), w_x the softmax weights of input x; Sibson's
+    program is its one-input case, (1, log(p W^alpha)).  A zero-mass input
+    adds exactly 0, and each (point, input) row is summed as it is alone."""
     def objective(blocks, data):
-        S = sums(points(blocks) ** (1.0 - alpha))
-        return (pl * np.log(S)).sum(axis=-1) / (alpha - 1.0), S
+        A = La + (1.0 - alpha) * _kernels._log_floored(blocks[0])[:, None, :]
+        log_S = _logsumexp(A, finite=True)
+        A -= log_S[..., None]  # the log softmax weights, for the gradient
+        return (p * log_S).sum(axis=-1) / (alpha - 1.0), A
 
-    def grad(blocks, S, data):
-        g = -np.einsum("mx,xy->my", pl / S, Wl) * points(blocks) ** (-alpha)
-        if every:
-            return [g]
-        full = np.zeros_like(blocks[0])
-        full[:, reached] = g
-        return [full]
+    def grad(blocks, log_w, data):
+        return [-np.einsum("x,mxy->my", p, np.exp(log_w)) / blocks[0]]
 
     return _Stacked(objective, grad)
 
@@ -429,7 +413,7 @@ def augustin_fixed_point(p: Pmf, W: Channel, alpha: float,
         p.probs, Wa, alpha, p_y, cfg.tolerance, cfg.max_iters, damp
     )
     engine = "fixed_point"
-    stacked = _expected_divergence_eg(p.probs, Wa, alpha)
+    stacked = _expected_divergence_eg(p.probs, alpha * _log0(W.matrix), alpha)
     if status != 0:
         # plateau or exhausted budget: polish with one EG start, as the optimize route
         eg = eg_optimize(stacked, [W.n_y], "min", cfg.with_(restarts=1), inits=[q])

@@ -48,7 +48,7 @@ from .optimize import (
     oracle_optimize_single,
     simplex_grid,
 )
-from .simplex import Channel, Pmf, _logsumexp, compose_joint, tilt
+from .simplex import Channel, Pmf, _log0, _logsumexp, compose_joint, tilt
 
 ALPHA_ONE_ATOL = 1e-8
 
@@ -178,16 +178,14 @@ def _log_sum_col_norms(L: np.ndarray, alpha: float) -> float:
 
 def _arimoto_style_closed(prior: Pmf, W: Channel, alpha: float) -> float:
     """(alpha/(1-alpha)) log sum_y (sum_x (prior*W)**alpha)**(1/alpha)."""
-    with np.errstate(divide="ignore"):
-        L = alpha * (np.log(prior.probs)[:, None] + np.log(W.matrix))  # -inf on zeros
+    L = alpha * (_log0(prior.probs)[:, None] + _log0(W.matrix))  # -inf on zeros
     return alpha / (1.0 - alpha) * _log_sum_col_norms(L, alpha)
 
 
 def _hayashi_closed(p: Pmf, W: Channel, alpha: float) -> float:
     joint = compose_joint(p, W)
     ys = joint.y_support
-    with np.errstate(divide="ignore"):
-        L = alpha * np.log(joint.posteriors[ys])  # -inf on zeros
+    L = alpha * _log0(joint.posteriors[ys])  # -inf on zeros
     return _logsumexp(np.log(joint.p_y[ys]) + _logsumexp(L)) / (1.0 - alpha)
 
 
@@ -250,28 +248,27 @@ def _clamp_mi(value: float, method: Method, p: Pmf,
 
 def _sibson_closed(p: Pmf, W: Channel, alpha: float) -> float:
     """(alpha/(alpha-1)) log sum_y (sum_x p W**alpha)**(1/alpha)."""
-    with np.errstate(divide="ignore"):
-        L = np.log(p.probs)[:, None] + alpha * np.log(W.matrix)
+    L = _log0(p.probs)[:, None] + alpha * _log0(W.matrix)
     return alpha / (alpha - 1.0) * _log_sum_col_norms(L, alpha)
 
 
-def _lp_objective(Pa: np.ndarray, alpha: float) -> _Stacked:
-    """log(qx^(1-alpha) Pa qy^(1-alpha)) / (alpha - 1) over pairs (qx, qy),
-    stacked for ``eg_optimize``, with matrix-vector products per row."""
-    def objective(blocks, data):
-        ax = np.maximum(blocks[0], _kernels.EPS) ** (1.0 - alpha)
-        ay = np.maximum(blocks[1], _kernels.EPS) ** (1.0 - alpha)
-        tot = ((ax[:, None, :] @ Pa) @ ay[:, :, None])[:, 0, 0]
-        return np.log(tot) / (alpha - 1.0), tot
+def _lp_objective(P: np.ndarray, alpha: float) -> _Stacked:
+    """log T / (alpha - 1) over pairs (qx, qy), stacked for ``eg_optimize``,
+    log T = LSE_{x,y}(alpha log P[x, y] + (1 - alpha)(log qx[x] + log qy[y]))
+    (-inf on a zero of the joint P), and its gradient, per block minus its
+    marginal of the softmax weights over the point."""
+    La = alpha * _log0(P)
 
-    def grad(blocks, tot, data):
-        qx = np.maximum(blocks[0], _kernels.EPS)
-        qy = np.maximum(blocks[1], _kernels.EPS)
-        ax = qx ** (1.0 - alpha)
-        ay = qy ** (1.0 - alpha)
-        gx = -(qx ** (-alpha)) * (Pa @ ay[:, :, None])[:, :, 0] / tot[:, None]
-        gy = -(qy ** (-alpha)) * (ax[:, None, :] @ Pa)[:, 0, :] / tot[:, None]
-        return [gx, gy]
+    def objective(blocks, data):
+        lx, ly = (_kernels._log_floored(b) for b in blocks)
+        A = La + (1.0 - alpha) * (lx[:, :, None] + ly[:, None, :])
+        log_T = _logsumexp(A.reshape(len(A), -1), finite=True)
+        A -= log_T[:, None, None]  # the log softmax weights, for the gradient
+        return log_T / (alpha - 1.0), A
+
+    def grad(blocks, log_w, data):
+        w = np.exp(log_w)
+        return [-w.sum(axis=2) / blocks[0], -w.sum(axis=1) / blocks[1]]
 
     return _Stacked(objective, grad)
 
@@ -314,15 +311,15 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
         value = augustin_fixed_point(p, W, alpha, cfg).value
     elif variant in (MiVariant.SIBSON, MiVariant.AUGUSTIN_CSISZAR):
         # one convex objective over q; Sibson's is its one-input case
-        p_in, Wa = p.probs, W.matrix ** alpha
+        p_in, La = p.probs, alpha * _log0(W.matrix)
         if variant is MiVariant.SIBSON:
-            p_in, Wa = np.ones(1), (p.probs @ Wa)[None, :]
-        stacked = _expected_divergence_eg(p_in, Wa, alpha)
+            p_in, La = np.ones(1), _logsumexp(_log0(p.probs)[:, None] + La, axis=0)[None]
+        stacked = _expected_divergence_eg(p_in, La, alpha)
         if method is Method.OPTIMIZE:
             value = eg_optimize(stacked, [W.n_y], "min", cfg.with_(restarts=1),
                                 inits=[p.probs @ W.matrix]).value
         else:
-            _, value = oracle_optimize_single(stacked.objective, W.n_y, False, cfg)
+            _, value = oracle_optimize_single(stacked.objective, W.n_y, False, cfg, rows=p_in.size)
     elif variant in (MiVariant.ARIMOTO, MiVariant.HAYASHI):
         value = renyi_entropy(p, alpha) - cond_renyi_entropy(variant, p, W, alpha, method, cfg)
     elif variant is MiVariant.LAPIDOTH_PFISTER:
@@ -330,7 +327,7 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
         if method is Method.CLOSED_FORM:
             value = lp_alternating(joint, alpha, cfg).value
         elif method is Method.OPTIMIZE:
-            value = eg_optimize(_lp_objective(joint.matrix ** alpha, alpha), [p.n, W.n_y], "min",
+            value = eg_optimize(_lp_objective(joint.matrix, alpha), [p.n, W.n_y], "min",
                                 cfg.with_(restarts=1), inits=[joint.p_x, joint.p_y]).value
         else:
             from .optimize import GRID_POINT_BUDGET, _check_oracle_alphabet

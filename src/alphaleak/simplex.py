@@ -152,14 +152,23 @@ def tilt(p: Pmf, beta: float) -> Pmf:
     return Pmf(p.labels, out)
 
 
-def _logsumexp(a: np.ndarray):
-    """log sum exp along the last axis, shifted by the maximum (an infinite
-    or NaN maximum is returned as is): a float for a vector, one value per
-    row of a stack, which if C-contiguous gives each row its lone value."""
-    m = a.max(axis=-1, keepdims=True)
+def _log0(a):
+    """log a, -inf (silently) on a zero entry."""
+    with np.errstate(divide="ignore"):
+        return np.log(a)
+
+
+def _logsumexp(a: np.ndarray, axis: int = -1, finite: bool = False):
+    """log sum exp along ``axis``, shifted by the maximum (an infinite or
+    NaN maximum is returned as is, unless ``finite`` says there is none): a
+    float for a vector, one value per row of a stack, which if C-contiguous
+    gives each row its lone value."""
+    m = a.max(axis=axis, keepdims=True)
+    if finite:
+        return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
     m[~np.isfinite(m)] = 0.0  # then the sum itself is 0, inf or NaN
     with np.errstate(divide="ignore", over="ignore"):
-        out = np.log(np.exp(a - m).sum(axis=-1)) + m[..., 0]
+        out = np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
     return float(out) if out.ndim == 0 else out
 
 

@@ -21,7 +21,21 @@ import numpy as np
 import pytest
 
 from alphaleak import _kernels as K
-from alphaleak import alpha_mi, alpha_mi_via_leakage, make_channel, make_pmf, optimize, tilt
+from alphaleak import (
+    alpha_mi,
+    alpha_mi_via_leakage,
+    compose_joint,
+    cond_vulnerability,
+    leakage,
+    leakage_spec_for,
+    log_aggregator,
+    make_channel,
+    make_pmf,
+    optimize,
+    q_log_aggregator,
+    soft01_gain,
+    tilt,
+)
 from alphaleak.leakage import _joint_eg_inits
 from alphaleak.optimize import _expected_divergence_eg
 from pins import assert_pin, closed_form, outcome, pin_id, seeded
@@ -144,7 +158,7 @@ PINS = {
     ('eg_optimize', 'grad', 0.3, 'sparse'):
         ('0x1.29813336c57a7p-5', '0x1.6c50000000000p-43', 14, True, 'alpha_mi', 2.1e-14),
     ('eg_optimize', 'grad', 0.6, 'dense'):
-        ('0x1.1cf7f250173c3p-4', '0x1.aec0000000000p-45', 15, True, 'alpha_mi', 3.6e-15),
+        ('0x1.1cf7f250173c3p-4', '0x1.aec0000000000p-45', 15, True, 'alpha_mi', 3.8e-15),
     ('eg_optimize', 'grad', 0.6, 'sparse'):
         ('0x1.d7001bdf27f3dp-5', '0x1.7c02000000000p-42', 13, True, 'alpha_mi', 7.6e-14),
     ('eg_optimize', 'grad', 2.0, 'dense'):
@@ -156,7 +170,7 @@ PINS = {
     ('eg_optimize', 'grad', 4.0, 'sparse'):
         ('0x1.73114d1e79615p-4', '0x1.e920000000000p-44', 21, True, 'alpha_mi', 5.8e-15),
     ('eg_optimize', 'grad', 10.0, 'dense'):
-        ('0x1.ad31dc7c255dep-3', '0x1.8000000000000p-49', 14, True, 'alpha_mi', 5.6e-17),
+        ('0x1.ad31dc7c255dep-3', '0x1.8000000000000p-49', 14, True, 'alpha_mi', 1.2e-16),
     ('eg_optimize', 'grad', 10.0, 'sparse'):
         ('0x1.7a49fd4d8d02fp-4', '0x1.fbdc700000000p-36', 35, True, 'alpha_mi', 2e-11),
     ('eg_optimize', 'lp', 0.6, 'dense'):
@@ -176,41 +190,41 @@ PINS = {
     ('eg_optimize', 'lp', 10.0, 'sparse'):
         ('0x1.ba36a9831d8a2p-3', '0x1.74c5780000000p-34', 70, True, 'alpha_mi', 1.3e-12),
     ('kernel', 'ac', 0.3, 'dense'):
-        ('0x1.081487adabe95p+1', '0x1.476c5b2761b3ap-37', 24, None, None),
+        ('0x1.081487adabe94p+1', '0x1.476e4b7ce7c6dp-37', 24, None, None),
     ('kernel', 'ac', 0.3, 'sparse'):
-        ('0x1.44e5b7157a867p-3', '0x1.a74ce80000000p-34', 17462, None, None),
+        ('0x1.44e5b7157a870p-3', '0x1.a74cc00000000p-34', 17462, None, None),
     ('kernel', 'ac', 0.6, 'dense'):
-        ('0x1.2364449fbf866p-1', '0x1.27b0000000000p-41', 15, None, None),
+        ('0x1.2364449fbf865p-1', '0x1.27c0000000000p-41', 15, None, None),
     ('kernel', 'ac', 0.6, 'sparse'):
-        ('0x1.ff4aeba3702bcp-6', '0x1.1e743f0000000p-34', 750, None, None),
+        ('0x1.ff4aeba3702aap-6', '0x1.1e743e0000000p-34', 750, None, None),
     ('kernel', 'ac', 2.0, 'dense'):
-        ('-0x1.90ae9b925ca27p-2', '0x1.2d08000000000p-41', 24, None, None),
+        ('-0x1.90ae9b925ca26p-2', '0x1.2d08000000000p-41', 24, None, None),
     ('kernel', 'ac', 2.0, 'sparse'):
-        ('-0x1.1718ae18ac8c7p-7', '0x1.158b4f0000000p-34', 111, None, None),
+        ('-0x1.1718ae18ac8c2p-7', '0x1.158b378000000p-34', 111, None, None),
     ('kernel', 'ac', 4.0, 'dense'):
-        ('-0x1.1e8d97afc5844p-1', '0x1.cf43000000000p-37', 29, None, None),
+        ('-0x1.1e8d97afc5845p-1', '0x1.cf42000000000p-37', 29, None, None),
     ('kernel', 'ac', 4.0, 'sparse'):
-        ('-0x1.510109ec16eb0p-7', '0x1.e1d3c60000000p-35', 43, None, None),
+        ('-0x1.510109ec16e6cp-7', '0x1.e1d3d20000000p-35', 43, None, None),
     ('kernel', 'ac', 10.0, 'dense'):
-        ('-0x1.48de6fe5a1cc8p-1', '0x1.6fcf000000000p-35', 60, None, None),
+        ('-0x1.48de6fe5a1cc7p-1', '0x1.6fcf000000000p-35', 60, None, None),
     ('kernel', 'ac', 10.0, 'sparse'):
-        ('-0x1.606916d9f07c2p-7', '0x1.cd80000000000p-49', 17, None, None),
+        ('-0x1.606916d9f078cp-7', '0x1.cac0000000000p-49', 17, None, None),
     ('kernel', 'lp', 0.6, 'dense'):
-        ('0x1.51c4f5023212ap+0', '0x1.c9af61c20003dp-38', 25, None, None),
+        ('0x1.51c4f50232129p+0', '0x1.c9b571f703b2bp-38', 25, None, None),
     ('kernel', 'lp', 0.6, 'sparse'):
-        ('0x1.28a888267be26p-7', '0x1.7daaaa8000000p-34', 14177, 'crawl', 2.2e-07),
+        ('0x1.28a888267bdbap-7', '0x1.7daaad0000000p-34', 14177, 'crawl', 2.2e-07),
     ('kernel', 'lp', 2.0, 'dense'):
-        ('-0x1.19fb15aaf11adp-2', '0x1.2a9e000000000p-39', 20, None, None),
+        ('-0x1.19fb15aaf11b2p-2', '0x1.2a98000000000p-39', 20, None, None),
     ('kernel', 'lp', 2.0, 'sparse'):
-        ('-0x1.685be840c4790p-7', '0x1.562dd00000000p-35', 45, None, None),
+        ('-0x1.685be840c47b8p-7', '0x1.562dc00000000p-35', 45, None, None),
     ('kernel', 'lp', 4.0, 'dense'):
-        ('-0x1.5cecbe7764c2ap-2', '0x1.115c000000000p-38', 23, None, None),
+        ('-0x1.5cecbe7764c28p-2', '0x1.115e000000000p-38', 23, None, None),
     ('kernel', 'lp', 4.0, 'sparse'):
-        ('-0x1.8e236d240167ap-7', '0x1.3bd4700000000p-37', 25, None, None),
+        ('-0x1.8e236d2401640p-7', '0x1.3bd4800000000p-37', 25, None, None),
     ('kernel', 'lp', 10.0, 'dense'):
-        ('-0x1.70911ece27f82p-2', '0x1.a95c000000000p-37', 30, None, None),
+        ('-0x1.70911ece27f80p-2', '0x1.a95d000000000p-37', 30, None, None),
     ('kernel', 'lp', 10.0, 'sparse'):
-        ('-0x1.961782281a031p-7', '0x1.84e0000000000p-48', 14, None, None),
+        ('-0x1.961782281a038p-7', '0x1.8300000000000p-48', 14, None, None),
     ('kernel', 'power', 0.3, 'dense'):
         ('0x1.10d8cc89d844ep+1', '0x1.e062fcdb64516p-53', 10, 'optimum', 1.4e-15),
     ('kernel', 'power', 0.3, 'sparse'):
@@ -296,30 +310,59 @@ def test_pins(key):
 @pytest.mark.parametrize("name, alpha", [("ac", a) for a in (0.3, 0.6, 2.0, 4.0, 10.0)]
                          + [("lp", a) for a in (0.6, 2.0, 4.0, 10.0)])
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
-def test_rule_kernels_reach_the_stack_optimum_from_the_posteriors(name, alpha, kind):
-    """One start, the posterior family, reaches the best value of the
-    coupled routes' stack of starts (the posteriors, the prior-optimal
-    rule and nine seeded draws), as the coupled routes would with one
-    start.  Each rule objective is concave above order 1, a log of a sum of
-    concave powers R^beta with 0 < beta < 1, and convex below it, a
-    log-sum-exp of the convex terms beta log R with beta < 0, so it has no
-    optimum but the global one; what is left is the stop rule's reach, at
-    most 8.0e-9 relative here (Augustin-Csiszar at order 4, sparse)."""
+def test_coupled_routes_run_one_start_that_reaches_the_stack_optimum(name, alpha, kind,
+                                                                      monkeypatch):
+    """The optimize route of the Augustin-Csiszar or Lapidoth-Pfister tuple
+    passes its kernel one start, the posterior family, and reaches the best
+    value of the stack of starts the mixed-generator route runs (the
+    posteriors, the prior-optimal rule and nine seeded draws).  Each rule
+    objective is concave above order 1, a log of a sum of concave powers
+    R^beta with 0 < beta < 1, and convex below it, a log-sum-exp of the
+    convex terms beta log R with beta < 0, so it has no optimum but the
+    global one; what is left is the stop rule's reach, at most 8.0e-9
+    relative here (Augustin-Csiszar at order 4, sparse)."""
     p, W, _ = seeded(kind)
-    beta, qt, run = 1.0 - 1.0 / alpha, alpha / (2.0 * alpha - 1.0), (alpha > 1.0, TOL, ITERS)
-    prior = make_pmf(p) if name == "ac" else tilt(make_pmf(p), qt)
-    if name == "ac":
-        solve = lambda R0: K.ac_eg(p, W, beta, R0, *run)  # noqa: E731
-    else:
-        solve = lambda R0: K.lp_eg(prior.probs, W, beta, qt, R0, *run)  # noqa: E731
-    prior_action = p if name == "ac" else tilt(prior, 1.0 / qt).probs
-    starts = _joint_eg_inits(prior, make_channel(W), prior_action, optimize.OptimizerConfig())
-    assert len(starts) == 11
-    _, values, _, _, _ = solve(starts)
-    best = values.max() if alpha > 1.0 else values.min()
-    _, (value,), (resid,), _, _ = solve(starts[:1])
+    qt = alpha / (2.0 * alpha - 1.0)
+    spec = leakage_spec_for("augustin_csiszar" if name == "ac" else "lapidoth_pfister",
+                            make_pmf(p), alpha)
+    C = make_channel(W)
+    kernel = K.ac_eg if name == "ac" else K.lp_eg
+    runs = []
+
+    def recorded(*args):
+        runs.append((args, kernel(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(K, kernel.__name__, recorded)
+    cond_vulnerability(spec.prior, C, spec.gain, spec.phi, spec.psi, spec.sense, "optimize")
+    # the start sits before (maximize, tol, max_iters) in either kernel's arguments
+    ((args, (_, (value,), (resid,), _, _)),) = runs
+    np.testing.assert_array_equal(args[-4], compose_joint(spec.prior, C).posteriors[None])
     assert resid <= TOL
+    prior_action = p if name == "ac" else tilt(spec.prior, 1.0 / qt).probs
+    starts = _joint_eg_inits(spec.prior, C, prior_action, optimize.OptimizerConfig())
+    assert len(starts) == 11
+    _, values, _, _, _ = kernel(*args[:-4], starts, *args[-3:])
+    best = values.max() if alpha > 1.0 else values.min()
     assert abs(value - best) <= 1e-8 * abs(best)
+
+
+def test_mixed_route_runs_its_restarts(monkeypatch):
+    # outside the two tuples, the mixed-generator route keeps its stack:
+    # the posteriors, the prior-optimal rule and cfg.restarts - 1 draws
+    p, W, _ = seeded("dense")
+    cfg = optimize.OptimizerConfig(restarts=3)
+    run = leakage._eg_run
+    rows = []
+
+    def recorded(stacked, blocks, *rest):
+        rows.append(len(blocks[0]))
+        return run(stacked, blocks, *rest)
+
+    monkeypatch.setattr(leakage, "_eg_run", recorded)
+    cond_vulnerability(make_pmf(p), make_channel(W), soft01_gain(), q_log_aggregator(0.5),
+                       log_aggregator(), None, "optimize", cfg)
+    assert rows == [cfg.restarts + 1]
 
 
 def test_tsallis_eg_descent_reaches_minimum_on_sparse_weights():
@@ -372,7 +415,7 @@ def test_sibson_restarts_stop_without_zigzag(monkeypatch):
     monkeypatch.setattr(K, "eg", counted)
     closed = alpha_mi("sibson", P, C, 4.0)
     # all ten restarts, as the route ran them before it took one start
-    sibson = _expected_divergence_eg(np.ones(1), (P.probs @ C.matrix ** 4.0)[None, :], 4.0)
+    sibson = _expected_divergence_eg(np.ones(1), np.log(P.probs @ C.matrix ** 4.0)[None, :], 4.0)
     res = optimize.eg_optimize(sibson, [C.n_y], "min", inits=[P.probs @ C.matrix])
     assert len(iters) == 1 and len(iters[0]) == optimize.OptimizerConfig().restarts
     assert max(iters[0]) <= 100

@@ -497,14 +497,14 @@ class TestObjectiveBoundary:
         assert not np.isnan(values).any()
 
     def test_ac_overflowing_power(self):
-        # at beta = -19 (order 0.05) the floored power of a zero grid
-        # coordinate overflows to inf; a zero channel entry must still count
-        # 0, not 0 * inf, in the value and in the gradient, here at a rule
-        # whose EPS entries sit where the channel is zero (beta - 1 = -31
-        # overflows their power in the gradient)
+        # at beta = -19 (order 0.05) the power of a zero grid coordinate
+        # would overflow to inf, and in the gradient beta - 1 = -31 would
+        # overflow the power of an EPS entry; the objective takes both as
+        # logs, and a zero channel entry counts 0 in the value and in the
+        # gradient, here at a rule whose EPS entries sit where the channel
+        # is zero
         stacked = _kernels.ac_objective(self.P, self.W, -19.0)
-        with np.errstate(over="ignore"):
-            values = self._values(stacked, self.RULES)
+        values = self._values(stacked, self.RULES)
         assert not np.isnan(values).any()
         R = np.array([[[0.5, _kernels.EPS, 0.5], [0.5, 0.5, _kernels.EPS]]])
         stacked = _kernels.ac_objective(self.P, self.W, -30.0)
@@ -514,14 +514,15 @@ class TestObjectiveBoundary:
 
     @pytest.mark.parametrize("alpha", [30.0, 50.0, 200.0])
     def test_expected_divergence_overflowing_power(self, alpha):
-        # above order about 26.7 the floored power EPS**(1 - alpha) of a zero
-        # grid coordinate overflows to inf; a zero channel entry of an input
-        # of positive mass must count 0, not 0 * inf, and an output that only
-        # the zero-mass input reaches gets a zero gradient
+        # above order about 26.7 the power EPS**(1 - alpha) of a zero grid
+        # coordinate would overflow to inf; the objective takes it as the
+        # log (1 - alpha) log EPS, a zero channel entry (log -inf) of an
+        # input of positive mass counts 0, and an output that only the
+        # zero-mass input reaches gets a zero gradient
         W = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.7, 0.3, 0.0]])
-        stacked = optimize._expected_divergence_eg(self.P, W ** alpha, alpha)
-        with np.errstate(over="ignore"):
-            values = self._values(stacked, self.GRID)
+        with np.errstate(divide="ignore"):
+            stacked = optimize._expected_divergence_eg(self.P, alpha * np.log(W), alpha)
+        values = self._values(stacked, self.GRID)
         assert not np.isnan(values).any()
         q = np.array([[0.3, 0.3, 0.4]])
         value, S = stacked.objective([q], None)

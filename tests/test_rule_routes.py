@@ -14,12 +14,14 @@ objective at that rule (``MPMATH_VALUE``).  How the table is kept is in
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from alphaleak import (
     alpha_mi,
+    alpha_mi_via_leakage,
     cond_renyi_entropy,
     cond_vulnerability,
     leakage_spec_for,
@@ -61,29 +63,29 @@ PINS = {
     ('optimize', 'arimoto', 50.0, 'sparse'):
         ('0x1.61e437970325fp-7', 'cond_renyi_entropy', 3.4e-11),
     ('optimize', 'augustin_csiszar', 0.3, 'dense'):
-        ('0x1.c4b57ae091115p-1', 'cond_renyi_entropy', 3e-12),
+        ('0x1.c4b57ae09ac91p-1', 'cond_renyi_entropy', 7.4e-12),
     ('optimize', 'augustin_csiszar', 0.3, 'sparse'):
-        ('0x1.167b8a6e1dd05p-4', 'cond_renyi_entropy', 4.8e-11),
+        ('0x1.167b8a6e1dd0dp-4', 'cond_renyi_entropy', 4.8e-11),
     ('optimize', 'augustin_csiszar', 0.6, 'dense'):
-        ('0x1.b51666ef9edf7p-1', 'cond_renyi_entropy', 4.3e-14),
+        ('0x1.b51666ef9f76bp-1', 'cond_renyi_entropy', 3.2e-13),
     ('optimize', 'augustin_csiszar', 0.6, 'sparse'):
-        ('0x1.7f782c510be8ep-5', 'cond_renyi_entropy', 2.7e-10),
+        ('0x1.7f782c510beafp-5', 'cond_renyi_entropy', 2.7e-10),
     ('optimize', 'augustin_csiszar', 2.0, 'dense'):
-        ('0x1.90ae9b925caaap-1', 'cond_renyi_entropy', 2.6e-13),
+        ('0x1.90ae9b927565cp-1', 'cond_renyi_entropy', 1.2e-11),
     ('optimize', 'augustin_csiszar', 2.0, 'sparse'):
-        ('0x1.1718ad9bb6d97p-6', 'cond_renyi_entropy', 5.3e-10),
+        ('0x1.1718ad9bb6d56p-6', 'cond_renyi_entropy', 5.3e-10),
     ('optimize', 'augustin_csiszar', 4.0, 'dense'):
-        ('0x1.7e121f94f538ep-1', 'cond_renyi_entropy', 1.3e-11),
+        ('0x1.7e121f94fd4d1p-1', 'cond_renyi_entropy', 1.7e-11),
     ('optimize', 'augustin_csiszar', 4.0, 'sparse'):
-        ('0x1.c156b776a0c1ap-7', 'cond_renyi_entropy', 1.1e-10),
+        ('0x1.c156b7b30946ap-7', 'cond_renyi_entropy', 2.2e-10),
     ('optimize', 'augustin_csiszar', 10.0, 'dense'):
-        ('0x1.6d68ee1b4eca1p-1', 'cond_renyi_entropy', 8.3e-11),
+        ('0x1.6d68ee1be4fcbp-1', 'cond_renyi_entropy', 1.6e-10),
     ('optimize', 'augustin_csiszar', 10.0, 'sparse'):
         ('0x1.879135d5b5dbfp-7', 'cond_renyi_entropy', 5e-11),
     ('optimize', 'augustin_csiszar', 50.0, 'dense'):
-        ('0x1.6032704a093dep-1', 'cond_renyi_entropy', 4.5e-10),
+        ('0x1.6032704a9ce57p-1', 'cond_renyi_entropy', 5.2e-10),
     ('optimize', 'augustin_csiszar', 50.0, 'sparse'):
-        ('0x1.68405685a5760p-7', 'cond_renyi_entropy', 7.1e-10),
+        ('0x1.68405685e8daap-7', 'cond_renyi_entropy', 7.1e-10),
     ('optimize', 'hayashi', 0.3, 'dense'): ('0x1.f22f0c7337af8p-1', 'cond_renyi_entropy', 2.3e-16),
     ('optimize', 'hayashi', 0.3, 'sparse'):
         ('0x1.057d13f9b651ap-3', 'cond_renyi_entropy', 0.00038),
@@ -104,23 +106,23 @@ PINS = {
     ('optimize', 'hayashi', 50.0, 'sparse'):
         ('0x1.8aaa083f69ed4p-9', 'cond_renyi_entropy', 1.3e-17),
     ('optimize', 'lapidoth_pfister', 0.6, 'dense'):
-        ('0x1.51c4f5022eb60p-1', 'cond_renyi_entropy', 7e-13),
+        ('0x1.51c4f5023323dp-1', 'cond_renyi_entropy', 2.8e-12),
     ('optimize', 'lapidoth_pfister', 0.6, 'sparse'):
-        ('0x1.28a6b3c11b15bp-8', 'cond_renyi_entropy', 3.9e-10),
+        ('0x1.28a6b3c11afd9p-8', 'cond_renyi_entropy', 3.9e-10),
     ('optimize', 'lapidoth_pfister', 2.0, 'dense'):
-        ('0x1.a6f8a08064b9dp-1', 'cond_renyi_entropy', 1.4e-13),
+        ('0x1.a6f8a08065802p-1', 'cond_renyi_entropy', 5e-13),
     ('optimize', 'lapidoth_pfister', 2.0, 'sparse'):
-        ('0x1.0e44ee26c27d0p-5', 'cond_renyi_entropy', 2.2e-10),
+        ('0x1.0e44ee274fcd0p-5', 'cond_renyi_entropy', 2.2e-10),
     ('optimize', 'lapidoth_pfister', 4.0, 'dense'):
-        ('0x1.9714338b3f74cp-1', 'cond_renyi_entropy', 5.3e-12),
+        ('0x1.9714338b40d27p-1', 'cond_renyi_entropy', 5.9e-12),
     ('optimize', 'lapidoth_pfister', 4.0, 'sparse'):
-        ('0x1.d07ea9fd7b5afp-6', 'cond_renyi_entropy', 3.9e-11),
+        ('0x1.d07eaa00e2c6bp-6', 'cond_renyi_entropy', 5.2e-11),
     ('optimize', 'lapidoth_pfister', 10.0, 'dense'):
-        ('0x1.850af5d98e1ffp-1', 'cond_renyi_entropy', 6.7e-11),
+        ('0x1.850af5d9b0ec2p-1', 'cond_renyi_entropy', 8.3e-11),
     ('optimize', 'lapidoth_pfister', 10.0, 'sparse'):
-        ('0x1.aca7096337736p-6', 'cond_renyi_entropy', 1.7e-10),
+        ('0x1.aca7096337715p-6', 'cond_renyi_entropy', 1.7e-10),
     ('optimize', 'lapidoth_pfister', 50.0, 'dense'):
-        ('0x1.775daa31310cap-1', 'cond_renyi_entropy', 2e-10),
+        ('0x1.775daa313d5a7p-1', 'cond_renyi_entropy', 2.1e-10),
     ('optimize', 'lapidoth_pfister', 50.0, 'sparse'): ('0x1.9d7db6b7ec3a1p-6', None, None),
     ('optimize', 'sibson', 0.3, 'dense'): ('0x1.56af5ce94aeecp-1', 'cond_renyi_entropy', 3.9e-15),
     ('optimize', 'sibson', 0.3, 'sparse'): ('0x1.3239eed40d5f5p-7', 'cond_renyi_entropy', 2e-12),
@@ -153,9 +155,9 @@ PINS = {
     ('oracle', 'augustin_csiszar', 0.3, 'sparse'):
         ('0x1.e48bdc52d90a2p-4', 'cond_renyi_entropy', 0.051),
     ('oracle', 'augustin_csiszar', 0.6, 'dense'):
-        ('0x1.c04e12574581dp-1', 'cond_renyi_entropy', 0.022),
+        ('0x1.c04e12574581bp-1', 'cond_renyi_entropy', 0.022),
     ('oracle', 'augustin_csiszar', 0.6, 'sparse'):
-        ('0x1.a08782c0a42a3p-4', 'cond_renyi_entropy', 0.055),
+        ('0x1.a08782c0a42b5p-4', 'cond_renyi_entropy', 0.055),
     ('oracle', 'augustin_csiszar', 2.0, 'dense'):
         ('0x1.942be48724cfdp-1', 'cond_renyi_entropy', 0.0069),
     ('oracle', 'augustin_csiszar', 2.0, 'sparse'):
@@ -169,7 +171,7 @@ PINS = {
     ('oracle', 'augustin_csiszar', 10.0, 'sparse'):
         ('0x1.88460e8f61ebap-7', 'cond_renyi_entropy', 2.2e-05),
     ('oracle', 'augustin_csiszar', 50.0, 'dense'):
-        ('0x1.603b453b25f6ep-1', 'cond_renyi_entropy', 6.8e-05),
+        ('0x1.603b453b25f6cp-1', 'cond_renyi_entropy', 6.8e-05),
     ('oracle', 'augustin_csiszar', 50.0, 'sparse'):
         ('0x1.68405683ad877p-7', 'cond_renyi_entropy', 7e-10),
     ('oracle', 'hayashi', 0.3, 'dense'): ('0x1.03f5f0ef8215ep+0', 'cond_renyi_entropy', 0.043),
@@ -187,24 +189,24 @@ PINS = {
     ('oracle', 'hayashi', 50.0, 'dense'): ('0x1.cc6fa90e0f28cp-3', 'cond_renyi_entropy', 0.037),
     ('oracle', 'hayashi', 50.0, 'sparse'): ('0x1.dd117d8821a64p-9', 'cond_renyi_entropy', 0.00063),
     ('oracle', 'lapidoth_pfister', 0.6, 'dense'):
-        ('0x1.66b1e7461f7eap-1', 'cond_renyi_entropy', 0.041),
+        ('0x1.66b1e7461f7e9p-1', 'cond_renyi_entropy', 0.041),
     ('oracle', 'lapidoth_pfister', 0.6, 'sparse'):
-        ('0x1.5b1cd3b19b685p-4', 'cond_renyi_entropy', 0.081),
+        ('0x1.5b1cd3b19b697p-4', 'cond_renyi_entropy', 0.081),
     ('oracle', 'lapidoth_pfister', 2.0, 'dense'):
         ('0x1.a8bd44c34199cp-1', 'cond_renyi_entropy', 0.0035),
     ('oracle', 'lapidoth_pfister', 2.0, 'sparse'):
-        ('0x1.1d1e1c19e49c5p-5', 'cond_renyi_entropy', 0.0019),
+        ('0x1.1d1e1c19e4994p-5', 'cond_renyi_entropy', 0.0019),
     ('oracle', 'lapidoth_pfister', 4.0, 'dense'):
-        ('0x1.97e5cb4716250p-1', 'cond_renyi_entropy', 0.0016),
+        ('0x1.97e5cb4716252p-1', 'cond_renyi_entropy', 0.0016),
     ('oracle', 'lapidoth_pfister', 4.0, 'sparse'):
         ('0x1.d09c6f78d8af0p-6', 'cond_renyi_entropy', 7.1e-06),
     ('oracle', 'lapidoth_pfister', 10.0, 'dense'):
         ('0x1.86005689330c7p-1', 'cond_renyi_entropy', 0.0019),
     ('oracle', 'lapidoth_pfister', 10.0, 'sparse'):
-        ('0x1.aca70963b582bp-6', 'cond_renyi_entropy', 1.7e-10),
+        ('0x1.aca70963b588ep-6', 'cond_renyi_entropy', 1.7e-10),
     ('oracle', 'lapidoth_pfister', 50.0, 'dense'):
-        ('0x1.7784ecef83d73p-1', 'cond_renyi_entropy', 0.0003),
-    ('oracle', 'lapidoth_pfister', 50.0, 'sparse'): ('0x1.9d7db6b762aa7p-6', None, None),
+        ('0x1.7784ecef83d71p-1', 'cond_renyi_entropy', 0.0003),
+    ('oracle', 'lapidoth_pfister', 50.0, 'sparse'): ('0x1.9d7db6b762b0ap-6', None, None),
     ('oracle', 'sibson', 0.3, 'dense'): ('0x1.6916110a01a2fp-1', 'cond_renyi_entropy', 0.036),
     ('oracle', 'sibson', 0.3, 'sparse'): ('0x1.84355b3b2e235p-4', 'cond_renyi_entropy', 0.086),
     ('oracle', 'sibson', 0.6, 'dense'): ('0x1.984b33d65b7a5p-1', 'cond_renyi_entropy', 0.029),
@@ -295,6 +297,21 @@ def test_optimize_route_just_off_order_one(variant, alpha):
     closed = cond_renyi_entropy(variant, p, W, alpha)
     assert math.isclose(cond_renyi_entropy(variant, p, W, alpha, "optimize"), closed,
                         rel_tol=0.0, abs_tol=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.02, 0.05])
+def test_augustin_csiszar_leakage_route_at_tiny_orders(alpha):
+    # a zero-mass input through a channel with zeros: as powers, the rule
+    # objective's R**(beta - 1) of an entry at the EPS floor overflowed
+    # below order 0.05, and at order 0.01 every row ended on a failed line
+    # search, at 0.000925 against 0.00144; as logs they stay finite
+    p = make_pmf([0.0, 0.4, 0.6])
+    W = make_channel([[0.6, 0.4, 0.0], [0.2, 0.5, 0.3], [0.0, 0.3, 0.7]])
+    closed = alpha_mi("augustin_csiszar", p, W, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = alpha_mi_via_leakage("augustin_csiszar", p, W, alpha, method="optimize")
+    assert abs(value - closed) <= 1e-4 * closed
 
 
 def _pointwise_rule_scan(p, W, alpha, tuple_, resolution):

@@ -151,7 +151,7 @@ def _sibson_problem(kind, alpha):
     # Sibson's program: the expected divergence of the one input row p W^alpha
     p, W, _ = seeded(kind)
     A = make_pmf(p).probs @ make_channel(W).matrix ** alpha
-    return _expected_divergence_eg(np.ones(1), A[None, :], alpha), p @ W
+    return _expected_divergence_eg(np.ones(1), np.log(A)[None, :], alpha), p @ W
 
 
 def _plain_sibson(kind, alpha):
@@ -279,14 +279,15 @@ def test_expected_divergence_objective_matches_one_point_form(alpha, sparse, rou
     rng = np.random.default_rng(22)
     p, W = _instance(rng, 3, 4, sparse)
     Wa = W ** alpha
-    if route == "augustin_csiszar":
-        stacked = _expected_divergence_eg(make_pmf(p).probs, make_channel(W).matrix ** alpha,
-                                          alpha)
-    elif route == "augustin_fallback":
-        stacked = _expected_divergence_eg(p, Wa, alpha)
-    else:
-        p, Wa = np.ones(1), (p @ Wa)[None, :]
-        stacked = _expected_divergence_eg(p, Wa, alpha)
+    with np.errstate(divide="ignore"):
+        if route == "augustin_csiszar":
+            stacked = _expected_divergence_eg(make_pmf(p).probs,
+                                              alpha * np.log(make_channel(W).matrix), alpha)
+        elif route == "augustin_fallback":
+            stacked = _expected_divergence_eg(p, alpha * np.log(W), alpha)
+        else:
+            p, Wa = np.ones(1), (p @ Wa)[None, :]
+            stacked = _expected_divergence_eg(p, np.log(Wa), alpha)
     Q = _points(rng, 4)
     values, S = stacked.objective([Q], None)
     (grad,) = stacked.grad([Q], S, None)
@@ -303,7 +304,7 @@ def test_lp_two_block_objective_matches_one_point_form(alpha, sparse):
     rng = np.random.default_rng(23)
     p, W = _instance(rng, 3, 4, sparse)
     Pa = (p[:, None] * W) ** alpha
-    stacked = _lp_objective(Pa, alpha)
+    stacked = _lp_objective(p[:, None] * W, alpha)
     QX, QY = _points(rng, 3), _points(rng, 4)
     values, tot = stacked.objective([QX, QY], None)
     gx, gy = stacked.grad([QX, QY], tot, None)
@@ -440,7 +441,7 @@ EG_ROUTES = {
     "generic": lambda p, W, a, cfg: prior_vulnerability(p, *GENERIC["custom"](), None,
                                                         "optimize", cfg),
     "eg_optimize": lambda p, W, a, cfg: optimize.eg_optimize(
-        _expected_divergence_eg(np.ones(1), (p.probs @ W.matrix ** a)[None, :], a),
+        _expected_divergence_eg(np.ones(1), np.log(p.probs @ W.matrix ** a)[None, :], a),
         [W.n_y], "min", cfg),
 }
 
@@ -472,14 +473,14 @@ PINS = {
     ('alpha_mi', 'arimoto', 4.0, 'sparse'): ('0x1.074103efd39dep-6', 'alpha_mi', 1.7e-12),
     ('alpha_mi', 'arimoto', 10.0, 'dense'): ('0x1.652c1d5afeb80p-8', 'alpha_mi', 3.1e-12),
     ('alpha_mi', 'arimoto', 10.0, 'sparse'): ('0x1.9d2bcdb3981f7p-7', 'alpha_mi', 2e-12),
-    ('alpha_mi', 'augustin_csiszar', 0.6, 'dense'): ('0x1.1cf7f25017750p-4', 'alpha_mi', 1.7e-14),
-    ('alpha_mi', 'augustin_csiszar', 0.6, 'sparse'): ('0x1.d7001bdf2af5ep-5', 'alpha_mi', 1.7e-13),
+    ('alpha_mi', 'augustin_csiszar', 0.6, 'dense'): ('0x1.1cf7f25017740p-4', 'alpha_mi', 1.7e-14),
+    ('alpha_mi', 'augustin_csiszar', 0.6, 'sparse'): ('0x1.d7001bdf2af27p-5', 'alpha_mi', 1.7e-13),
     ('alpha_mi', 'augustin_csiszar', 2.0, 'dense'): ('0x1.201b269d164f6p-3', 'alpha_mi', 3.5e-15),
-    ('alpha_mi', 'augustin_csiszar', 2.0, 'sparse'): ('0x1.6575f8c309887p-4', 'alpha_mi', 2.5e-15),
-    ('alpha_mi', 'augustin_csiszar', 4.0, 'dense'): ('0x1.6a8d1693244a4p-3', 'alpha_mi', 1.8e-13),
-    ('alpha_mi', 'augustin_csiszar', 4.0, 'sparse'): ('0x1.73114d1e796f1p-4', 'alpha_mi', 8.8e-15),
-    ('alpha_mi', 'augustin_csiszar', 10.0, 'dense'): ('0x1.ad31dc7c255ebp-3', 'alpha_mi', 4.2e-16),
-    ('alpha_mi', 'augustin_csiszar', 10.0, 'sparse'): ('0x1.7a49fd4d8d028p-4', 'alpha_mi', 2e-11),
+    ('alpha_mi', 'augustin_csiszar', 2.0, 'sparse'): ('0x1.6575f8c309890p-4', 'alpha_mi', 2.6e-15),
+    ('alpha_mi', 'augustin_csiszar', 4.0, 'dense'): ('0x1.6a8d16932449fp-3', 'alpha_mi', 1.8e-13),
+    ('alpha_mi', 'augustin_csiszar', 4.0, 'sparse'): ('0x1.73114d1e79704p-4', 'alpha_mi', 8.9e-15),
+    ('alpha_mi', 'augustin_csiszar', 10.0, 'dense'): ('0x1.ad31dc7c255e8p-3', 'alpha_mi', 3.9e-16),
+    ('alpha_mi', 'augustin_csiszar', 10.0, 'sparse'): ('0x1.7a49fd4d8d034p-4', 'alpha_mi', 2e-11),
     ('alpha_mi', 'hayashi', 0.6, 'dense'): ('0x1.7a0d8fa265fc8p-4', 'alpha_mi', 0.0),
     ('alpha_mi', 'hayashi', 0.6, 'sparse'): ('0x1.34aa4d9e91d1cp-3', 'alpha_mi', 1.1e-07),
     ('alpha_mi', 'hayashi', 2.0, 'dense'): ('0x1.9b40559f49cd8p-4', 'alpha_mi', 1.2e-16),
@@ -488,23 +489,23 @@ PINS = {
     ('alpha_mi', 'hayashi', 4.0, 'sparse'): ('0x1.4a25db28d5c80p-6', 'alpha_mi', 5.6e-17),
     ('alpha_mi', 'hayashi', 10.0, 'dense'): ('0x1.074278703edb4p-2', 'alpha_mi', 1.7e-16),
     ('alpha_mi', 'hayashi', 10.0, 'sparse'): ('0x1.391babbdb80f8p-6', 'alpha_mi', 7.3e-17),
-    ('alpha_mi', 'lapidoth_pfister', 0.6, 'dense'): ('0x1.0e729374e1eaap-4', 'alpha_mi', 6.4e-14),
-    ('alpha_mi', 'lapidoth_pfister', 0.6, 'sparse'): ('0x1.cf1611f78ec6cp-6', 'alpha_mi', 1.4e-14),
-    ('alpha_mi', 'lapidoth_pfister', 2.0, 'dense'): ('0x1.3332357bc575cp-3', 'alpha_mi', 6.7e-14),
-    ('alpha_mi', 'lapidoth_pfister', 2.0, 'sparse'): ('0x1.34b0a8f95c061p-3', 'alpha_mi', 1.7e-12),
-    ('alpha_mi', 'lapidoth_pfister', 4.0, 'dense'): ('0x1.9403d16d7a368p-3', 'alpha_mi', 2e-13),
-    ('alpha_mi', 'lapidoth_pfister', 4.0, 'sparse'): ('0x1.8adbf536aaa15p-3', 'alpha_mi', 5.4e-12),
-    ('alpha_mi', 'lapidoth_pfister', 10.0, 'dense'): ('0x1.ec3fedb6ff0b7p-3', 'alpha_mi', 3.7e-11),
+    ('alpha_mi', 'lapidoth_pfister', 0.6, 'dense'): ('0x1.0e729374e1e90p-4', 'alpha_mi', 6.3e-14),
+    ('alpha_mi', 'lapidoth_pfister', 0.6, 'sparse'): ('0x1.cf1611f78ec70p-6', 'alpha_mi', 1.4e-14),
+    ('alpha_mi', 'lapidoth_pfister', 2.0, 'dense'): ('0x1.3332357bc5760p-3', 'alpha_mi', 6.7e-14),
+    ('alpha_mi', 'lapidoth_pfister', 2.0, 'sparse'): ('0x1.34b0a8f95c058p-3', 'alpha_mi', 1.7e-12),
+    ('alpha_mi', 'lapidoth_pfister', 4.0, 'dense'): ('0x1.9403d16d7a365p-3', 'alpha_mi', 2e-13),
+    ('alpha_mi', 'lapidoth_pfister', 4.0, 'sparse'): ('0x1.8adbf536aaa20p-3', 'alpha_mi', 5.4e-12),
+    ('alpha_mi', 'lapidoth_pfister', 10.0, 'dense'): ('0x1.ec3fedb6ff0b4p-3', 'alpha_mi', 3.7e-11),
     ('alpha_mi', 'lapidoth_pfister', 10.0, 'sparse'):
-        ('0x1.ba36a9831d8a2p-3', 'alpha_mi', 1.3e-12),
-    ('alpha_mi', 'sibson', 0.6, 'dense'): ('0x1.1449575be1135p-4', 'alpha_mi', 4.1e-15),
-    ('alpha_mi', 'sibson', 0.6, 'sparse'): ('0x1.31a2a0a10228bp-5', 'alpha_mi', 1.5e-15),
+        ('0x1.ba36a9831d89dp-3', 'alpha_mi', 1.3e-12),
+    ('alpha_mi', 'sibson', 0.6, 'dense'): ('0x1.1449575be1148p-4', 'alpha_mi', 4.4e-15),
+    ('alpha_mi', 'sibson', 0.6, 'sparse'): ('0x1.31a2a0a102258p-5', 'alpha_mi', 1.2e-15),
     ('alpha_mi', 'sibson', 2.0, 'dense'): ('0x1.4665429a6ddb0p-3', 'alpha_mi', 0.0),
-    ('alpha_mi', 'sibson', 2.0, 'sparse'): ('0x1.aa35e4797ccf3p-3', 'alpha_mi', 2.5e-16),
-    ('alpha_mi', 'sibson', 4.0, 'dense'): ('0x1.055767ef3ece8p-2', 'alpha_mi', 0.0),
-    ('alpha_mi', 'sibson', 4.0, 'sparse'): ('0x1.79a50e86119d1p-2', 'alpha_mi', 1.6e-15),
-    ('alpha_mi', 'sibson', 10.0, 'dense'): ('0x1.9c9a3bcfebc8cp-2', 'alpha_mi', 2.6e-14),
-    ('alpha_mi', 'sibson', 10.0, 'sparse'): ('0x1.041ed59854edbp-1', 'alpha_mi', 2e-15),
+    ('alpha_mi', 'sibson', 2.0, 'sparse'): ('0x1.aa35e4797ccf4p-3', 'alpha_mi', 2.3e-16),
+    ('alpha_mi', 'sibson', 4.0, 'dense'): ('0x1.055767ef3ece9p-2', 'alpha_mi', 5.6e-17),
+    ('alpha_mi', 'sibson', 4.0, 'sparse'): ('0x1.79a50e86119b5p-2', 'alpha_mi', 0.0),
+    ('alpha_mi', 'sibson', 10.0, 'dense'): ('0x1.9c9a3bcfebc8bp-2', 'alpha_mi', 2.6e-14),
+    ('alpha_mi', 'sibson', 10.0, 'sparse'): ('0x1.041ed59854edcp-1', 'alpha_mi', 2.2e-15),
     ('cond', 'custom', 'optimize', '2x2d'): ('0x1.15a35ab2a3022p-1', None, None),
     ('cond', 'custom', 'optimize', '2x2s'): ('0x1.fffffffffdcd0p-1', None, None),
     ('cond', 'custom', 'optimize', '3x2d'): ('0x1.7e361d77f8452p-2', None, None),
@@ -634,19 +635,19 @@ PINS = {
     ('via_leakage', 'arimoto', 10.0, 'dense'): ('0x1.652c1d5b023e3p-8', 'alpha_mi', 3e-12),
     ('via_leakage', 'arimoto', 10.0, 'sparse'): ('0x1.9d2bcdb47ad2ep-7', 'alpha_mi', 3.3e-13),
     ('via_leakage', 'augustin_csiszar', 0.6, 'dense'):
-        ('0x1.1cf7f250166b8p-4', 'alpha_mi', 4.3e-14),
+        ('0x1.1cf7f25011b1bp-4', 'alpha_mi', 3.2e-13),
     ('via_leakage', 'augustin_csiszar', 0.6, 'sparse'):
-        ('0x1.d7001bbb84129p-5', 'alpha_mi', 2.6e-10),
+        ('0x1.d7001bbb8410bp-5', 'alpha_mi', 2.6e-10),
     ('via_leakage', 'augustin_csiszar', 2.0, 'dense'):
-        ('0x1.201b269d14093p-3', 'alpha_mi', 2.6e-13),
+        ('0x1.201b269cb11c9p-3', 'alpha_mi', 1.2e-11),
     ('via_leakage', 'augustin_csiszar', 2.0, 'sparse'):
-        ('0x1.6575f89f5a46ap-4', 'alpha_mi', 5.2e-10),
+        ('0x1.6575f89f5a488p-4', 'alpha_mi', 5.2e-10),
     ('via_leakage', 'augustin_csiszar', 4.0, 'dense'):
-        ('0x1.6a8d1692b1d01p-3', 'alpha_mi', 1.3e-11),
+        ('0x1.6a8d1692917f3p-3', 'alpha_mi', 1.7e-11),
     ('via_leakage', 'augustin_csiszar', 4.0, 'sparse'):
-        ('0x1.73114d1773e58p-4', 'alpha_mi', 1.1e-10),
+        ('0x1.73114d0fe6d42p-4', 'alpha_mi', 2.2e-10),
     ('via_leakage', 'augustin_csiszar', 10.0, 'dense'):
-        ('0x1.ad31dc794b8b7p-3', 'alpha_mi', 8.3e-11),
+        ('0x1.ad31dc76f2c0cp-3', 'alpha_mi', 1.6e-10),
     ('via_leakage', 'augustin_csiszar', 10.0, 'sparse'):
         ('0x1.7a49fd4b91418p-4', 'alpha_mi', 4.9e-11),
     ('via_leakage', 'hayashi', 0.6, 'dense'): ('0x1.7a0d8fa265fcbp-4', 'alpha_mi', 4.2e-17),
@@ -657,21 +658,22 @@ PINS = {
     ('via_leakage', 'hayashi', 4.0, 'sparse'): ('0x1.4a25db28d5c77p-6', 'alpha_mi', 8.7e-17),
     ('via_leakage', 'hayashi', 10.0, 'dense'): ('0x1.074278703edb3p-2', 'alpha_mi', 2.3e-16),
     ('via_leakage', 'hayashi', 10.0, 'sparse'): ('0x1.391babbdb80e3p-6', 'alpha_mi', 1.5e-16),
-    ('via_leakage', 'lapidoth_pfister', 0.6, 'dense'): ('0x1.0e729374d4865p-4', 'alpha_mi', 7e-13),
+    ('via_leakage', 'lapidoth_pfister', 0.6, 'dense'):
+        ('0x1.0e729374b1177p-4', 'alpha_mi', 2.8e-12),
     ('via_leakage', 'lapidoth_pfister', 0.6, 'sparse'):
-        ('0x1.cf16118ee6425p-6', 'alpha_mi', 3.9e-10),
+        ('0x1.cf16118ee64a2p-6', 'alpha_mi', 3.9e-10),
     ('via_leakage', 'lapidoth_pfister', 2.0, 'dense'):
-        ('0x1.3332357bc5581p-3', 'alpha_mi', 8.1e-14),
+        ('0x1.3332357bc23efp-3', 'alpha_mi', 4.4e-13),
     ('via_leakage', 'lapidoth_pfister', 2.0, 'sparse'):
-        ('0x1.34b0a8f21483ep-3', 'alpha_mi', 2.2e-10),
+        ('0x1.34b0a8f1f12fbp-3', 'alpha_mi', 2.2e-10),
     ('via_leakage', 'lapidoth_pfister', 4.0, 'dense'):
-        ('0x1.9403d16d4e801p-3', 'alpha_mi', 5.2e-12),
+        ('0x1.9403d16d49099p-3', 'alpha_mi', 5.8e-12),
     ('via_leakage', 'lapidoth_pfister', 4.0, 'sparse'):
-        ('0x1.8adbf5358c1f4p-3', 'alpha_mi', 3.8e-11),
+        ('0x1.8adbf5351f31ep-3', 'alpha_mi', 5.1e-11),
     ('via_leakage', 'lapidoth_pfister', 10.0, 'dense'):
-        ('0x1.ec3fedb5f985cp-3', 'alpha_mi', 6.7e-11),
+        ('0x1.ec3fedb56e54dp-3', 'alpha_mi', 8.3e-11),
     ('via_leakage', 'lapidoth_pfister', 10.0, 'sparse'):
-        ('0x1.ba36a97d7b6e0p-3', 'alpha_mi', 1.7e-10),
+        ('0x1.ba36a97d7b6e6p-3', 'alpha_mi', 1.7e-10),
     ('via_leakage', 'sibson', 0.6, 'dense'): ('0x1.1449575bc9008p-4', 'alpha_mi', 1.4e-12),
     ('via_leakage', 'sibson', 0.6, 'sparse'): ('0x1.31a2a0a0ebd1bp-5', 'alpha_mi', 6.4e-13),
     ('via_leakage', 'sibson', 2.0, 'dense'): ('0x1.4665429a65f92p-3', 'alpha_mi', 9e-13),
