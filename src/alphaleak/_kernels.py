@@ -358,7 +358,8 @@ def lp_alternating_solve(Pa, alpha, qx0, qy0, tol, max_iters):
 
     Pa is the joint raised elementwise to alpha.  The output-side factor
     is updated first.  Returns (qx, qy, value, residual, iterations,
-    status) with status 0 = converged, 2 = budget exhausted.
+    status) with status 0 = converged, 2 = budget exhausted or a NaN
+    residual (the iteration stops at the first one).
     """
     qx = np.maximum(np.asarray(qx0, dtype=np.float64).copy(), EPS)
     qx /= qx.sum()
@@ -380,4 +381,6 @@ def lp_alternating_solve(Pa, alpha, qx0, qy0, tol, max_iters):
         value = new
         if resid < tol:
             return qx, qy, value, resid, it, 0
+        if np.isnan(resid):
+            break
     return qx, qy, value, resid, it, 2

@@ -8,24 +8,22 @@ Four engines, in increasing order of specialization:
   scanners take a stacked objective and its per-problem data as
   ``_kernels.eg`` takes them and score it as it is, one bounded chunk of
   points or rules at a time (``_scan_chunks``);
-* ``eg_optimize``: generic exponentiated-gradient (multiplicative
-  weights with a backtracking line search that accepts a step only on
-  Armijo's sufficient decrease, Armijo 1966) over a product of simplices,
-  gradient supplied or estimated by central differences in log space;
-  all restarts run as the rows of one stack of the library's one EG
-  loop, ``_kernels.eg``.  Every objective of the library is stacked
-  (``_Stacked``): it evaluates the whole stack at once, with
-  ``_fd_grad_stack`` where it has no analytic gradient; only a user
-  objective is evaluated row by row (``_rowwise``, ``_fd_grad``).
+* ``eg_optimize``: exponentiated-gradient (multiplicative weights with
+  a backtracking line search that accepts a step only on Armijo's
+  sufficient decrease, Armijo 1966) over a product of simplices, of a
+  stacked objective (``_Stacked``) from one start, as a stack of one of
+  the library's one EG loop, ``_kernels.eg``.  Every objective of the
+  library is stacked: it evaluates a whole stack of points at once,
+  with ``_fd_grad_stack`` where it has no analytic gradient.
   Every EG route of the library reads its stack through one rule,
   ``_best_rows``: per problem the best row wins, and a problem none of
   whose rows reached the tolerance raises ``ConvergenceFailure``.
-  The convex programs of ``renyi.alpha_mi`` (Sibson, Augustin-Csiszar,
-  Lapidoth-Pfister) have no spurious local optimum and call it with one
-  restart, from their marginal start, whatever ``cfg.restarts`` says
-  (van Erven & Harremoes, IEEE Trans. IT 60(7), 2014, Thm. 12; for
-  Lapidoth-Pfister, joint convexity of each term above order 1 and
-  joint concavity on (1/2, 1));
+  Its callers are the convex programs of ``renyi.alpha_mi`` (Sibson,
+  Augustin-Csiszar, Lapidoth-Pfister), which have no spurious local
+  optimum and start from their marginals (van Erven & Harremoes, IEEE
+  Trans. IT 60(7), 2014, Thm. 12; for Lapidoth-Pfister, joint
+  convexity of each term above order 1 and joint concavity on
+  (1/2, 1)), and the Augustin polish below;
 * ``augustin_fixed_point``: the fixed-point iteration for the
   minimizing output distribution of the expected-divergence objective,
   damped for orders above one, with a one-start EG fallback when it
@@ -36,8 +34,8 @@ Four engines, in increasing order of specialization:
 * ``lp_alternating``: exact alternating coordinate minimization over
   product distributions, output side first, value nonincreasing.
 
-Identical config (including seed) gives bit-identical results; restart
-initializations are drawn from a generator seeded per call.
+Identical config gives bit-identical results: the engines draw nothing
+at random (the seeded restarts of ``cfg`` are drawn in ``leakage``).
 """
 
 from __future__ import annotations
@@ -231,16 +229,15 @@ class EgResult:
     converged: bool
 
 
-def _fd_grad_stack(objective, b: np.ndarray, delta: float = 1e-6) -> np.ndarray:
-    """Central differences of ``objective`` at ``b``, a point or an
-    (m, n) stack of points, along multiplicative perturbations (which
-    keep every point positive).
+def _fd_grad_stack(objective, B: np.ndarray, delta: float = 1e-6) -> np.ndarray:
+    """Central differences of ``objective`` at an (m, n) stack of points
+    ``B``, along multiplicative perturbations (which keep every point
+    positive).
 
     All 2n perturbed points of every row go through ``objective``
     as one (m * 2n, n) stack: per row, points 0..n-1 scale one
     coordinate up by exp(delta), points n..2n-1 scale it down.
     """
-    B = np.atleast_2d(b)
     m, n = B.shape
     diag = np.arange(n)
     stack = np.repeat(B[:, None, :], 2 * n, axis=1)
@@ -248,42 +245,7 @@ def _fd_grad_stack(objective, b: np.ndarray, delta: float = 1e-6) -> np.ndarray:
     stack[:, n + diag, diag] = B * math.exp(-delta)
     vals = np.asarray(objective(stack.reshape(m * 2 * n, n)), dtype=np.float64)
     vals = vals.reshape(m, 2 * n)
-    g = (vals[:, :n] - vals[:, n:]) / (B * (math.exp(delta) - math.exp(-delta)))
-    return g.reshape(np.shape(b))
-
-
-def _fd_grad(objective, blocks: list[np.ndarray], delta: float = 1e-6) -> list[np.ndarray]:
-    """``_fd_grad_stack`` per block, for an objective of one point per block."""
-    grads = []
-    for bi, b in enumerate(blocks):
-        def batch(stack, bi=bi):
-            return [objective(blocks[:bi] + [row] + blocks[bi + 1:]) for row in stack]
-        grads.append(_fd_grad_stack(batch, b, delta))
-    return grads
-
-
-def _rowwise(objective, grad) -> _Stacked:
-    """A one-point objective and gradient (central differences when
-    ``grad`` is None), evaluated row by row over a stack.  The rows that a
-    line-search retry of ``_kernels.eg`` passes again at the point of the
-    previous call keep that call's value, so each point is evaluated once,
-    as for a row alone."""
-    grad = grad or (lambda blocks: _fd_grad(objective, blocks))
-    previous = {}
-
-    def stacked_objective(blocks, data):
-        nonlocal previous
-        points = [[b[i] for b in blocks] for i in range(len(blocks[0]))]
-        keys = [b"".join(x.tobytes() for x in point) for point in points]
-        previous = {k: previous[k] if k in previous else objective(point)
-                    for k, point in zip(keys, points)}
-        return np.array([previous[k] for k in keys]), None
-
-    def stacked_grad(blocks, cache, data):
-        per_row = [grad([b[i] for b in blocks]) for i in range(len(blocks[0]))]
-        return [np.stack(g) for g in zip(*per_row)]
-
-    return _Stacked(stacked_objective, stacked_grad)
+    return (vals[:, :n] - vals[:, n:]) / (B * (math.exp(delta) - math.exp(-delta)))
 
 
 def _eg_run(stacked: _Stacked, blocks, maximize, tol, max_iters, data=None):
@@ -312,38 +274,30 @@ def _best_rows(values, resids, problems: int, maximize: bool, cfg: OptimizerConf
     return best
 
 
-def eg_optimize(objective, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CONFIG,
-                grad=None, inits=None) -> EgResult:
+def eg_optimize(objective: _Stacked, shape, sense: str, cfg: OptimizerConfig = DEFAULT_CONFIG,
+                inits=None) -> EgResult:
     """Exponentiated-gradient optimization over a product of simplices.
 
-    ``objective(list_of_blocks) -> float`` maps one point per simplex in
-    ``shape`` to a value; ``grad``, when given, returns one gradient
-    array per block.  The first restart starts from ``inits`` (one vector
-    per block, of the block's size; ``ValidationError`` otherwise) or
-    uniform, the rest from seeded Dirichlet draws; all restarts run as
-    one stack of ``_kernels.eg``, the objective evaluated row by row
-    (the library's own objectives come stacked, as ``_Stacked``); the
-    best run wins, and ``ConvergenceFailure`` is raised when no run
-    reached the tolerance.  The objective sequence is monotone in
-    the optimization sense within every run.
+    ``objective`` is stacked (``_Stacked``), as ``_kernels.eg`` takes it,
+    with one block per simplex in ``shape``.  One start runs, as a stack of
+    one: ``inits`` (one vector per block, of the block's size;
+    ``ValidationError`` otherwise) or uniform.  ``ConvergenceFailure`` is
+    raised when the run does not reach the tolerance.  The objective
+    sequence is monotone in the optimization sense.
     """
     if sense not in ("max", "min"):
         raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
     maximize = sense == "max"
-    stacked = objective if isinstance(objective, _Stacked) else _rowwise(objective, grad)
-    rng = np.random.default_rng(cfg.seed)
     if inits is not None and [np.shape(b) for b in inits] != [(n,) for n in shape]:
         raise ValidationError(f"inits must hold one vector per block of shape {list(shape)}, "
                               f"got shapes {[np.shape(b) for b in inits]}")
-    first = inits if inits is not None else [np.full(n, 1.0 / n) for n in shape]
-    draws = [[rng.dirichlet(np.ones(n)) for n in shape] for _ in range(cfg.restarts - 1)]
+    start = inits if inits is not None else [np.full(n, 1.0 / n) for n in shape]
     blocks, values, resids, _, iters = _eg_run(
-        stacked, [np.stack(col) for col in zip(first, *draws)], maximize, cfg.tolerance,
-        cfg.max_iters)
-    (i,) = _best_rows(values, resids, 1, maximize, cfg)
-    return EgResult(point=[b[i] for b in blocks], value=float(values[i]),
-                    residual=float(resids[i]), iterations=int(iters[i]),
-                    converged=bool(resids[i] <= cfg.tolerance))
+        objective, [np.stack([b]) for b in start], maximize, cfg.tolerance, cfg.max_iters)
+    _best_rows(values, resids, 1, maximize, cfg)
+    return EgResult(point=[b[0] for b in blocks], value=float(values[0]),
+                    residual=float(resids[0]), iterations=int(iters[0]),
+                    converged=bool(resids[0] <= cfg.tolerance))
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +370,7 @@ def augustin_fixed_point(p: Pmf, W: Channel, alpha: float,
     stacked = _expected_divergence_eg(p.probs, alpha * _log0(W.matrix), alpha)
     if status != 0:
         # plateau or exhausted budget: polish with one EG start, as the optimize route
-        eg = eg_optimize(stacked, [W.n_y], "min", cfg.with_(restarts=1), inits=[q])
+        eg = eg_optimize(stacked, [W.n_y], "min", cfg, inits=[q])
         q, resid = eg.point[0], eg.residual
         engine = "fixed_point+eg"
     _check_finite_output(q, "output distribution of the Augustin solve", alpha)

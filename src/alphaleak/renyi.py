@@ -316,8 +316,7 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
             p_in, La = np.ones(1), _logsumexp(_log0(p.probs)[:, None] + La, axis=0)[None]
         stacked = _expected_divergence_eg(p_in, La, alpha)
         if method is Method.OPTIMIZE:
-            value = eg_optimize(stacked, [W.n_y], "min", cfg.with_(restarts=1),
-                                inits=[p.probs @ W.matrix]).value
+            value = eg_optimize(stacked, [W.n_y], "min", cfg, inits=[p.probs @ W.matrix]).value
         else:
             _, value = oracle_optimize_single(stacked.objective, W.n_y, False, cfg, rows=p_in.size)
     elif variant in (MiVariant.ARIMOTO, MiVariant.HAYASHI):
@@ -327,8 +326,8 @@ def alpha_mi(variant, p: Pmf, W: Channel, alpha: float = 1.0,
         if method is Method.CLOSED_FORM:
             value = lp_alternating(joint, alpha, cfg).value
         elif method is Method.OPTIMIZE:
-            value = eg_optimize(_lp_objective(joint.matrix, alpha), [p.n, W.n_y], "min",
-                                cfg.with_(restarts=1), inits=[joint.p_x, joint.p_y]).value
+            value = eg_optimize(_lp_objective(joint.matrix, alpha), [p.n, W.n_y], "min", cfg,
+                                inits=[joint.p_x, joint.p_y]).value
         else:
             from .optimize import GRID_POINT_BUDGET, _check_oracle_alphabet
 

@@ -9,8 +9,8 @@ mixed-generator objectives (``test_stacked``).  Each keeps one table,
 
 - ``pin`` is what the route gives now: ``float.hex`` of its value, or the
   name of the error it raises, followed where a route reports more (the
-  residual's ``float.hex``, the iteration count, whether it converged, the
-  grid rule) by that too;
+  residual's ``float.hex``, the iteration count, the grid rule) by that
+  too;
 - ``source`` names a value computed apart from the route (a closed form,
   a known optimum, a 60-digit mpmath evaluation, a run to a tighter
   tolerance), or is None where there is none;

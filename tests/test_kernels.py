@@ -3,14 +3,14 @@
 Every EG route runs through the one loop ``_kernels.eg``.  ``PINS`` holds,
 for the four EG entry points and three ``eg_optimize`` shapes on the
 seeded dense and sparse instances, ``float.hex`` of the value and of the
-residual and the iteration count (and whether ``eg_optimize`` converged).
+residual and the iteration count.
 Equality is exact, so any change to the update, the line search or the
 stop rule shows here.  How the table is kept is in ``pins``.
 
 A residual of 0 is a row whose line search failed, which still reads as
 converged (ROADMAP item 2): the tsallis kernel at order 4 (sparse), and
-the ``fd`` shape at order 2 (sparse) and at order 4 (dense), which ends on
-the closed form, where no step improves the finite-difference objective.
+the ``fd`` shape at orders 2 and 4, which ends where no step improves
+the finite-difference objective, on the closed form or within 1.6e-15.
 The lp kernel at order 0.6 (sparse) crawls: its value changes by about
 the tolerance for thousands of iterations, toward an optimum on the
 boundary, and the three-hit stop ends it 2.4e-5 relative above the
@@ -37,7 +37,8 @@ from alphaleak import (
     tilt,
 )
 from alphaleak.leakage import _joint_eg_inits
-from alphaleak.optimize import _expected_divergence_eg
+from alphaleak.optimize import _expected_divergence_eg, _fd_grad_stack
+from alphaleak.renyi import _lp_objective
 from pins import assert_pin, closed_form, outcome, pin_id, seeded
 
 TOL = 1e-10
@@ -78,117 +79,93 @@ def _kernel_case(name, alpha, kind):
 
 
 def _eg_optimize_case(name, alpha, kind):
-    """``fd``: Sibson objective, central differences; ``grad``: expected
-    divergence with its gradient; ``lp``: the two-block product objective."""
+    """One start of ``eg_optimize`` on a stacked objective.  ``fd``: Sibson's
+    program with central-difference gradients; ``grad``: the expected
+    divergence (Augustin-Csiszar) with its gradient; ``lp``: the two-block
+    Lapidoth-Pfister objective."""
     p, W, _ = seeded(kind)
-    cfg = optimize.OptimizerConfig(restarts=3)
     p_y = p @ W
     if name == "lp":
-        Pa = (p[:, None] * W) ** alpha
-
-        def objective(blocks):
-            ax = np.maximum(blocks[0], K.EPS) ** (1.0 - alpha)
-            ay = np.maximum(blocks[1], K.EPS) ** (1.0 - alpha)
-            return float(np.log(ax @ Pa @ ay) / (alpha - 1.0))
-
-        def grad(blocks):
-            qx = np.maximum(blocks[0], K.EPS)
-            qy = np.maximum(blocks[1], K.EPS)
-            ax, ay = qx ** (1.0 - alpha), qy ** (1.0 - alpha)
-            tot = ax @ Pa @ ay
-            return [-(qx ** -alpha) * (Pa @ ay) / tot, -(qy ** -alpha) * (ax @ Pa) / tot]
-
-        shape, inits = [p.size, W.shape[1]], [p, p_y]
+        objective = _lp_objective(p[:, None] * W, alpha)
+        shape, inits = [p.size, p_y.size], [p, p_y]
     elif name == "fd":
         A = p @ W ** alpha
 
-        def objective(blocks):
-            q = np.maximum(blocks[0], K.EPS)
-            return float(np.log(A @ q ** (1.0 - alpha)) / (alpha - 1.0))
+        def value(q):
+            return np.log(np.maximum(q, K.EPS) ** (1.0 - alpha) @ A) / (alpha - 1.0)
 
-        grad = None
-        shape, inits = [W.shape[1]], [p_y]
+        objective = K._Stacked(lambda blocks, data: (value(blocks[0]), None),
+                               lambda blocks, cache, data: [_fd_grad_stack(value, blocks[0])])
+        shape, inits = [p_y.size], [p_y]
     else:
-        Wa = W ** alpha
-
-        def objective(blocks):
-            q = np.maximum(blocks[0], K.EPS)
-            S = Wa @ q ** (1.0 - alpha)
-            live = p > 0.0
-            return float((p[live] * np.log(S[live])).sum() / (alpha - 1.0))
-
-        def grad(blocks):
-            q = np.maximum(blocks[0], K.EPS)
-            S = Wa @ q ** (1.0 - alpha)
-            return [-(p / S) @ (Wa * q[None, :] ** -alpha)]
-
-        shape, inits = [W.shape[1]], [p_y]
-    res = optimize.eg_optimize(objective, shape, "min", cfg, grad=grad, inits=inits)
-    return res.value.hex(), res.residual.hex(), res.iterations, res.converged
+        with np.errstate(divide="ignore"):
+            La = alpha * np.log(W)
+        objective, shape, inits = _expected_divergence_eg(p, La, alpha), [p_y.size], [p_y]
+    res = optimize.eg_optimize(objective, shape, "min", inits=inits)
+    return res.value.hex(), res.residual.hex(), res.iterations
 
 
-# key -> (value, residual, iterations[, converged], source, distance) of
-# the entry points ("kernel") and of the eg_optimize shapes, on the seeded
-# instances; the sources are the optimum of a power or tsallis problem, the
-# closed form of the program an eg_optimize shape solves, and the crawl's
-# minimum
+# key -> (value, residual, iterations, source, distance) of the entry
+# points ("kernel") and of the eg_optimize shapes, on the seeded instances;
+# the sources are the optimum of a power or tsallis problem, the closed
+# form of the program an eg_optimize shape solves, and the crawl's minimum
 PINS = {
     ('eg_optimize', 'fd', 0.3, 'dense'):
-        ('0x1.3644090d33e3cp-5', '0x1.0200000000000p-47', 11, True, 'alpha_mi', 8.4e-17),
+        ('0x1.3644090d33e3cp-5', '0x1.0200000000000p-47', 11, 'alpha_mi', 8.4e-17),
     ('eg_optimize', 'fd', 0.3, 'sparse'):
-        ('0x1.669d94a71a606p-6', '0x1.5c20000000000p-47', 12, True, 'alpha_mi', 5.8e-16),
+        ('0x1.669d94a71aa60p-6', '0x1.50a0000000000p-47', 12, 'alpha_mi', 4.5e-15),
     ('eg_optimize', 'fd', 0.6, 'dense'):
-        ('0x1.1449575be1053p-4', '0x1.0b20000000000p-45', 14, True, 'alpha_mi', 9.5e-16),
+        ('0x1.1449575be114ap-4', '0x1.ddb0000000000p-44', 9, 'alpha_mi', 4.4e-15),
     ('eg_optimize', 'fd', 0.6, 'sparse'):
-        ('0x1.31a2a0a10228bp-5', '0x1.d2e0000000000p-46', 10, True, 'alpha_mi', 1.5e-15),
+        ('0x1.31a2a0a10228bp-5', '0x1.e220000000000p-46', 10, 'alpha_mi', 1.5e-15),
     ('eg_optimize', 'fd', 2.0, 'dense'):
-        ('0x1.4665429a6ddb0p-3', '0x1.c000000000000p-53', 5, True, 'alpha_mi', 0.0),
+        ('0x1.4665429a6ddb0p-3', '0x0.0p+0', 5, 'alpha_mi', 0.0),
     ('eg_optimize', 'fd', 2.0, 'sparse'):
-        ('0x1.aa35e4797ccf3p-3', '0x0.0p+0', 9, True, 'alpha_mi', 2.5e-16),
+        ('0x1.aa35e4797ccf3p-3', '0x0.0p+0', 9, 'alpha_mi', 2.5e-16),
     ('eg_optimize', 'fd', 4.0, 'dense'):
-        ('0x1.055767ef3ece8p-2', '0x0.0p+0', 13, True, 'alpha_mi', 0.0),
+        ('0x1.055767ef3ece8p-2', '0x0.0p+0', 5, 'alpha_mi', 0.0),
     ('eg_optimize', 'fd', 4.0, 'sparse'):
-        ('0x1.79a50e86119b4p-2', '0x1.0000000000000p-54', 16, True, 'alpha_mi', 5.6e-17),
+        ('0x1.79a50e86119d1p-2', '0x0.0p+0', 10, 'alpha_mi', 1.6e-15),
     ('eg_optimize', 'fd', 10.0, 'dense'):
-        ('0x1.9c9a3bcfebb45p-2', '0x1.0340000000000p-43', 18, True, 'alpha_mi', 7.7e-15),
+        ('0x1.9c9a3bcfebc8cp-2', '0x1.b300000000000p-42', 9, 'alpha_mi', 2.6e-14),
     ('eg_optimize', 'fd', 10.0, 'sparse'):
-        ('0x1.041ed59854edcp-1', '0x1.1d00000000000p-45', 19, True, 'alpha_mi', 2.2e-15),
+        ('0x1.041ed59854edcp-1', '0x1.1c00000000000p-45', 19, 'alpha_mi', 2.2e-15),
     ('eg_optimize', 'grad', 0.3, 'dense'):
-        ('0x1.3ffea591715dbp-5', '0x1.2850000000000p-43', 13, True, 'alpha_mi', 1.1e-14),
+        ('0x1.3ffea591724c5p-5', '0x1.0f92000000000p-41', 11, 'alpha_mi', 3.7e-14),
     ('eg_optimize', 'grad', 0.3, 'sparse'):
-        ('0x1.29813336c57a7p-5', '0x1.6c50000000000p-43', 14, True, 'alpha_mi', 2.1e-14),
+        ('0x1.29813336c5a26p-5', '0x1.c2d0000000000p-43', 12, 'alpha_mi', 2.5e-14),
     ('eg_optimize', 'grad', 0.6, 'dense'):
-        ('0x1.1cf7f250173c3p-4', '0x1.aec0000000000p-45', 15, True, 'alpha_mi', 3.8e-15),
+        ('0x1.1cf7f25017740p-4', '0x1.0664000000000p-42', 10, 'alpha_mi', 1.7e-14),
     ('eg_optimize', 'grad', 0.6, 'sparse'):
-        ('0x1.d7001bdf27f3dp-5', '0x1.7c02000000000p-42', 13, True, 'alpha_mi', 7.6e-14),
+        ('0x1.d7001bdf2af27p-5', '0x1.9271000000000p-41', 13, 'alpha_mi', 1.7e-13),
     ('eg_optimize', 'grad', 2.0, 'dense'):
-        ('0x1.201b269d16496p-3', '0x1.3000000000000p-51', 15, True, 'alpha_mi', 7.8e-16),
+        ('0x1.201b269d164f6p-3', '0x1.6400000000000p-49', 7, 'alpha_mi', 3.5e-15),
     ('eg_optimize', 'grad', 2.0, 'sparse'):
-        ('0x1.6575f8c3097eep-4', '0x1.86c0000000000p-46', 14, True, 'alpha_mi', 3.8e-16),
+        ('0x1.6575f8c309890p-4', '0x1.9200000000000p-49', 8, 'alpha_mi', 2.6e-15),
     ('eg_optimize', 'grad', 4.0, 'dense'):
-        ('0x1.6a8d169322e38p-3', '0x1.c6c0000000000p-45', 20, True, 'alpha_mi', 1.8e-14),
+        ('0x1.6a8d16932449fp-3', '0x1.39d8000000000p-41', 13, 'alpha_mi', 1.8e-13),
     ('eg_optimize', 'grad', 4.0, 'sparse'):
-        ('0x1.73114d1e79615p-4', '0x1.e920000000000p-44', 21, True, 'alpha_mi', 5.8e-15),
+        ('0x1.73114d1e79704p-4', '0x1.a9a8000000000p-43', 13, 'alpha_mi', 8.9e-15),
     ('eg_optimize', 'grad', 10.0, 'dense'):
-        ('0x1.ad31dc7c255dep-3', '0x1.8000000000000p-49', 14, True, 'alpha_mi', 1.2e-16),
+        ('0x1.ad31dc7c255e8p-3', '0x1.dc60000000000p-44', 8, 'alpha_mi', 3.9e-16),
     ('eg_optimize', 'grad', 10.0, 'sparse'):
-        ('0x1.7a49fd4d8d02fp-4', '0x1.fbdc700000000p-36', 35, True, 'alpha_mi', 2e-11),
+        ('0x1.7a49fd4d8d034p-4', '0x1.fbdd400000000p-36', 35, 'alpha_mi', 2e-11),
     ('eg_optimize', 'lp', 0.6, 'dense'):
-        ('0x1.0e729374e1e96p-4', '0x1.c8e8000000000p-42', 13, True, 'alpha_mi', 6.3e-14),
+        ('0x1.0e729374e1e90p-4', '0x1.c840000000000p-42', 13, 'alpha_mi', 6.3e-14),
     ('eg_optimize', 'lp', 0.6, 'sparse'):
-        ('0x1.cf1611f78ec6cp-6', '0x1.2ce0000000000p-44', 11, True, 'alpha_mi', 1.4e-14),
+        ('0x1.cf1611f78ec70p-6', '0x1.2b60000000000p-44', 11, 'alpha_mi', 1.4e-14),
     ('eg_optimize', 'lp', 2.0, 'dense'):
-        ('0x1.3332357bc5717p-3', '0x1.c300000000000p-46', 22, True, 'alpha_mi', 6.9e-14),
+        ('0x1.3332357bc5760p-3', '0x1.0700000000000p-44', 10, 'alpha_mi', 6.7e-14),
     ('eg_optimize', 'lp', 2.0, 'sparse'):
-        ('0x1.34b0a8f95c061p-3', '0x1.18e6000000000p-39', 17, True, 'alpha_mi', 1.7e-12),
+        ('0x1.34b0a8f95c058p-3', '0x1.18f4000000000p-39', 17, 'alpha_mi', 1.7e-12),
     ('eg_optimize', 'lp', 4.0, 'dense'):
-        ('0x1.9403d16d7a368p-3', '0x1.1ac7000000000p-39', 17, True, 'alpha_mi', 2e-13),
+        ('0x1.9403d16d7a36dp-3', '0x1.1ac3000000000p-39', 17, 'alpha_mi', 2e-13),
     ('eg_optimize', 'lp', 4.0, 'sparse'):
-        ('0x1.8adbf536aaa15p-3', '0x1.6fa7e00000000p-36', 34, True, 'alpha_mi', 5.4e-12),
+        ('0x1.8adbf536aaa20p-3', '0x1.6fa6600000000p-36', 34, 'alpha_mi', 5.4e-12),
     ('eg_optimize', 'lp', 10.0, 'dense'):
-        ('0x1.ec3fedb6ff0b5p-3', '0x1.42bf800000000p-38', 28, True, 'alpha_mi', 3.7e-11),
+        ('0x1.ec3fedb6ff0bcp-3', '0x1.42b9000000000p-38', 28, 'alpha_mi', 3.7e-11),
     ('eg_optimize', 'lp', 10.0, 'sparse'):
-        ('0x1.ba36a9831d8a2p-3', '0x1.74c5780000000p-34', 70, True, 'alpha_mi', 1.3e-12),
+        ('0x1.ba36a9831d89dp-3', '0x1.74c5880000000p-34', 70, 'alpha_mi', 1.3e-12),
     ('kernel', 'ac', 0.3, 'dense'):
         ('0x1.081487adabe94p+1', '0x1.476e4b7ce7c6dp-37', 24, None, None),
     ('kernel', 'ac', 0.3, 'sparse'):
@@ -398,12 +375,21 @@ def _hex_pair(p, W):
 
 def test_sibson_restarts_stop_without_zigzag(monkeypatch):
     # a 2x3 dense cell of the measure-numeric benchmark at order 4: under
-    # a "not worse" line search two restarts of the Sibson optimize route
-    # overshot the optimum to points of almost equal value and zigzagged
-    # across it for 71 897 and 73 361 iterations
+    # a "not worse" line search two of ten seeded starts of the Sibson
+    # program overshot the optimum to points of almost equal value and
+    # zigzagged across it for 71 897 and 73 361 iterations
     P, C = _hex_pair(["0x1.0f99cd408888cp-1", "0x1.e0cc657eeeee8p-2"],
                      [["0x1.254c8cdb58c0cp-2", "0x1.9d08b946b4d36p-2", "0x1.3daab9ddf26bfp-2"],
                       ["0x1.e7efd70a8be51p-3", "0x1.3b99f104b4529p-1", "0x1.29a864e2a2d0cp-3"]])
+    closed = alpha_mi("sibson", P, C, 4.0)
+    # the output marginal and nine seeded draws, as one stack
+    rng = np.random.default_rng(0)
+    starts = np.stack([P.probs @ C.matrix] + [rng.dirichlet(np.ones(C.n_y)) for _ in range(9)])
+    sibson = _expected_divergence_eg(np.ones(1), np.log(P.probs @ C.matrix ** 4.0)[None, :], 4.0)
+    _, values, resids, _, iters = optimize._eg_run(sibson, [starts], False, TOL, ITERS)
+    assert len(iters) == 10 and iters.max() <= 100 and resids.max() <= TOL
+    assert np.abs(values - closed).max() <= 1e-12 * closed
+    # the route itself runs its one row from the output marginal
     iters = []
     eg = K.eg
 
@@ -413,15 +399,6 @@ def test_sibson_restarts_stop_without_zigzag(monkeypatch):
         return out
 
     monkeypatch.setattr(K, "eg", counted)
-    closed = alpha_mi("sibson", P, C, 4.0)
-    # all ten restarts, as the route ran them before it took one start
-    sibson = _expected_divergence_eg(np.ones(1), np.log(P.probs @ C.matrix ** 4.0)[None, :], 4.0)
-    res = optimize.eg_optimize(sibson, [C.n_y], "min", inits=[P.probs @ C.matrix])
-    assert len(iters) == 1 and len(iters[0]) == optimize.OptimizerConfig().restarts
-    assert max(iters[0]) <= 100
-    assert abs(res.value - closed) <= 1e-12 * closed
-    # the route itself runs its one row from the output marginal
-    iters.clear()
     value = alpha_mi("sibson", P, C, 4.0, method="optimize")
     assert len(iters) == 1 and len(iters[0]) == 1
     assert iters[0][0] <= 100

@@ -35,7 +35,7 @@ from alphaleak import (
 )
 from alphaleak import leakage
 from alphaleak.leakage import LeakageSpec, VulnerabilityResult, _prior_objective
-from alphaleak.optimize import OptimizerConfig, _fd_grad, _fd_grad_stack, simplex_grid
+from alphaleak.optimize import OptimizerConfig, _fd_grad_stack, simplex_grid
 from alphaleak.renyi import MiVariant
 from conftest import random_pair
 
@@ -129,7 +129,8 @@ class TestPriorVulnerability:
 
             r = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
             batched = stacked.grad([r[None]], None, probs[None])[0][0]
-            per_point = _fd_grad(lambda blocks: aggregate(blocks[0]), [r])[0]
+            per_point = _fd_grad_stack(lambda s: np.array([aggregate(x) for x in s]),
+                                       r[None])[0]
             delta = 1e-6
             loop = np.array([
                 (aggregate(np.where(np.arange(n) == i, r[i] * math.exp(delta), r))

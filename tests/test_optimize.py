@@ -24,7 +24,7 @@ from alphaleak import (
     simplex_grid,
 )
 from alphaleak import _kernels, optimize
-from alphaleak._kernels import power_objective
+from alphaleak._kernels import _Stacked, power_objective
 from alphaleak.optimize import (
     OptimizerConfig,
     _compositions,
@@ -94,60 +94,66 @@ class TestSimplexGrid:
         assert grid.tobytes(order="A") == built.tobytes(order="A")
 
 
+def _stacked(value, grad):
+    """A stacked objective from the values and the gradients, one array per
+    block, of a stack of points given as its list of blocks."""
+    return _Stacked(lambda blocks, data: (value(blocks), None),
+                    lambda blocks, cache, data: grad(blocks))
+
+
+def _linear(*c):
+    """sum_i c_i . b_i over the blocks b_i of each point."""
+    return _stacked(lambda blocks: sum(b @ ci for b, ci in zip(blocks, c)),
+                    lambda blocks: [np.broadcast_to(ci, b.shape) for b, ci in zip(blocks, c)])
+
+
 class TestEgOptimize:
     def test_linear_objective_hits_vertex(self, cfg):
-        c = np.array([0.1, 0.9, 0.3])
-        res = eg_optimize(lambda b: float(c @ b[0]), [3], "max", cfg)
+        res = eg_optimize(_linear(np.array([0.1, 0.9, 0.3])), [3], "max", cfg)
         assert abs(res.value - 0.9) < 1e-6
         assert res.point[0][1] > 1.0 - 1e-5
+        # two blocks: the vertices 3 and 5
+        res = eg_optimize(_linear(np.array([1.0, 3.0, 2.0]), np.array([5.0, 4.0])), [3, 2],
+                          "max", cfg)
+        assert abs(res.value - 8.0) < 1e-5
 
     def test_gibbs_objective_matches_closed_form(self, cfg, rng):
         # closed-form optimum as the oracle for the EG engine
         for q in (0.5, 2.0):
             p = make_pmf(0.9 * rng.dirichlet(np.ones(3)) + 0.1 / 3, renormalize=True)
             opt = gibbs_optimum(p, q)
-
-            def objective(blocks):
-                r = np.maximum(blocks[0], 1e-300)
-                return float(p.probs @ q_log(r, q))
-
+            objective = _stacked(lambda b: q_log(np.maximum(b[0], 1e-300), q) @ p.probs,
+                                 lambda b: [p.probs * b[0] ** -q])
             res = eg_optimize(objective, [3], "max", cfg)
             assert abs(res.value - opt.value) < 1e-8
             assert np.abs(res.point[0] - opt.argmax.probs).sum() < 0.01
 
     def test_monotone_final_at_least_initial(self, rng):
-        cfg = OptimizerConfig(seed=5, restarts=1, max_iters=2000)
+        cfg = OptimizerConfig(max_iters=2000)
         for _ in range(100):
             n = int(rng.integers(2, 5))
             A = rng.normal(size=(n, n))
             A = A @ A.T + np.eye(n)
             b = rng.normal(size=n)
-
-            def objective(blocks, A=A, b=b):
-                x = blocks[0]
-                return float(b @ x - 0.5 * x @ A @ x)
-
+            objective = _stacked(
+                lambda x, A=A, b=b: x[0] @ b - 0.5 * np.einsum("mi,ij,mj->m", x[0], A, x[0]),
+                lambda x, A=A, b=b: [b - x[0] @ A])
             start = rng.dirichlet(np.ones(n))
-            f0 = objective([start])
+            f0 = objective.objective([start[None]], None)[0][0]
             res = eg_optimize(objective, [n], "max", cfg, inits=[start])
             assert res.value >= f0 - 1e-12
 
     def test_deterministic(self, rng):
         c = rng.normal(size=4)
-        cfg = OptimizerConfig(seed=7, restarts=4)
-
-        def objective(blocks):
-            x = blocks[0]
-            return float(c @ x - (x ** 2).sum())
-
-        r1 = eg_optimize(objective, [4], "max", cfg)
-        r2 = eg_optimize(objective, [4], "max", cfg)
-        assert r1.value == r2.value
+        objective = _stacked(lambda x: x[0] @ c - (x[0] ** 2).sum(axis=-1),
+                             lambda x: [c - 2.0 * x[0]])
+        r1 = eg_optimize(objective, [4], "max")
+        r2 = eg_optimize(objective, [4], "max")
+        assert r1.value.hex() == r2.value.hex()
         np.testing.assert_array_equal(r1.point[0], r2.point[0])
 
     def test_min_sense(self, cfg):
-        c = np.array([0.4, 0.1, 0.5])
-        res = eg_optimize(lambda b: float(c @ b[0]), [3], "min", cfg)
+        res = eg_optimize(_linear(np.array([0.4, 0.1, 0.5])), [3], "min", cfg)
         assert abs(res.value - 0.1) < 1e-6
 
     @pytest.mark.parametrize("inits", [
@@ -160,8 +166,7 @@ class TestEgOptimize:
         # a linear objective whose maximum over the two blocks is 3 + 5 = 8
         c = [np.array([1.0, 3.0, 2.0]), np.array([5.0, 4.0])]
         with pytest.raises(ValidationError, match=r"^inits must hold one vector per block"):
-            eg_optimize(lambda b: float(sum(ci @ bi for ci, bi in zip(c, b))), [3, 2], "max",
-                        inits=inits)
+            eg_optimize(_linear(*c), [3, 2], "max", inits=inits)
 
 
 class TestAugustinFixedPoint:
@@ -284,6 +289,25 @@ class TestLpAlternating:
         W = make_channel([[0.9, 0.1, 0, 0], [0, 0.2, 0.8, 0], [0, 0, 0.5, 0.5]])
         with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="nan"):
             lp_alternating(compose_joint(p, W), 50.0, OptimizerConfig(max_iters=5))
+
+    @pytest.mark.parametrize("inputs, alpha", [("sparse3", 50.0), ("sparse3", 1000.0),
+                                               ("dense3", 1000.0)])
+    def test_stops_at_its_first_nan_residual(self, inputs, alpha):
+        # the residual of these inputs of the CI measure runs is NaN from the
+        # first iteration on; the solver ran its whole budget of 100 000
+        # iterations (2.6-3.0 s) before it raised
+        p, W = {"dense3": ([0.2, 0.3, 0.5], [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3],
+                                             [0.1, 0.2, 0.7]]),
+                "sparse3": ([0.0, 0.4, 0.6], [[0.6, 0.4, 0.0], [0.2, 0.5, 0.3],
+                                              [0.0, 0.3, 0.7]])}[inputs]
+        p, W = make_pmf(p), make_channel(W)
+        joint = compose_joint(p, W)
+        with np.errstate(all="ignore"):
+            *_, resid, iters, status = _kernels.lp_alternating_solve(
+                joint.matrix ** alpha, alpha, joint.p_x, joint.p_y, 1e-10, 100_000)
+            assert np.isnan(resid) and iters == 1 and status == 2
+            with pytest.raises(ConvergenceFailure, match=r"residual nan .* after 1 iterations$"):
+                alpha_mi("lapidoth_pfister", p, W, alpha)
 
 
 class TestNonFiniteSolverOutputs:

@@ -3,7 +3,9 @@
 ``_kernels.eg`` runs a stack of independent problems, one per row, and
 every row must follow the path it follows alone: the same value and
 residual (by ``float.hex``), the same iteration count and the same
-point.  The stacked objectives of the optimize routes must agree with
+point; ``eg_optimize`` runs its one start as such a row, and the central
+differences of a stack give each row those of the point alone.  The
+stacked objectives of the optimize routes must agree with
 their one-point forms.  ``PINS`` holds ``float.hex`` (or the error) of the
 ``alpha_mi`` and ``alpha_mi_via_leakage`` optimize routes on the seeded
 instances, with the distance to ``alpha_mi``'s closed form, and of the
@@ -26,7 +28,7 @@ from alphaleak.leakage import (
     soft01_gain,
     transformed_gain,
 )
-from alphaleak.optimize import _eg_run, _expected_divergence_eg, _fd_grad_stack, _rowwise
+from alphaleak.optimize import _eg_run, _expected_divergence_eg, _fd_grad_stack
 from alphaleak.qcalc import linear_aggregator, log_aggregator, q_log_aggregator
 from alphaleak.renyi import _lp_objective, alpha_mi
 from pins import assert_pin, closed_form, outcome, pin_id, seeded
@@ -154,15 +156,23 @@ def _sibson_problem(kind, alpha):
     return _expected_divergence_eg(np.ones(1), np.log(A)[None, :], alpha), p @ W
 
 
-def _plain_sibson(kind, alpha):
-    p, W, _ = seeded(kind)
-    A = p @ W ** alpha
+def _problem(form, kind, alpha):
+    """A stacked objective and the first start of each of its blocks:
+    Sibson's program with its gradient (``stacked``) or with central
+    differences (``fd_grad``), or the two-block Lapidoth-Pfister objective
+    (``two_block``)."""
+    sibson, p_y = _sibson_problem(kind, alpha)
+    if form == "two_block":
+        p, W, _ = seeded(kind)
+        return _lp_objective(p[:, None] * W, alpha), [p, p_y]
+    if form == "stacked":
+        return sibson, [p_y]
 
-    def objective(blocks):
-        q = np.maximum(blocks[0], K.EPS)
-        return float(np.log(A @ q ** (1.0 - alpha)) / (alpha - 1.0))
+    def value(q):
+        return sibson.objective([q], None)[0]
 
-    return objective, p @ W
+    return K._Stacked(lambda blocks, data: (value(blocks[0]), None),
+                      lambda blocks, cache, data: [_fd_grad_stack(value, blocks[0])]), [p_y]
 
 
 def _starts(first, n, count=5, seed=0):
@@ -171,75 +181,69 @@ def _starts(first, n, count=5, seed=0):
     return np.stack([first] + [rng.dirichlet(np.ones(n)) for _ in range(count - 1)])
 
 
-@pytest.mark.parametrize("form", ["stacked", "rowwise_fd", "rowwise_grad"])
+def _block_starts(firsts):
+    """One stack of starts per block, each drawn with its own seed."""
+    return [_starts(f, f.size, seed=i) for i, f in enumerate(firsts)]
+
+
+@pytest.mark.parametrize("form", ["stacked", "fd_grad", "two_block"])
 @pytest.mark.parametrize("alpha", [0.6, 4.0])
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_eg_run_rows_match_solo_runs(form, alpha, kind):
-    if form == "stacked":
-        stacked, first = _sibson_problem(kind, alpha)
-    else:
-        objective, first = _plain_sibson(kind, alpha)
-        grad = None
-        if form == "rowwise_grad":
-            stacked_form, _ = _sibson_problem(kind, alpha)
-
-            def grad(blocks):
-                one = [b[None] for b in blocks]
-                _, S = stacked_form.objective(one, None)
-                return [g[0] for g in stacked_form.grad(one, S, None)]
-        stacked = _rowwise(objective, grad)
-    starts = _starts(first, first.size)
-    blocks, values, resids, total, iters = _eg_run(stacked, [starts], False, TOL, ITERS)
-    solo = [_eg_run(stacked, [s[None]], False, TOL, ITERS) for s in starts]
+    stacked, firsts = _problem(form, kind, alpha)
+    starts = _block_starts(firsts)
+    blocks, values, resids, total, iters = _eg_run(stacked, starts, False, TOL, ITERS)
+    solo = [_eg_run(stacked, [b[i:i + 1] for b in starts], False, TOL, ITERS)
+            for i in range(len(values))]
     assert isinstance(total, int) and total == sum(s[3] for s in solo)
     for i, (b1, v1, r1, _, it1) in enumerate(solo):
         assert _hexes(values[i], resids[i], iters[i]) == _hexes(v1[0], r1[0], it1[0])
-        assert blocks[0][i].tobytes() == b1[0][0].tobytes()
+        for b, b_solo in zip(blocks, b1):
+            assert b[i].tobytes() == b_solo[0].tobytes()
 
 
-@pytest.mark.parametrize("supplied_grad", [False, True])
+@pytest.mark.parametrize("form", ["stacked", "fd_grad", "two_block"])
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_eg_optimize_runs_its_one_start_as_a_row_of_the_stack(form, kind):
+    """``eg_optimize`` from a start gives that start's row of a stacked run,
+    and without ``inits`` the row of the uniform start."""
+    stacked, firsts = _problem(form, kind, 2.0)
+    shape = [f.size for f in firsts]
+    cfg = optimize.OptimizerConfig(tolerance=TOL, max_iters=ITERS)
+    uniform = [np.full((1, n), 1.0 / n) for n in shape]
+    starts = [np.vstack([u, s]) for u, s in zip(uniform, _block_starts(firsts))]
+    blocks, values, resids, _, iters = _eg_run(stacked, starts, False, TOL, ITERS)
+    runs = [optimize.eg_optimize(stacked, shape, "min", cfg)]
+    runs += [optimize.eg_optimize(stacked, shape, "min", cfg, inits=[b[i] for b in starts])
+             for i in range(1, len(values))]
+    for i, res in enumerate(runs):
+        assert _hexes(res.value, res.residual, res.iterations) == \
+            _hexes(values[i], resids[i], iters[i])
+        assert res.converged
+        for x, b in zip(res.point, blocks):
+            assert x.tobytes() == b[i].tobytes()
+
+
 @pytest.mark.parametrize("alpha", [0.6, 4.0])
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
-def test_rowwise_objective_runs_as_often_as_solo_rows(supplied_grad, alpha, kind):
-    """Rows that accepted their step are not evaluated again while other
-    rows of the stack retry theirs."""
-    objective, first = _plain_sibson(kind, alpha)
-    calls = [0]
+def test_fd_grad_stack_rows_match_solo_rows_and_the_gradient(alpha, kind):
+    """The central differences of a stack of points: each row is that of
+    the point alone, and lies near the analytic gradient.  The steps are
+    multiplicative, so q * gradient is what they resolve to a rounding
+    error of about 1e-16 |f| / 1e-6."""
+    stacked, (p_y,) = _problem("stacked", kind, alpha)
+    points = _starts(p_y, p_y.size, count=6, seed=5)
 
-    def counted(blocks):
-        calls[0] += 1
-        return objective(blocks)
+    def value(q):
+        return stacked.objective([q], None)[0]
 
-    grad = (lambda blocks: optimize._fd_grad(objective, blocks)) if supplied_grad else None
-    starts = _starts(first, first.size)
-    _eg_run(_rowwise(counted, grad), [starts], False, TOL, ITERS)
-    stacked_calls, calls[0] = calls[0], 0
-    for s in starts:
-        _eg_run(_rowwise(counted, grad), [s[None]], False, TOL, ITERS)
-    assert stacked_calls == calls[0]
-
-
-@pytest.mark.parametrize("form", ["stacked", "rowwise"])
-@pytest.mark.parametrize("kind", ["dense", "sparse"])
-def test_eg_optimize_picks_the_best_solo_restart(form, kind):
-    alpha = 2.0
-    if form == "stacked":
-        objective, first = _sibson_problem(kind, alpha)
-    else:
-        objective, first = _plain_sibson(kind, alpha)
-    cfg = optimize.OptimizerConfig(restarts=6, seed=4)
-    res = optimize.eg_optimize(objective, [first.size], "min", cfg, inits=[first])
-    rng = np.random.default_rng(cfg.seed)
-    starts = [first] + [rng.dirichlet(np.ones(first.size)) for _ in range(cfg.restarts - 1)]
-    solo = [optimize.eg_optimize(objective, [first.size], "min", cfg.with_(restarts=1),
-                                 inits=[s]) for s in starts]
-    best = solo[0]
-    for r in solo[1:]:
-        if r.value < best.value:
-            best = r
-    assert (res.value.hex(), res.residual.hex(), res.iterations, res.converged) == \
-        (best.value.hex(), best.residual.hex(), best.iterations, best.converged)
-    assert res.point[0].tobytes() == best.point[0].tobytes()
+    fd = _fd_grad_stack(value, points)
+    assert fd.shape == points.shape
+    for i, q in enumerate(points):
+        assert fd[i].tobytes() == _fd_grad_stack(value, q[None])[0].tobytes()
+    _, cache = stacked.objective([points], None)
+    np.testing.assert_allclose(fd * points, stacked.grad([points], cache, None)[0] * points,
+                               rtol=1e-6, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -337,12 +341,13 @@ def test_prior_aggregate_and_fd_gradient_match_one_point_form(g, phi, sparse):
     _close(stacked.objective([R], W)[0], [stacked.objective([r[None]], probs[None])[0][0]
                                           for r in R])
     _close(stacked.grad([R], None, W)[0],
-           [_fd_grad_stack(lambda s: stacked.objective([s], probs[None])[0], r) for r in R])
+           [_fd_grad_stack(lambda s: stacked.objective([s], probs[None])[0], r[None])[0]
+            for r in R])
 
 
 def test_generic_mixed_route_optimizes():
     # mismatched generators outside the recognized tuples run the
-    # row-by-row objective over stacked restarts; the result is no worse
+    # mixed-generator objective over stacked restarts; the result is no worse
     # than the best point of a coarse grid
     P = make_pmf([0.5, 0.3, 0.2])
     C = make_channel([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
